@@ -11,7 +11,7 @@ against a fine-step reference cross-checked between two unrelated
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -60,10 +60,18 @@ def config_to_dict(config):
     return asdict(config)
 
 
+def _reject_unknown_keys(data, cls, what):
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {what} key(s): {', '.join(unknown)}")
+
+
 def config_from_dict(data):
+    _reject_unknown_keys(data, ExperimentConfig, "config")
     data = dict(data)
     params = data.pop("params")
     if isinstance(params, dict):
+        _reject_unknown_keys(params, CglParameters, "params")
         params = CglParameters(**params)
     intervals = tuple(tuple(float(x) for x in ab)
                       for ab in data.pop("intervals"))

@@ -252,6 +252,8 @@ def integrate(problem, scheme_name, fields, t_final, steps,
                          f"choose from {sorted(SCHEMES)}")
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if not np.isfinite(t_final) or t_final <= 0:
+        raise ValueError("t_final must be positive and finite")
     scheme = SCHEMES[scheme_name]
     tau = t_final / steps
     fields = tuple(np.asarray(u, dtype=complex) for u in fields)

@@ -18,6 +18,7 @@ JSON mirror with identical content.
 
 import csv
 import json
+import math
 import struct
 
 import numpy as np
@@ -60,31 +61,44 @@ def write_snapshot(path, fields, time, grids):
 
 
 def read_snapshot(path):
-    """Read a snapshot back; returns (fields, time)."""
+    """Read a snapshot back; returns (fields, time).
+
+    A file cut short at any byte raises ValueError("truncated snapshot ...").
+    """
     with open(str(path), "rb") as fh:
         data = fh.read()
+    if len(data) < len(_MAGIC) and _MAGIC.startswith(data):
+        raise ValueError(f"truncated snapshot: {len(data)} bytes")
     if data[:4] != _MAGIC:
         raise ValueError("not a snapshot file (bad magic)")
     off = 4
-    version, order = struct.unpack_from("<II", data, off)
-    off += 8
+    (version, order), off = _unpack("<II", data, off)
     if version != _VERSION:
         raise ValueError(f"unsupported snapshot version {version}")
-    shape = struct.unpack_from(f"<{order}Q", data, off)
-    off += 8 * order
-    (time,) = struct.unpack_from("<d", data, off)
-    off += 8
-    (ncomp,) = struct.unpack_from("<I", data, off)
-    off += 4
-    total = int(np.prod(shape))
+    shape, off = _unpack(f"<{order}Q", data, off)
+    (time,), off = _unpack("<d", data, off)
+    (ncomp,), off = _unpack("<I", data, off)
+    total = math.prod(shape)
+    end = off + 16 * total * ncomp
+    if len(data) < end:
+        raise ValueError(f"truncated snapshot: {len(data)} of {end} bytes")
+    if len(data) > end:
+        raise ValueError("trailing bytes in snapshot file")
     fields = []
     for _ in range(ncomp):
         flat = np.frombuffer(data, dtype="<c16", count=total, offset=off)
         off += 16 * total
         fields.append(flat.astype(complex).reshape(shape, order="F"))
-    if off != len(data):
-        raise ValueError("trailing bytes in snapshot file")
     return tuple(fields), time
+
+
+def _unpack(fmt, data, off):
+    """struct.unpack_from that reports a short header as truncation."""
+    end = off + struct.calcsize(fmt)
+    if len(data) < end:
+        raise ValueError(f"truncated snapshot: {len(data)} bytes, header "
+                         f"needs {end}")
+    return struct.unpack_from(fmt, data, off), end
 
 
 def _cell(value):

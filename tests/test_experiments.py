@@ -41,6 +41,15 @@ def test_config_dict_round_trip():
         assert config_from_dict(config_to_dict(cfg)) == cfg
 
 
+def test_config_from_dict_names_unknown_keys():
+    data = config_to_dict(make_preset("plane-wave-1d"))
+    with pytest.raises(ValueError, match="unknown config key.*stpes, zz"):
+        config_from_dict({**data, "stpes": 3, "zz": 1})
+    data["params"]["alpah3"] = 1.0
+    with pytest.raises(ValueError, match="unknown params key.*alpah3"):
+        config_from_dict(data)
+
+
 def test_plane_wave_satisfies_dispersion_relation():
     cfg = make_preset("plane-wave-1d")
     p = cfg.params

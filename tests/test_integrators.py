@@ -204,6 +204,15 @@ def test_unknown_scheme_rejected():
         integrate(problem, "rk4", (np.zeros(16, dtype=complex),), 1.0, 0)
 
 
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+@pytest.mark.parametrize("t_final", [0.0, -1.0, np.inf, np.nan])
+def test_non_positive_or_non_finite_t_final_rejected(scheme, t_final):
+    problem, _ = plane_wave_problem(n=16)
+    with pytest.raises(ValueError, match="t_final"):
+        integrate(problem, scheme, (np.zeros(16, dtype=complex),), t_final,
+                  4)
+
+
 def test_scheme_table():
     assert set(SCHEMES) == {"rk2", "rk4", "strang", "split4", "strang_3t",
                             "split4_3t", "if2", "if4"}

@@ -62,6 +62,20 @@ def test_snapshot_rejects_trailing_bytes(tmp_path):
         read_snapshot(path)
 
 
+@pytest.mark.parametrize("ncomp", [1, 2])
+def test_snapshot_cut_at_any_byte_is_truncated(tmp_path, ncomp):
+    path = tmp_path / "whole.cgls"
+    write_snapshot(path, [_draw((3, 2), 8 + k) for k in range(ncomp)], 0.5,
+                   [np.arange(3.0), np.arange(2.0)])
+    whole = path.read_bytes()
+    for size in range(len(whole)):
+        # a fresh file per cut: shrinking one file in place can be slow
+        cut = tmp_path / f"cut{size}.cgls"
+        cut.write_bytes(whole[:size])
+        with pytest.raises(ValueError, match="truncated snapshot"):
+            read_snapshot(cut)
+
+
 def test_snapshot_validates_shapes(tmp_path):
     u = _draw((3, 3), 6)
     w = _draw((3, 4), 7)

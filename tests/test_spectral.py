@@ -1,8 +1,16 @@
 """Transform conventions and Fourier symbols against direct summation."""
 
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
+from cglsolve import spectral
 from cglsolve.params import CglParameters
 from cglsolve.spectral import (
     FourierGrid,
@@ -71,6 +79,112 @@ def test_mixed_radix_sizes(n):
     delta = np.zeros(n, dtype=complex)
     delta[0] = 1.0
     assert np.max(np.abs(dft_forward(delta) - 1.0)) <= 1e-12
+
+
+def _bit_identity_inputs():
+    rng = np.random.default_rng(44)
+    big = random_complex(rng, (80, 90, 30))
+    return {
+        "1d": random_complex(rng, (700,)),
+        "700x350": random_complex(rng, (700, 350)),
+        "odd-3d": random_complex(rng, (33, 41, 29)),
+        "4d": random_complex(rng, (10, 12, 16, 18)),
+        "real": rng.standard_normal((64, 64, 16)),
+        "float32": rng.standard_normal((64, 64, 16)).astype(np.float32),
+        "strided-view": big[::2, 1::3, :],
+        "transposed-view": big.transpose(2, 0, 1),
+    }
+
+
+@pytest.fixture(params=[2, 5], ids=["2-slabs", "5-slabs"])
+def slab_threads(request, monkeypatch):
+    # force the threaded path whatever the machine's CPU count, including
+    # more slabs than the pool has threads
+    monkeypatch.setattr(spectral, "_THREADS", request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("name", list(_bit_identity_inputs()))
+def test_transforms_bit_identical_to_numpy(name, slab_threads):
+    x = _bit_identity_inputs()[name]
+    before = x.copy()
+    for ours, numpys in ((dft_forward, np.fft.fftn),
+                         (dft_inverse, np.fft.ifftn)):
+        got = ours(x)
+        want = numpys(x)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        # Problem.to_physical passes the live state
+        assert np.array_equal(x, before)
+
+
+def test_error_in_a_pool_slab_reaches_caller(slab_threads, monkeypatch):
+    line_fft = np.fft.fft
+
+    def fft_failing_off_main_thread(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("slab failed")
+        return line_fft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", fft_failing_off_main_thread)
+    with pytest.raises(RuntimeError, match="slab failed"):
+        dft_forward(np.ones((64, 64, 16), dtype=complex))
+
+
+def test_callers_errstate_applies_in_slab_threads(slab_threads):
+    x = np.ones((64, 64, 16), dtype=complex)
+    x[-1, 0, 0] = np.inf  # in the last slab, which a pool thread transforms
+    with np.errstate(invalid="raise"):
+        with pytest.raises(FloatingPointError):
+            dft_forward(x)
+    with np.errstate(invalid="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dft_forward(x)
+
+
+def test_slab_threads_stress(monkeypatch):
+    monkeypatch.setattr(spectral, "_THREADS", 7)
+    x = random_complex(np.random.default_rng(45), (33, 41, 29))
+    want = np.fft.fftn(x)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            assert np.array_equal(dft_forward(x), want)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_import_and_small_transforms_start_no_thread():
+    code = ("import threading, numpy as np\n"
+            "from cglsolve.spectral import dft_forward\n"
+            "assert threading.active_count() == 1\n"
+            "dft_forward(np.ones((16, 16, 16), dtype=complex))\n"
+            "dft_forward(np.ones(1 << 16, dtype=complex))\n"
+            "assert threading.active_count() == 1\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                   timeout=60)
+
+
+def _transform_in_child():
+    dft_forward(np.ones((64, 64, 16), dtype=complex))
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork on this platform")
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+def test_forked_child_gets_a_fresh_pool(slab_threads):
+    _transform_in_child()  # the parent's pool now exists
+    child = multiprocessing.get_context("fork").Process(
+        target=_transform_in_child)
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join(timeout=10)
+        pytest.fail("transform in forked child hung")
+    assert child.exitcode == 0
 
 
 def test_grid_nodes_keep_left_endpoint():
