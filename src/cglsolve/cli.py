@@ -47,8 +47,11 @@ def _resolve_config(args, parser):
     if args.preset:
         base = config_to_dict(make_preset(args.preset, args.paper_scale))
     if args.config:
-        with open(args.config) as fh:
-            data = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as err:
+            parser.error(f"--config {args.config}: {err}")
         base = data if base is None else {**base, **data}
     if base is None:
         parser.error("either --preset or --config is required")
@@ -110,8 +113,13 @@ def _cmd_run(args, parser):
     if args.steps is not None:
         from dataclasses import replace
         config = replace(config, steps=args.steps)
+    snapshots = _ints(args.snapshots) if args.snapshots else []
+    if snapshots and not args.out:
+        parser.error("--snapshots needs --out")
+    for k in snapshots:
+        if not 1 <= k <= config.steps:
+            parser.error(f"--snapshots: step {k} is outside 1..{config.steps}")
     out_dir = _ensure_out(args)
-    snapshots = _ints(args.snapshots) if args.snapshots else ()
     summary, _ = run_preset(config, snapshot_steps=snapshots,
                             out_dir=out_dir,
                             frozen_probe_steps=args.frozen_probe)
@@ -162,7 +170,7 @@ def main(argv=None):
     p_preset = sub.add_parser("preset", help="inspect built-in setups")
     p_preset.add_argument("action", choices=["list"])
     p_preset.add_argument("--paper-scale", action="store_true")
-    p_preset.set_defaults(func=_cmd_preset)
+    p_preset.set_defaults(func=_cmd_preset, parser=p_preset)
 
     p_run = sub.add_parser("run", help="integrate one setup")
     _common_config_flags(p_run)
@@ -174,7 +182,7 @@ def main(argv=None):
                        "modulus drift")
     p_run.add_argument("--format", choices=["table", "json"],
                        default="table")
-    p_run.set_defaults(func=_cmd_run)
+    p_run.set_defaults(func=_cmd_run, parser=p_run)
 
     p_sweep = sub.add_parser("sweep", help="convergence or stability sweep")
     _common_config_flags(p_sweep)
@@ -186,10 +194,14 @@ def main(argv=None):
                          help="only record which runs survive")
     p_sweep.add_argument("--format", choices=["table", "csv", "json"],
                          default="table")
-    p_sweep.set_defaults(func=_cmd_sweep)
+    p_sweep.set_defaults(func=_cmd_sweep, parser=p_sweep)
 
     args = parser.parse_args(argv)
-    return args.func(args, parser)
+    try:
+        return args.func(args, args.parser)
+    except ValueError as err:
+        # the library rejects invalid input with ValueError: a usage error
+        args.parser.error(str(err))
 
 
 if __name__ == "__main__":

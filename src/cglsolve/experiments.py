@@ -17,7 +17,7 @@ import numpy as np
 
 from .flows import NonlinearSpec
 from .integrators import SCHEMES, Problem, integrate
-from .io import write_report, write_snapshot
+from .io import write_snapshot
 from .operators import (BlockOperator, build_fd_operator,
                         build_periodic_operator, fd_nodes)
 from .params import CglParameters
@@ -500,8 +500,3 @@ def run_preset(config, snapshot_steps=(), out_dir=None,
             fh.write("\n")
     summary["snapshots"] = written
     return summary, physical
-
-
-def write_study_report(base_path, rows):
-    """Report hook kept next to the study for symmetry with the CLI."""
-    return write_report(base_path, rows)

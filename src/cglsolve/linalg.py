@@ -1,4 +1,4 @@
-"""Dense linear algebra: Pade matrix exponential plus small wrappers.
+"""Dense linear algebra: the Pade matrix exponential.
 
 ``expm_pade`` follows the standard degree-{3,5,7,9,13} diagonal-Pade ladder
 with scaling and squaring: pick the smallest degree whose 1-norm threshold
@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-__all__ = ["expm_pade", "expm_taylor", "matmul", "matvec", "axpy"]
+__all__ = ["expm_pade", "expm_taylor"]
 
 # 1-norm thresholds for the double-precision Pade degree ladder.
 _THETA = (
@@ -106,27 +106,3 @@ def expm_taylor(a, scale=1.0, terms=60):
     for _ in range(squarings):
         f = f @ f
     return f
-
-
-def matmul(a, b):
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"cannot multiply shapes {a.shape} and {b.shape}")
-    return a @ b
-
-
-def matvec(a, x):
-    a = np.asarray(a)
-    x = np.asarray(x)
-    if a.ndim != 2 or x.ndim != 1 or a.shape[1] != x.shape[0]:
-        raise ValueError(f"cannot apply shape {a.shape} to vector {x.shape}")
-    return a @ x
-
-
-def axpy(alpha, x, y):
-    x = np.asarray(x)
-    y = np.asarray(y)
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch {x.shape} vs {y.shape}")
-    return alpha * x + y

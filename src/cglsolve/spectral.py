@@ -12,7 +12,9 @@ the axis passes of ``np.fft.fftn`` in its order, last axis first; each pass
 splits the array into contiguous slabs along another axis and transforms
 one slab per thread into a shared output buffer. numpy's 1-D transforms
 release the GIL and every line goes through the same pocketfft call as in
-``np.fft.fftn``/``ifftn``, so the results equal theirs bit for bit.
+``np.fft.fftn``/``ifftn``, so the results equal theirs bit for bit. The
+worker pool and ``run_slabs``, which splits an index range across it, are
+shared with the exact nonlinear flows (``flows.py``).
 """
 
 import contextvars
@@ -111,16 +113,16 @@ _pool_lock = threading.Lock()
 
 
 def _executor():
-    """The shared worker pool, created on the first threaded transform.
+    """The shared worker pool, created on the first threaded call.
 
-    The calling thread transforms one slab itself, so the pool has one
-    thread fewer than there are slabs.
+    The calling thread runs one slab itself, so the pool has one thread
+    fewer than there are slabs.
     """
     global _pool
     with _pool_lock:
         if _pool is None:
             _pool = ThreadPoolExecutor(_THREADS - 1,
-                                       thread_name_prefix="cglsolve-fft")
+                                       thread_name_prefix="cglsolve-slab")
         return _pool
 
 
@@ -165,26 +167,38 @@ def _transform_all_axes(x, line_fn, nd_fn):
 def _slab_pass(line_fn, src, out, axis):
     """line_fn along `axis` from src into out, one slab per thread.
 
-    Slabs are index ranges of axis 0 (axis 1 for the axis-0 pass). Each
-    worker runs in a copy of the caller's context, so the caller's numpy
-    floating-point error state applies there too. Every future is waited
-    for and read, so an error in any slab reaches the caller.
+    Slabs are index ranges of axis 0 (axis 1 for the axis-0 pass).
     """
     split = 1 if axis == 0 else 0
-    n = src.shape[split]
+
+    def transform(lo, hi):
+        s = (slice(None),) * split + (slice(lo, hi),)
+        line_fn(src[s], axis=axis, out=out[s])
+
+    run_slabs(transform, src.shape[split])
+
+
+def run_slabs(fn, n):
+    """``[fn(lo, hi), ...]`` over contiguous ranges covering ``range(n)``.
+
+    One range per usable CPU; the calling thread runs the first and the
+    shared pool the rest. Each worker runs in a copy of the caller's
+    context, so the caller's numpy floating-point error state applies
+    there too. Every future is waited for and read, so an error in any
+    range reaches the caller. Results come back in range order.
+    """
     cuts = [n * i // _THREADS for i in range(_THREADS + 1)]
-    slabs = [(slice(None),) * split + (slice(lo, hi),)
-             for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
+    ranges = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
+    if len(ranges) < 2:
+        return [fn(lo, hi) for lo, hi in ranges]
     pool = _executor()
-    futures = [pool.submit(contextvars.copy_context().run, line_fn, src[s],
-                           axis=axis, out=out[s])
-               for s in slabs[1:]]
+    futures = [pool.submit(contextvars.copy_context().run, fn, lo, hi)
+               for lo, hi in ranges[1:]]
     try:
-        line_fn(src[slabs[0]], axis=axis, out=out[slabs[0]])
+        first = fn(*ranges[0])
     finally:
         wait(futures)
-    for f in futures:
-        f.result()
+    return [first] + [f.result() for f in futures]
 
 
 def build_symbol(grid, params, advection_sign=0):

@@ -11,7 +11,25 @@ and ``kron_sum_apply`` realizes the action of the Kronecker sum
 ``sum_mu I (x) ... (x) a_mu (x) ... (x) I`` without forming it. The cost of
 every routine is one dense matrix product per direction, i.e.
 O((n_1 + ... + n_d) * N) for N tensor entries.
+
+Layout follows the column-major mu-mode (KronPACK) scheme of Caliari,
+Cassini & Zivcovich, Numer. Algorithms (2023). Reshaped without a copy,
+an F-ordered tensor is an F-ordered ``(a, n_mu, b)`` array for every
+direction mu (a and b multiply the extents before and after mu), so each
+mode product is a GEMM on a view, never a ``moveaxis`` copy: ``m @ X`` for
+the first direction, ``X @ m.T`` for the last, and a batch of
+``X_k @ m.T`` over b for the others. Products read F-ordered input as it
+is, C-ordered input as its F-ordered transpose, and copy any other
+strides once; the output is C-ordered for C-ordered input and F-ordered
+otherwise. ``tucker_apply`` makes one full-size output
+buffer: the last direction is one GEMM into it, and the other directions
+are applied in place, block by block along the last axis, through
+block-sized scratch, so each block stays in cache while its products run.
+The solver's states stay F-ordered from the initial data through every
+step and snapshot.
 """
+
+import math
 
 import numpy as np
 
@@ -24,6 +42,11 @@ __all__ = [
     "assemble_kron_sum",
 ]
 
+# tucker_apply's in-place blocks hold at least this many entries (256 KiB
+# of complex data), so that a 2-D tensor's first direction is applied to
+# many columns per GEMM instead of one matrix-vector product per column
+_BLOCK = 1 << 14
+
 
 def vec(u):
     """Flatten a tensor column-major (first index fastest)."""
@@ -33,6 +56,52 @@ def vec(u):
 def unvec(x, shape):
     """Inverse of :func:`vec` for the given shape."""
     return np.asarray(x).reshape(tuple(shape), order="F")
+
+
+def _checked(u, mats, axes):
+    """u as an array and mats as matrices whose columns fit their axes."""
+    u = np.asarray(u)
+    mats = [np.asarray(m) for m in mats]
+    for m, axis in zip(mats, axes):
+        if m.ndim != 2:
+            raise ValueError(f"factor must be a matrix, got ndim={m.ndim}")
+        if not 0 <= axis < u.ndim:
+            raise ValueError(
+                f"axis {axis} out of range for order-{u.ndim} tensor")
+        if m.shape[1] != u.shape[axis]:
+            raise ValueError(
+                f"factor columns {m.shape[1]} != extent {u.shape[axis]} "
+                f"of axis {axis}")
+    return u, mats
+
+
+def _column_major(u):
+    """u as an F-ordered array, and whether that array is u.T.
+
+    A C-ordered u (that is not also F-ordered) is used through its
+    transpose, whose directions are u's reversed; other strides are copied.
+    """
+    if u.flags.c_contiguous and not u.flags.f_contiguous:
+        return u.T, True
+    return np.asfortranarray(u), False
+
+
+def _mode_pass(x, mat, axis, out):
+    """out = x x_axis mat, with x and out F-ordered of matching shapes."""
+    n, r = x.shape[axis], mat.shape[0]
+    a = math.prod(x.shape[:axis])
+    b = math.prod(x.shape[axis + 1:])
+    if a == 1:
+        np.matmul(mat, x.reshape(n, b, order="F"),
+                  out=out.reshape(r, b, order="F"))
+    else:
+        # a batch over b of (a, n) @ mat.T, each entry F-ordered
+        np.matmul(x.reshape(a, n, b, order="F").transpose(2, 0, 1), mat.T,
+                  out=out.reshape(a, r, b, order="F").transpose(2, 0, 1))
+
+
+def _mode_shape(shape, mat, axis):
+    return shape[:axis] + (mat.shape[0],) + shape[axis + 1:]
 
 
 def mu_mode_product(u, mat, axis):
@@ -45,18 +114,14 @@ def mu_mode_product(u, mat, axis):
     axis : int
         Zero-based direction index.
     """
-    u = np.asarray(u)
-    mat = np.asarray(mat)
-    if mat.ndim != 2:
-        raise ValueError(f"factor must be a matrix, got ndim={mat.ndim}")
-    if not 0 <= axis < u.ndim:
-        raise ValueError(f"axis {axis} out of range for order-{u.ndim} tensor")
-    if mat.shape[1] != u.shape[axis]:
-        raise ValueError(
-            f"factor columns {mat.shape[1]} != extent {u.shape[axis]} "
-            f"of axis {axis}")
-    # tensordot lowers this to a single gemm over the remaining directions
-    return np.moveaxis(np.tensordot(mat, u, axes=(1, axis)), 0, axis)
+    u, (mat,) = _checked(u, [mat], [axis])
+    x, transposed = _column_major(u)
+    if transposed:
+        axis = u.ndim - 1 - axis
+    out = np.empty(_mode_shape(x.shape, mat, axis),
+                   np.result_type(x.dtype, mat.dtype), order="F")
+    _mode_pass(x, mat, axis, out)
+    return out.T if transposed else out
 
 
 def tucker_apply(u, mats):
@@ -64,9 +129,54 @@ def tucker_apply(u, mats):
     u = np.asarray(u)
     if len(mats) != u.ndim:
         raise ValueError(f"need {u.ndim} factors, got {len(mats)}")
-    for axis, m in enumerate(mats):
-        u = mu_mode_product(u, m, axis)
-    return u
+    if u.ndim == 0:
+        return u
+    u, mats = _checked(u, mats, range(u.ndim))
+    x, transposed = _column_major(u)
+    if transposed:
+        return _tucker_column_major(x, mats[::-1]).T
+    return _tucker_column_major(x, mats)
+
+
+def _tucker_column_major(x, mats):
+    """tucker_apply for an F-ordered x, in one full-size output buffer."""
+    lead, last = mats[:-1], mats[-1]
+    dtype = np.result_type(x.dtype, *mats)
+    buf = np.empty(_mode_shape(x.shape, last, x.ndim - 1), dtype, order="F")
+    _mode_pass(x, last, x.ndim - 1, buf)
+    if not lead:
+        return buf
+    # shapes of one last-axis slice before and after each leading product
+    shapes = [buf.shape[:-1]]
+    for axis, m in enumerate(lead):
+        shapes.append(_mode_shape(shapes[-1], m, axis))
+    out = buf
+    if shapes[-1] != shapes[0]:  # a rectangular factor resizes the slices
+        out = np.empty(shapes[-1] + buf.shape[-1:], dtype, order="F")
+    width = -(-_BLOCK // max(1, math.prod(shapes[0])))
+    size = max(map(math.prod, shapes[1:-1]), default=0) * width
+    scratch = [np.empty(size, dtype) for _ in range(min(len(lead) - 1, 2))]
+    for lo in range(0, buf.shape[-1], width):
+        _leading_passes(buf[..., lo:lo + width], lead, shapes,
+                        out[..., lo:lo + width], scratch)
+    return out
+
+
+def _leading_passes(src, mats, shapes, dst, scratch):
+    """Every mats[k] along axis k of the F-ordered block src, into dst.
+
+    Products alternate between the scratch buffers and the last one
+    writes dst. dst may be src: numpy gives an overlapping matmul the
+    result it would have without overlap.
+    """
+    width = src.shape[-1]
+    cur = src
+    for axis, m in enumerate(mats[:-1]):
+        shape = shapes[axis + 1] + (width,)
+        nxt = scratch[axis % 2][:math.prod(shape)].reshape(shape, order="F")
+        _mode_pass(cur, m, axis, nxt)
+        cur = nxt
+    _mode_pass(cur, mats[-1], len(mats) - 1, dst)
 
 
 def kron_sum_apply(u, mats):

@@ -118,5 +118,12 @@ def rk4_ode_ref(f, u0, t, substeps=4096):
     return u
 
 
+def power_flow_ref(u0, t, a, b, p):
+    """Exact flow of u' = (a + i b)|u|^p u as one whole-array formula."""
+    u0 = np.asarray(u0, dtype=complex)
+    y = p * a * np.abs(u0) ** p * t
+    return u0 * np.exp(-(complex(a, b) / (p * a)) * np.log1p(-y))
+
+
 def random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)

@@ -71,3 +71,51 @@ def test_sweep_stability_mode(capsys):
 def test_missing_config_is_a_usage_error():
     with pytest.raises(SystemExit):
         main(["run", "--steps", "5"])
+
+
+def _usage_error(argv, capsys):
+    """Exit code and stderr of a run that must end as a usage error."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return exc.value.code, err
+
+
+def test_library_value_error_is_a_usage_error(capsys):
+    code, err = _usage_error(["run", "--preset", "plane-wave-1d", "--grid",
+                              "8,8"], capsys)
+    assert code == 2
+    assert "one interval per direction required" in err
+
+
+def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
+    cfg = config_to_dict(make_preset("plane-wave-1d"))
+    cfg["stpes"] = 5
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, err = _usage_error(["run", "--config", str(path)], capsys)
+    assert code == 2
+    assert "stpes" in err
+
+
+@pytest.mark.parametrize("snapshots,with_out", [("3", False), ("0,3", True),
+                                                ("3,11", True),
+                                                ("3,11", False)])
+def test_bad_snapshot_request_is_a_usage_error(snapshots, with_out,
+                                               tmp_path, capsys):
+    out = ["--out", str(tmp_path / "out")] if with_out else []
+    code, err = _usage_error(["run", "--preset", "plane-wave-1d", "--steps",
+                              "10", "--snapshots", snapshots] + out, capsys)
+    assert code == 2
+    assert "--snapshots" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_snapshots_written_where_asked(tmp_path, capsys):
+    rc = main(["run", "--preset", "plane-wave-1d", "--steps", "10",
+               "--snapshots", "1,10", "--out", str(tmp_path),
+               "--format", "json"])
+    assert rc == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert len(summary["snapshots"]) == 3  # two steps and the final state

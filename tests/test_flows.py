@@ -1,8 +1,11 @@
 """Exact nonlinear flows against a fine-step RK4 reference."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from cglsolve import spectral
 from cglsolve.flows import (
     DivergenceError,
     NonlinearSpec,
@@ -13,7 +16,7 @@ from cglsolve.flows import (
 )
 from cglsolve.params import CglParameters
 
-from oracles import random_complex, rk4_ode_ref
+from oracles import power_flow_ref, random_complex, rk4_ode_ref
 
 CUBIC = CglParameters(alpha1=1.0, beta1=2.0, alpha2=1.0, alpha3=-1.0,
                       beta3=0.2)
@@ -176,3 +179,91 @@ def test_nonlinear_spec_validation():
     spec = NonlinearSpec("coupled_cubic_quintic", COUPLED)
     with pytest.raises(ValueError):
         eval_g(spec, (POINTS,))
+
+
+# (flow, params, a, b, p, t): y = p a |u|^p t stays below 1 for the
+# standard-normal draws used here, and CQ's positive alpha3 grows them
+FLOWS = [
+    (cubic_flow, CUBIC, CUBIC.alpha3, CUBIC.beta3, 2, 0.3),
+    (cubic_flow, CQ, CQ.alpha3, CQ.beta3, 2, 0.002),
+    (quintic_flow, CQ, CQ.alpha4, CQ.beta4, 4, 0.05),
+]
+FLOW_IDS = ["cubic", "cubic-growing", "quintic"]
+
+
+def _flow_inputs():
+    rng = np.random.default_rng(64)
+    big = random_complex(rng, (66, 82, 30))
+    c = random_complex(rng, (33, 41, 29))
+    return {
+        "33x41x29-C": c,
+        "33x41x29-F": np.asfortranarray(c),
+        "33x41x29-strided": big[::2, 1::2, 1:],
+        "128x64x8-C": random_complex(rng, (128, 64, 8)),
+        "128x64x8-F": np.asfortranarray(random_complex(rng, (128, 64, 8))),
+        "128x64x8-strided": random_complex(rng, (64, 256, 8)).transpose(
+            1, 0, 2)[::2],
+        "1d-below-floor": random_complex(rng, (1000,)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_flow_inputs()))
+@pytest.mark.parametrize("flow,par,a,b,p,t", FLOWS, ids=FLOW_IDS)
+def test_flow_same_bits_for_any_slab_count(name, flow, par, a, b, p, t,
+                                           monkeypatch):
+    u0 = _flow_inputs()[name]
+    before = u0.copy()
+    results = []
+    for threads in (1, 2, 5):
+        monkeypatch.setattr(spectral, "_THREADS", threads)
+        results.append(flow(u0, t, par))
+    for got in results[1:]:
+        assert np.array_equal(got, results[0])
+    got = results[0]
+    assert np.array_equal(u0, before)
+    if u0.flags.f_contiguous:
+        assert got.flags.f_contiguous
+    elif u0.flags.c_contiguous:
+        assert got.flags.c_contiguous
+    want = power_flow_ref(u0, t, a, b, p)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.fixture(params=[2, 5], ids=["2-slabs", "5-slabs"])
+def flow_slabs(request, monkeypatch):
+    monkeypatch.setattr(spectral, "_THREADS", request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("blow_up_at", [0, -1], ids=["first", "last"])
+def test_blow_up_anywhere_beats_non_finite_output(blow_up_at, flow_slabs):
+    p = CglParameters(alpha1=1.0, alpha3=2.0)  # blow-up time 1/(4|u|^2)
+    u0 = np.full((64, 64, 16), 0.1 + 0.0j)
+    u0.flat[blow_up_at] = 10.0
+    u0.flat[-1 - blow_up_at] = np.nan  # in another slab and chunk
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(DivergenceError) as err:
+            cubic_flow(u0, 0.01, p)
+    assert err.value.reason == "finite-time blow-up in cubic flow"
+
+
+@pytest.mark.parametrize("shape", [(5,), (64, 64, 16)])
+def test_nan_input_is_non_finite_not_blow_up(shape, flow_slabs):
+    u0 = np.full(shape, 0.1 + 0.0j)
+    u0.flat[-1] = complex(np.nan, 0.0)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(DivergenceError) as err:
+            quintic_flow(u0, 0.01, CQ)
+    assert err.value.reason == "non-finite quintic flow output"
+
+
+def test_callers_errstate_applies_in_flow_threads(flow_slabs):
+    u0 = np.full((64, 64, 16), 0.5 + 0.0j)
+    u0[-1, -1, -1] = 1e200  # |u|^2 overflows in the last slab's thread
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            cubic_flow(u0, 0.1, CUBIC)
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError, match="non-finite cubic"):
+            cubic_flow(u0, 0.1, CUBIC)

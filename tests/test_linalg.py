@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cglsolve.linalg import axpy, expm_pade, expm_taylor, matmul, matvec
+from cglsolve.linalg import expm_pade, expm_taylor
 
 from oracles import expm_taylor_ref, random_complex
 
@@ -78,20 +78,3 @@ def test_rejects_bad_input():
         expm_pade(np.array([[np.nan, 0.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         expm_pade(np.zeros((2, 2)), scale=np.inf)
-
-
-def test_dense_kernel_wrappers():
-    rng = np.random.default_rng(34)
-    a = random_complex(rng, (4, 5))
-    b = random_complex(rng, (5, 3))
-    x = random_complex(rng, (5,))
-    y = random_complex(rng, (5,))
-    assert np.array_equal(matmul(a, b), a @ b)
-    assert np.array_equal(matvec(a, x), a @ x)
-    assert np.array_equal(axpy(2.0 - 1.0j, x, y), (2.0 - 1.0j) * x + y)
-    with pytest.raises(ValueError):
-        matmul(a, a)
-    with pytest.raises(ValueError):
-        matvec(a, y[:4])
-    with pytest.raises(ValueError):
-        axpy(1.0, x, y[:4])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cglsolve import tensors
 from cglsolve.tensors import (
     assemble_kron_sum,
     kron_sum_apply,
@@ -160,3 +161,54 @@ def test_mu_mode_cost_scales_with_tensor_size():
     got = vec(kron_sum_apply(u, mats))
     want = kron_sum_matrix(mats) @ vec(u)
     assert np.max(np.abs(got - want)) / np.max(np.abs(want)) <= 1e-13
+
+
+def _layouts(rng, shape):
+    """The same kind of draw C-ordered, F-ordered and as a strided view."""
+    big = random_complex(rng, tuple(2 * n + 1 for n in shape))
+    return {
+        "C": random_complex(rng, shape),
+        "F": np.asfortranarray(random_complex(rng, shape)),
+        "strided": big[tuple(slice(1, None, 2) for _ in shape)],
+    }
+
+
+@pytest.fixture(params=[None, 5], ids=["default-blocks", "5-entry-blocks"])
+def tucker_blocks(request, monkeypatch):
+    # small blocks split every last axis into several, the last one short
+    if request.param is not None:
+        monkeypatch.setattr(tensors, "_BLOCK", request.param)
+
+
+@pytest.mark.parametrize("rows", [0, 1, -1], ids=["square", "taller",
+                                                  "wider"])
+@pytest.mark.parametrize("shape", SHAPES)
+def test_mode_products_match_index_loops_for_every_layout(shape, rows,
+                                                          tucker_blocks):
+    rng = np.random.default_rng(hash(("layout", shape, rows)) % 2**32)
+    mats = [random_complex(rng, (max(1, n + rows), n)) for n in shape]
+    for name, u in _layouts(rng, shape).items():
+        before = u.copy()
+        want = u
+        for axis, m in enumerate(mats):
+            single = mu_mode_product(u, m, axis)
+            ref = mu_mode_ref(u, m, axis)
+            assert single.shape == ref.shape
+            assert (np.max(np.abs(single - ref))
+                    <= 1e-13 * np.max(np.abs(ref))), (name, axis)
+            want = mu_mode_ref(want, m, axis)
+        got = tucker_apply(u, mats)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (
+            name)
+        assert np.array_equal(u, before)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_f_ordered_input_gives_f_ordered_output(shape, tucker_blocks):
+    rng = np.random.default_rng(hash(("order", shape)) % 2**32)
+    u = np.asfortranarray(random_complex(rng, shape))
+    mats = [random_complex(rng, (n, n)) for n in shape]
+    assert tucker_apply(u, mats).flags.f_contiguous
+    for axis, m in enumerate(mats):
+        assert mu_mode_product(u, m, axis).flags.f_contiguous
