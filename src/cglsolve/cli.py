@@ -18,7 +18,7 @@ from .experiments import (available_presets, config_from_dict,
                           config_to_dict, make_preset,
                           run_convergence_study, run_preset, stability_sweep)
 from .integrators import SCHEMES
-from .io import write_report
+from .io import write_csv, write_report
 
 _DEFAULT_LADDER = "12,17,24,34,48"
 
@@ -78,15 +78,7 @@ def _print_rows(rows, fmt, stream):
         stream.write("\n")
         return
     if fmt == "csv":
-        stream.write("scheme,steps,tau,seconds,rel_err,observed_order,"
-                     "status\n")
-        for r in rows:
-            stream.write("%s,%d,%.6g,%.4g,%s,%s,%s\n" % (
-                r["scheme"], r["steps"], r["tau"], r["seconds"],
-                "" if r["rel_err"] is None else "%.6e" % r["rel_err"],
-                "" if r["observed_order"] is None else
-                "%.3f" % r["observed_order"],
-                r["status"]))
+        write_csv(stream, rows)
         return
     stream.write("%-11s %6s %10s %9s %12s %7s %6s\n" % (
         "scheme", "steps", "tau", "seconds", "rel_err", "order", "status"))

@@ -18,21 +18,42 @@ Schemes:
 
 The fourth-order splittings use the Richardson combination
 (4/3) S_{tau/2}^2 - (1/3) S_tau of the Strang map S.
+
+Every linear combination of stages is one ``_lincomb`` call, folded in
+the order of the chained whole-array expression so the bits match it.
+Arrays of 32 MiB or more (128^3 complex) run it as one chunked,
+slab-threaded pass with one output, written into a stage array the step
+made and reads no more where there is one. ``integrate`` rejects
+non-finite initial fields and checks every step's state with
+``all_finite``.
 """
 
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
-from .flows import DivergenceError, cubic_flow, eval_g, quintic_flow, rk4_flow
+from . import spectral
+from .flows import (DivergenceError, all_finite, cubic_flow, eval_g,
+                    quintic_flow, rk4_flow)
 from .spectral import dft_forward, dft_inverse
 
 __all__ = ["Scheme", "SCHEMES", "Problem", "IntegrationResult", "integrate"]
 
 _HALF = Fraction(1, 2)
 _ONE = Fraction(1)
+# _lincomb runs its kernel on arrays of at least 32 MiB, the largest mmap
+# threshold of glibc's malloc: every array that size is a fresh mapping
+# whose pages must be faulted in, which the kernel's in-place output
+# avoids. Smaller arrays come from the malloc heap, where the whole-array
+# fold measured better: on a 2-vCPU VM a 64^3 split4_3t step took about
+# 2,700 minor page faults and 181 ms with it, 4,800 and 191 ms with the
+# kernel. A whole-array fold that adds into its own first sum and reuses
+# one scratch for the scaled terms lost too: in 10 of 10 benchmark pairs
+# at 64^3 (split4_3t) the snapshot output after the steps took 30% longer.
+_KERNEL_BYTES = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -127,35 +148,82 @@ class Problem:
             self.operator.prepare(tau, scheme.fractions)
 
 
-def _axpy(alpha, x, y):
-    return tuple(alpha * a + b for a, b in zip(x, y))
+def _lincomb(*terms, out=None):
+    """Per component, the sum of c * x over the (c, x) terms, in one pass.
+
+    Terms fold left to right, acc = c * x + acc from the first term, and a
+    coefficient of 1 adds its term as it is, so the bits are those of the
+    chained whole-array expressions, which arrays under _KERNEL_BYTES
+    take. Larger ones run a kernel over the components' memory order,
+    _CHUNK entries at a time with per-thread scratch, one slab per usable
+    CPU. There ``out`` may be the first term's arrays, if the step made
+    them and reads them no more; the result is written into them instead
+    of a new array. It is never the caller's state or a cached
+    exponential.
+    """
+    result = []
+    for i in range(len(terms[0][1])):
+        c, x = terms[0]
+        x = x[i]
+        if x.nbytes < _KERNEL_BYTES:
+            acc = x if c == 1 else c * x
+            for c, y in terms[1:]:
+                y = y[i]
+                acc = (y if c == 1 else c * y) + acc
+        else:
+            acc = _combine([c for c, _ in terms], [y[i] for _, y in terms],
+                           None if out is None else out[i])
+        result.append(acc)
+    return tuple(result)
 
 
-def _add(x, y):
-    return tuple(a + b for a, b in zip(x, y))
+def _combine(coefs, xs, out):
+    """The kernel path of _lincomb for one component."""
+    order = spectral.memory_order(xs)
+    if out is None or not out.flags[order + "_CONTIGUOUS"]:
+        out = np.empty(xs[0].shape, np.result_type(*xs), order=order)
+    kernel = partial(_lincomb_chunks, coefs, [np.ravel(x, order) for x in xs],
+                     out.ravel(order), out is xs[0])
+    spectral.run_slabs(kernel, out.size)
+    return out
 
 
-def _scale(alpha, x):
-    return tuple(alpha * a for a in x)
+def _lincomb_chunks(coefs, srcs, dst, in_place, lo, hi):
+    """The fold of _lincomb over srcs[j][lo:hi] into dst[lo:hi]."""
+    tmp = np.empty(min(spectral._CHUNK, hi - lo), dst.dtype)
+    for start in range(lo, hi, spectral._CHUNK):
+        stop = min(start + spectral._CHUNK, hi)
+        acc, t = dst[start:stop], tmp[:stop - start]
+        if coefs[0] != 1:
+            np.multiply(coefs[0], srcs[0][start:stop], out=acc)
+        elif not in_place:
+            np.copyto(acc, srcs[0][start:stop])
+        for c, x in zip(coefs[1:], srcs[1:]):
+            x = x[start:stop]
+            if c != 1:
+                x = np.multiply(c, x, out=t)
+            np.add(x, acc, out=acc)
 
 
 def _rhs(p, u):
-    return _add(p.lin(u), p.g(u))
+    lin = p.lin(u)
+    return _lincomb((1, lin), (1, p.g(u)), out=lin)
 
 
 def _step_rk2(p, u, tau):
     f1 = _rhs(p, u)
-    f2 = _rhs(p, _axpy(tau, f1, u))
-    return _axpy(0.5 * tau, _add(f1, f2), u)
+    f2 = _rhs(p, _lincomb((tau, f1), (1, u)))
+    f12 = _lincomb((1, f1), (1, f2), out=f1)
+    return _lincomb((0.5 * tau, f12), (1, u), out=f12)
 
 
 def _step_rk4(p, u, tau):
     f1 = _rhs(p, u)
-    f2 = _rhs(p, _axpy(0.5 * tau, f1, u))
-    f3 = _rhs(p, _axpy(0.5 * tau, f2, u))
-    f4 = _rhs(p, _axpy(tau, f3, u))
-    acc = _add(_add(f1, _scale(2.0, f2)), _add(_scale(2.0, f3), f4))
-    return _axpy(tau / 6.0, acc, u)
+    f2 = _rhs(p, _lincomb((0.5 * tau, f1), (1, u)))
+    f3 = _rhs(p, _lincomb((0.5 * tau, f2), (1, u)))
+    f4 = _rhs(p, _lincomb((tau, f3), (1, u)))
+    return _lincomb((tau / 6.0, f1), (tau / 3.0, f2), (tau / 3.0, f3),
+                    (tau / 6.0, f4), (1, u), out=f1)
 
 
 def _step_strang(p, u, tau):
@@ -172,7 +240,7 @@ def _step_split4(p, u, tau):
     fine = p.flow(fine, 0.5 * tau)
     fine = p.expk(_HALF, fine)
     fine = p.flow(fine, 0.25 * tau)
-    return _axpy(-1.0 / 3.0, coarse, _scale(4.0 / 3.0, fine))
+    return _lincomb((4.0 / 3.0, fine), (-1.0 / 3.0, coarse), out=fine)
 
 
 def _strang_three_term(p, u, tau, fraction):
@@ -192,27 +260,30 @@ def _step_split4_3t(p, u, tau):
     coarse = _strang_three_term(p, u, tau, _ONE)
     fine = _strang_three_term(p, u, tau, _HALF)
     fine = _strang_three_term(p, fine, tau, _HALF)
-    return _axpy(-1.0 / 3.0, coarse, _scale(4.0 / 3.0, fine))
+    return _lincomb((4.0 / 3.0, fine), (-1.0 / 3.0, coarse), out=fine)
 
 
 def _step_if2(p, u, tau):
     g1 = p.g(u)
-    u2 = p.expk(_ONE, _axpy(tau, g1, u))
-    out = p.expk(_ONE, _axpy(0.5 * tau, g1, u))
-    return _axpy(0.5 * tau, p.g(u2), out)
+    u2 = p.expk(_ONE, _lincomb((tau, g1), (1, u)))
+    out = p.expk(_ONE, _lincomb((0.5 * tau, g1), (1, u), out=g1))
+    return _lincomb((1, out), (0.5 * tau, p.g(u2)), out=out)
 
 
 def _step_if4(p, u, tau):
     g1 = p.g(u)
-    u2 = p.expk(_HALF, _axpy(0.5 * tau, g1, u))
-    g2 = p.g(u2)
-    u3 = _axpy(0.5 * tau, g2, p.expk(_HALF, u))
+    # the second stage is not kept: freed here, it is not alive at the
+    # final combination, where the step's memory use peaks
+    g2 = p.g(p.expk(_HALF, _lincomb((0.5 * tau, g1), (1, u))))
+    u3 = p.expk(_HALF, u)
+    u3 = _lincomb((1, u3), (0.5 * tau, g2), out=u3)
     g3 = p.g(u3)
-    u4 = _axpy(tau, p.expk(_HALF, g3), p.expk(_ONE, u))
+    u4 = p.expk(_ONE, u)
+    u4 = _lincomb((1, u4), (tau, p.expk(_HALF, g3)), out=u4)
     g4 = p.g(u4)
-    out = p.expk(_ONE, _axpy(tau / 6.0, g1, u))
-    out = _axpy(tau / 3.0, p.expk(_HALF, _add(g2, g3)), out)
-    return _axpy(tau / 6.0, g4, out)
+    out = p.expk(_ONE, _lincomb((tau / 6.0, g1), (1, u), out=g1))
+    g23 = p.expk(_HALF, _lincomb((1, g2), (1, g3), out=g2))
+    return _lincomb((1, out), (tau / 3.0, g23), (tau / 6.0, g4), out=out)
 
 
 _STEPPERS = {
@@ -257,6 +328,8 @@ def integrate(problem, scheme_name, fields, t_final, steps,
     scheme = SCHEMES[scheme_name]
     tau = t_final / steps
     fields = tuple(np.asarray(u, dtype=complex) for u in fields)
+    if not all_finite(fields):
+        raise ValueError("initial fields must be finite")
     problem.prepare(tau, scheme)
     step_fn = _STEPPERS[scheme_name]
     wanted = set(int(k) for k in snapshot_steps)
@@ -273,7 +346,7 @@ def integrate(problem, scheme_name, fields, t_final, steps,
             return IntegrationResult(fields, steps, tau, seconds,
                                      diverged=True, diverged_at=k,
                                      reason=err.reason)
-        if not all(np.all(np.isfinite(u)) for u in fields):
+        if not all_finite(fields):
             seconds = time.perf_counter() - start
             return IntegrationResult(fields, steps, tau, seconds,
                                      diverged=True, diverged_at=k,

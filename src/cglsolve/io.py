@@ -23,7 +23,7 @@ import struct
 
 import numpy as np
 
-__all__ = ["write_snapshot", "read_snapshot", "write_report",
+__all__ = ["write_snapshot", "read_snapshot", "write_csv", "write_report",
            "REPORT_COLUMNS"]
 
 _MAGIC = b"CGLS"
@@ -107,6 +107,14 @@ def _cell(value):
     return value
 
 
+def write_csv(stream, rows):
+    """Rows as CSV under a REPORT_COLUMNS header; None is an empty cell."""
+    writer = csv.writer(stream)
+    writer.writerow(REPORT_COLUMNS)
+    for row in rows:
+        writer.writerow([_cell(row.get(c)) for c in REPORT_COLUMNS])
+
+
 def write_report(base_path, rows):
     """Write rows to <base>.csv and the JSON mirror <base>.json."""
     base = str(base_path)
@@ -115,10 +123,7 @@ def write_report(base_path, rows):
         if extra:
             raise ValueError(f"unknown report columns: {sorted(extra)}")
     with open(base + ".csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_COLUMNS)
-        for row in rows:
-            writer.writerow([_cell(row.get(c)) for c in REPORT_COLUMNS])
+        write_csv(fh, rows)
     with open(base + ".json", "w") as fh:
         json.dump([{c: row.get(c) for c in REPORT_COLUMNS} for row in rows],
                   fh, indent=2)

@@ -3,15 +3,15 @@
 ``expm_pade`` follows the standard degree-{3,5,7,9,13} diagonal-Pade ladder
 with scaling and squaring: pick the smallest degree whose 1-norm threshold
 accommodates the argument, otherwise halve the matrix until the degree-13
-threshold holds and square the result back up. ``expm_taylor`` is the slow
-truncated-series route kept as a cross-check.
+threshold holds and square the result back up. The tests cross-check it
+against a truncated Taylor series kept in ``tests/oracles.py``.
 """
 
 import math
 
 import numpy as np
 
-__all__ = ["expm_pade", "expm_taylor"]
+__all__ = ["expm_pade"]
 
 # 1-norm thresholds for the double-precision Pade degree ladder.
 _THETA = (
@@ -82,27 +82,6 @@ def expm_pade(a, scale=1.0):
     theta13 = _THETA[-1][1]
     squarings = max(0, math.ceil(math.log2(norm / theta13))) if norm > theta13 else 0
     f = _pade_approximant(b / (2.0 ** squarings), 13)
-    for _ in range(squarings):
-        f = f @ f
-    return f
-
-
-def expm_taylor(a, scale=1.0, terms=60):
-    """Matrix exponential via a scaled truncated Taylor series.
-
-    Halves the argument until its 1-norm is at most one, sums ``terms``
-    series terms, squares back. Slow; used to cross-check expm_pade.
-    """
-    b = _as_square_finite(a, scale)
-    norm = np.linalg.norm(b, 1) if b.size else 0.0
-    squarings = max(0, math.ceil(math.log2(norm))) if norm > 1.0 else 0
-    b = b / (2.0 ** squarings)
-    n = b.shape[0]
-    f = np.eye(n, dtype=complex)
-    term = np.eye(n, dtype=complex)
-    for k in range(1, terms):
-        term = term @ b / k
-        f = f + term
     for _ in range(squarings):
         f = f @ f
     return f

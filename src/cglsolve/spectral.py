@@ -14,7 +14,13 @@ one slab per thread into a shared output buffer. numpy's 1-D transforms
 release the GIL and every line goes through the same pocketfft call as in
 ``np.fft.fftn``/``ifftn``, so the results equal theirs bit for bit. The
 worker pool and ``run_slabs``, which splits an index range across it, are
-shared with the exact nonlinear flows (``flows.py``).
+shared with the elementwise kernels: ``pointwise_apply`` here, the exact
+flows and ``eval_g`` (``flows.py``) and the step combinations
+(``integrators.py``). Each kernel walks its operands' shared
+memory order (``memory_order``) from arrays of _SERIAL_BELOW entries on
+(the step combinations from 32 MiB), in _CHUNK-entry chunks with
+per-thread scratch, computing every entry the same way whatever the
+split.
 """
 
 import contextvars
@@ -107,6 +113,11 @@ def _usable_cpus():
 
 
 _SERIAL_BELOW = 2 ** 15
+# entries per pass of the chunked elementwise kernels (flows, eval_g, step
+# combinations): a chunk's operands and scratch (under
+# 1 MiB) stay in cache, and numpy's per-call cost is small against the
+# work of a chunk
+_CHUNK = 1 << 13
 _THREADS = _usable_cpus()
 _pool = None
 _pool_lock = threading.Lock()
@@ -201,6 +212,18 @@ def run_slabs(fn, n):
     return [first] + [f.result() for f in futures]
 
 
+def memory_order(arrays):
+    """"C" or "F": the memory order the elementwise kernels walk.
+
+    The order all of ``arrays`` share, else C; arrays stored otherwise
+    are copied once by ``np.ravel``.
+    """
+    for order in ("C", "F"):
+        if all(a.flags[order + "_CONTIGUOUS"] for a in arrays):
+            return order
+    return "C"
+
+
 def build_symbol(grid, params, advection_sign=0):
     """Diagonal Fourier symbol of the linear part.
 
@@ -236,9 +259,30 @@ def symbol_exponential(symbol, tau):
 
 
 def pointwise_apply(factor, u):
-    """Elementwise product with shape validation."""
+    """Elementwise product with shape validation.
+
+    Below _SERIAL_BELOW entries this is ``factor * u``; larger products
+    run one slab per usable CPU over the operands' shared memory order,
+    with the same bits. The floor is the transforms'. Timed both ways on
+    the arrays of real solves (2-vCPU VM, medians), the threaded product
+    took 0.72 against 1.02 ms at 64^3 and 10.2 against 16.6 ms at 128^3,
+    but 1.27 against 1.10 ms at 700x350. Size alone does not separate
+    these (245,000 entries against 64^3's 262,144), so no other floor is
+    set. Timed alone, on one array reused, it lost at every size.
+    """
     factor = np.asarray(factor)
     u = np.asarray(u)
     if factor.shape != u.shape:
         raise ValueError(f"shape mismatch {factor.shape} vs {u.shape}")
-    return factor * u
+    if u.size < _SERIAL_BELOW:
+        return factor * u
+    order = memory_order((factor, u))
+    f, x = np.ravel(factor, order), np.ravel(u, order)
+    out = np.empty(u.shape, np.result_type(factor, u), order=order)
+    dst = out.ravel(order)
+
+    def multiply(lo, hi):
+        np.multiply(f[lo:hi], x[lo:hi], out=dst[lo:hi])
+
+    run_slabs(multiply, u.size)
+    return out

@@ -39,7 +39,6 @@ __all__ = [
     "mu_mode_product",
     "tucker_apply",
     "kron_sum_apply",
-    "assemble_kron_sum",
 ]
 
 # tucker_apply's in-place blocks hold at least this many entries (256 KiB
@@ -182,8 +181,8 @@ def _leading_passes(src, mats, shapes, dst, scratch):
 def kron_sum_apply(u, mats):
     """Action of the Kronecker sum of ``mats`` on ``u``.
 
-    Equivalent to ``assemble_kron_sum(mats) @ vec(u)`` reshaped back, but
-    never forms the big matrix.
+    Equivalent to the explicit Kronecker-sum matrix times ``vec(u)``,
+    reshaped back, but never forms the big matrix.
     """
     u = np.asarray(u)
     if len(mats) != u.ndim:
@@ -192,31 +191,4 @@ def kron_sum_apply(u, mats):
     for axis, m in enumerate(mats):
         term = mu_mode_product(u, m, axis)
         out = term if out is None else out + term
-    return out
-
-
-def assemble_kron_sum(mats, cap=4096):
-    """Explicit dense Kronecker-sum matrix. Test oracle only.
-
-    Refuses to build anything larger than ``cap`` rows so the O(N^2)
-    footprint cannot sneak into production paths.
-    """
-    sizes = []
-    for m in mats:
-        m = np.asarray(m)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("kron-sum factors must be square matrices")
-        sizes.append(m.shape[0])
-    total = int(np.prod(sizes))
-    if total > cap:
-        raise ValueError(f"refusing to assemble {total} x {total} matrix "
-                         f"(cap={cap})")
-    out = np.zeros((total, total), dtype=complex)
-    for axis, m in enumerate(mats):
-        factor = np.eye(1)
-        # column-major vec puts direction 0 in the rightmost kron slot
-        for k, n in enumerate(sizes):
-            block = np.asarray(m) if k == axis else np.eye(n)
-            factor = np.kron(block, factor)
-        out += factor
     return out

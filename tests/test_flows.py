@@ -93,6 +93,18 @@ def test_zero_alpha3_is_phase_rotation():
     assert np.max(np.abs(got - want)) == 0.0
 
 
+@pytest.mark.parametrize("flow,par,name", [
+    (cubic_flow, CglParameters(alpha1=1.0, beta3=1.0), "cubic"),
+    (quintic_flow, CglParameters(alpha1=1.0, beta4=1.0), "quintic"),
+])
+def test_rotation_branch_non_finite_output_raises(flow, par, name):
+    u0 = np.array([1.0, np.nan, np.inf])
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(DivergenceError) as err:
+            flow(u0, 0.1, par)
+    assert err.value.reason == f"non-finite {name} flow output"
+
+
 def test_branch_continuity_at_small_alpha3():
     # the log formula limits smoothly onto the phase-rotation branch
     eps = 1e-13

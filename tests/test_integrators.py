@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cglsolve import integrators
 from cglsolve.flows import NonlinearSpec
 from cglsolve.integrators import SCHEMES, IntegrationResult, Problem, integrate
 from cglsolve.linalg import expm_pade
@@ -16,9 +17,9 @@ from cglsolve.operators import (
 )
 from cglsolve.params import CglParameters
 from cglsolve.spectral import FourierGrid, dft_forward
-from cglsolve.tensors import assemble_kron_sum, unvec, vec
+from cglsolve.tensors import unvec, vec
 
-from oracles import random_complex
+from oracles import kron_sum_matrix, random_complex
 
 CUBIC = CglParameters(alpha1=1.0, beta1=2.0, alpha2=1.0, alpha3=-1.0,
                       beta3=0.2)
@@ -39,7 +40,7 @@ def test_zero_nonlinearity_reduces_to_exponential(scheme):
     u0 = random_complex(rng, (7, 6))
     tau = 0.08
     res = integrate(problem, scheme, (u0,), tau, 1)
-    k = assemble_kron_sum(op.matrices)
+    k = kron_sum_matrix(op.matrices)
     want = unvec(expm_pade(k, tau) @ vec(u0), (7, 6))
     err = np.max(np.abs(res.fields[0] - want)) / np.max(np.abs(want))
     assert err <= 1e-11
@@ -211,6 +212,51 @@ def test_non_positive_or_non_finite_t_final_rejected(scheme, t_final):
     with pytest.raises(ValueError, match="t_final"):
         integrate(problem, scheme, (np.zeros(16, dtype=complex),), t_final,
                   4)
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)],
+                         ids=["nan", "inf", "imag-inf"])
+def test_non_finite_initial_fields_rejected(scheme, bad, monkeypatch):
+    problem, _ = plane_wave_problem(n=16)
+
+    def prepare(*args):
+        raise AssertionError("prepare ran on non-finite initial fields")
+
+    monkeypatch.setattr(problem, "prepare", prepare)
+    u0 = np.zeros(16, dtype=complex)
+    u0[5] = bad
+    with pytest.raises(ValueError, match="initial fields must be finite"):
+        integrate(problem, scheme, (u0,), 1.0, 4)
+
+
+CQ = CglParameters(alpha1=0.5, beta1=0.5, alpha2=-0.5, alpha3=2.52,
+                   beta3=1.0, alpha4=-1.0, beta4=-0.11)
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+@pytest.mark.parametrize("fourier", [True, False], ids=["fourier", "fd"])
+def test_steps_never_write_the_callers_state(scheme, fourier, monkeypatch):
+    # 32^3 entries reach the threaded kernels, and with the lowered bound
+    # the combinations write into stage arrays; the initial state and the
+    # cached exponentials must come out unchanged
+    monkeypatch.setattr(integrators, "_KERNEL_BYTES", 1 << 19)
+    shape = (32, 32, 32)
+    if fourier:
+        grid = FourierGrid(shape, ((0.0, 20.0),) * 3)
+        op = build_periodic_operator(grid, CQ)
+    else:
+        op = build_fd_operator(CQ, shape, (20.0,) * 3, "dirichlet")
+    problem = Problem(op, NonlinearSpec("cubic_quintic", CQ))
+    u0 = 0.3 * random_complex(np.random.default_rng(74), shape)
+    saved = u0.copy()
+    problem.prepare(1e-3, SCHEMES[scheme])
+    cache = {f: np.copy(e) for f, e in op._cache.items()}
+    res = integrate(problem, scheme, (u0,), 2e-3, 2)
+    assert not res.diverged
+    assert np.array_equal(u0, saved)
+    for f, e in op._cache.items():
+        assert np.array_equal(e, cache[f])
 
 
 def test_scheme_table():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cglsolve.linalg import expm_pade, expm_taylor
+from cglsolve.linalg import expm_pade
 
 from oracles import expm_taylor_ref, random_complex
 
@@ -43,13 +43,6 @@ def test_expm_matches_taylor_reference(n, target):
         got = expm_pade(a)
         want = expm_taylor_ref(a)
         assert rel_max(got, want) <= 1e-12
-
-
-def test_expm_taylor_in_package_matches_test_copy():
-    rng = np.random.default_rng(32)
-    a = random_complex(rng, (12, 12))
-    a *= 3.0 / np.linalg.norm(a, 1)
-    assert rel_max(expm_taylor(a), expm_taylor_ref(a)) <= 1e-14
 
 
 @pytest.mark.parametrize("n", [2, 5, 9, 17, 32])

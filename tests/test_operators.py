@@ -18,9 +18,9 @@ from cglsolve.operators import (
 )
 from cglsolve.params import CglParameters
 from cglsolve.spectral import FourierGrid
-from cglsolve.tensors import assemble_kron_sum, vec
+from cglsolve.tensors import vec
 
-from oracles import random_complex
+from oracles import kron_sum_matrix, random_complex
 
 PARAMS = CglParameters(alpha1=1.0, beta1=2.0, alpha2=1.0, alpha3=-1.0,
                        beta3=0.2)
@@ -123,7 +123,7 @@ def test_build_fd_operator_distributes_alpha2():
     want = PARAMS.diffusion * d2 + (PARAMS.alpha2 / 2.0) * np.eye(8)
     assert np.allclose(op.matrices[0], want, rtol=0, atol=1e-15)
     # kron sum of the two factors carries alpha2 exactly once
-    k = assemble_kron_sum(op.matrices)
+    k = kron_sum_matrix(op.matrices)
     diag_shift = k - np.kron(np.eye(8), PARAMS.diffusion * d2) \
         - np.kron(PARAMS.diffusion * d2, np.eye(8))
     assert np.allclose(diag_shift, PARAMS.alpha2 * np.eye(64), atol=1e-13)
@@ -135,7 +135,7 @@ def test_kronecker_exp_matches_dense_expm():
     tau = 0.05
     op.prepare(tau, [Fraction(1), Fraction(1, 2)])
     u = random_complex(rng, (7, 6))
-    k = assemble_kron_sum(op.matrices)
+    k = kron_sum_matrix(op.matrices)
     for frac in (Fraction(1), Fraction(1, 2)):
         got = vec(op.exp_apply(frac, u))
         want = expm_pade(k, float(frac) * tau) @ vec(u)

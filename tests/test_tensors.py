@@ -5,7 +5,6 @@ import pytest
 
 from cglsolve import tensors
 from cglsolve.tensors import (
-    assemble_kron_sum,
     kron_sum_apply,
     mu_mode_product,
     tucker_apply,
@@ -96,34 +95,6 @@ def test_kron_sum_apply_matches_assembled(shape):
     want = kron_sum_matrix(mats) @ vec(u)
     err = np.max(np.abs(got - want)) / np.max(np.abs(want))
     assert err <= 1e-13
-
-
-def test_assemble_kron_sum_matches_reference():
-    rng = np.random.default_rng(21)
-    mats = [random_complex(rng, (n, n)) for n in (3, 4, 5)]
-    got = assemble_kron_sum(mats)
-    want = kron_sum_matrix(mats)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
-
-def test_assemble_kron_sum_agrees_with_apply():
-    rng = np.random.default_rng(22)
-    shape = (4, 3, 2)
-    mats = [random_complex(rng, (n, n)) for n in shape]
-    u = random_complex(rng, shape)
-    k = assemble_kron_sum(mats)
-    err = np.max(np.abs(k @ vec(u) - vec(kron_sum_apply(u, mats))))
-    assert err <= 1e-13 * np.max(np.abs(k @ vec(u)))
-
-
-def test_assemble_kron_sum_respects_cap():
-    mats = [np.eye(16)] * 4  # 65536 entries, over the default cap
-    with pytest.raises(ValueError):
-        assemble_kron_sum(mats)
-    small = [np.eye(6)] * 2
-    with pytest.raises(ValueError):
-        assemble_kron_sum(small, cap=35)
-    assert assemble_kron_sum(small, cap=36).shape == (36, 36)
 
 
 def test_single_direction_is_plain_matmul():
