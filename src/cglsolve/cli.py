@@ -101,6 +101,8 @@ def _cmd_preset(args, parser):
 
 
 def _cmd_run(args, parser):
+    if args.frozen_probe < 0:
+        parser.error(f"--frozen-probe must be >= 0, got {args.frozen_probe}")
     config = _resolve_config(args, parser)
     if args.steps is not None:
         from dataclasses import replace

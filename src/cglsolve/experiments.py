@@ -10,6 +10,7 @@ against a fine-step reference cross-checked between two unrelated
 
 import json
 import math
+import numbers
 import os
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -66,8 +67,23 @@ def _reject_unknown_keys(data, cls, what):
         raise ValueError(f"unknown {what} key(s): {', '.join(unknown)}")
 
 
+_SCALARS = {str: ("a string", str), int: ("an integer", numbers.Integral),
+            float: ("a finite real", numbers.Real)}
+
+
+def _check_scalar(name, value, kind):
+    """ValueError unless value is a str, an int or a finite real (float)."""
+    what, cls = _SCALARS[kind]
+    if (not isinstance(value, cls) or isinstance(value, bool)
+            or kind is float and not math.isfinite(value)):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
 def config_from_dict(data):
     _reject_unknown_keys(data, ExperimentConfig, "config")
+    for f in fields(ExperimentConfig):
+        if f.name in data and f.type in _SCALARS:
+            _check_scalar(f"config key {f.name!r}", data[f.name], f.type)
     data = dict(data)
     params = data.pop("params")
     if isinstance(params, dict):
@@ -267,10 +283,8 @@ def prepare_coupled_initial(config):
     than the coupled benchmark grid provides, and on a periodic grid an
     integer stride picks exact node values.
     """
-    p = config.params
-    scalar = CglParameters(alpha1=p.alpha1, beta1=p.beta1, alpha2=p.alpha2,
-                           alpha3=p.alpha3, beta3=p.beta3,
-                           alpha4=p.alpha4, beta4=p.beta4)
+    # the scalar equation: no advection, no cross term
+    scalar = replace(config.params, alpha0=0.0, alpha5=0.0)
     n1 = config.extents[0]
     fine = config.prerun_extent or n1
     if fine % n1 != 0:
@@ -450,6 +464,9 @@ def run_preset(config, snapshot_steps=(), out_dir=None,
     drift over the continuation is reported (a frozen state shows a
     drift near zero).
     """
+    _check_scalar("frozen_probe_steps", frozen_probe_steps, int)
+    if frozen_probe_steps < 0:
+        raise ValueError("frozen_probe_steps must be >= 0")
     problem = build_problem(config)
     axes = grid_axes(config)
     state0 = problem.from_physical(initial_state(config))
@@ -486,7 +503,7 @@ def run_preset(config, snapshot_steps=(), out_dir=None,
     if frozen_probe_steps and not result.diverged:
         probe = integrate(problem, config.scheme, result.fields,
                           result.tau * frozen_probe_steps,
-                          int(frozen_probe_steps))
+                          frozen_probe_steps)
         if not probe.diverged:
             summary["frozen_modulus_drift"] = relative_modulus_drift(
                 physical[0], problem.to_physical(probe.fields)[0])

@@ -10,7 +10,8 @@ degenerate to pure phase rotations as the real coefficient vanishes; the
 branch switch sits at |alpha| < 1e-14. A vanishing argument of the log is
 finite-time blow-up and raises DivergenceError, as does any non-finite
 flow output; blow-up anywhere in the array is reported before non-finite
-output anywhere.
+output anywhere. Where there is no exact flow, ``integrators.Problem.flow``
+runs one step of the ``rk4`` tableau on ``eval_g``.
 
 The nonlinearity ``eval_g`` and both flows run as chunked kernels in real
 arithmetic. Both flows are one power-law kernel (p = 2, 4): with
@@ -45,7 +46,6 @@ __all__ = [
     "eval_g",
     "cubic_flow",
     "quintic_flow",
-    "rk4_flow",
     "all_finite",
 ]
 
@@ -169,12 +169,6 @@ def all_finite(fields):
     return all(bool(np.isfinite(u).all()) for u in fields)
 
 
-def _check_finite(u, reason):
-    if not all_finite((u,)):
-        raise DivergenceError(reason)
-    return u
-
-
 def cubic_flow(u0, t, params):
     """Exact flow of u' = (alpha3 + i beta3) |u|^2 u over time t."""
     return _power_law_flow(u0, t, params.alpha3, params.beta3, 2, "cubic")
@@ -190,7 +184,9 @@ def _power_law_flow(u0, t, a, b, p, name):
     u0 = np.asarray(u0, dtype=complex)
     if abs(a) < _REAL_COEFF_FLOOR:
         out = u0 * np.exp(1j * b * np.abs(u0) ** p * t)
-        return _check_finite(out, f"non-finite {name} flow output")
+        if not all_finite((out,)):
+            raise DivergenceError(f"non-finite {name} flow output")
+        return out
     order = spectral.memory_order((u0,))
     out = np.empty(u0.shape, complex, order=order)
     kernel = partial(_flow_chunks, np.ravel(u0, order), out.ravel(order),
@@ -246,20 +242,3 @@ def _flow_chunks(src, dst, p, pa, t, amp_coeff, phase_coeff, lo, hi):
         non_finite = non_finite or not ok.all()
     return blow_up, non_finite
 
-
-def rk4_flow(spec, fields, t):
-    """One classical RK4 step of size t on the full nonlinearity.
-
-    Used where no exact flow is available (quintic and coupled terms
-    treated together); its O(t^5) one-step error keeps fourth-order
-    splitting intact.
-    """
-    k1 = eval_g(spec, fields)
-    k2 = eval_g(spec, tuple(u + 0.5 * t * k for u, k in zip(fields, k1)))
-    k3 = eval_g(spec, tuple(u + 0.5 * t * k for u, k in zip(fields, k2)))
-    k4 = eval_g(spec, tuple(u + t * k for u, k in zip(fields, k3)))
-    out = tuple(u + (t / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-                for u, a, b, c, d in zip(fields, k1, k2, k3, k4))
-    for u in out:
-        _check_finite(u, "non-finite RK4 flow output")
-    return out

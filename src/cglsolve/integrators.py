@@ -7,77 +7,98 @@ Kronecker-form operators, Fourier coefficients for symbol operators. The
 Problem wrapper moves the pointwise nonlinearity through the transform
 pair when needed.
 
-Schemes:
+Schemes are data (``SCHEMES``), run by two steppers. ``rk2``/``rk4`` are
+Butcher tableaux on K u + g(u), and ``if2``/``if4`` the same tableaux in
+Lawson form on g. ``strang``/``strang_3t`` are lists of (term, fraction
+of tau) maps; ``split4``/``split4_3t`` add a coarse list for the
+Richardson step (4/3) fine - (1/3) coarse.
 
-    rk2, rk4            explicit Runge-Kutta on the full right-hand side
-    strang, split4      splitting with the exact cubic flow (cubic kind)
-                        or a single RK4 substep on g otherwise
-    strang_3t, split4_3t three-term splitting: exact cubic and quintic
-                        flows composed separately
-    if2, if4            Lawson (integrating factor) schemes
-
-The fourth-order splittings use the Richardson combination
-(4/3) S_{tau/2}^2 - (1/3) S_tau of the Strang map S.
-
-Every linear combination of stages is one ``_lincomb`` call, folded in
-the order of the chained whole-array expression so the bits match it.
-Arrays of 32 MiB or more (128^3 complex) run it as one chunked,
-slab-threaded pass with one output, written into a stage array the step
-made and reads no more where there is one. ``integrate`` rejects
+Every linear combination of stages is one ``_lincomb`` call, which keeps
+the bits of the chained whole-array expression. ``integrate`` rejects
 non-finite initial fields and checks every step's state with
 ``all_finite``.
 """
 
+import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
 from . import spectral
 from .flows import (DivergenceError, all_finite, cubic_flow, eval_g,
-                    quintic_flow, rk4_flow)
+                    quintic_flow)
 from .spectral import dft_forward, dft_inverse
 
-__all__ = ["Scheme", "SCHEMES", "Problem", "IntegrationResult", "integrate"]
+__all__ = ["Tableau", "Scheme", "SCHEMES", "Problem", "IntegrationResult",
+           "integrate"]
 
-_HALF = Fraction(1, 2)
-_ONE = Fraction(1)
 # _lincomb runs its kernel on arrays of at least 32 MiB, the largest mmap
 # threshold of glibc's malloc: every array that size is a fresh mapping
 # whose pages must be faulted in, which the kernel's in-place output
-# avoids. Smaller arrays come from the malloc heap, where the whole-array
-# fold measured better: on a 2-vCPU VM a 64^3 split4_3t step took about
-# 2,700 minor page faults and 181 ms with it, 4,800 and 191 ms with the
-# kernel. A whole-array fold that adds into its own first sum and reuses
-# one scratch for the scaled terms lost too: in 10 of 10 benchmark pairs
-# at 64^3 (split4_3t) the snapshot output after the steps took 30% longer.
+# avoids. Below it the whole-array fold measured faster (CHANGES.md).
 _KERNEL_BYTES = 1 << 25
+
+
+@dataclass(frozen=True, eq=False)
+class Tableau:
+    """Explicit Butcher tableau: row i of ``a`` has i weights; nodes are
+    the row sums. ``lawson`` runs it in integrating-factor form on g."""
+
+    a: tuple
+    b: tuple
+    lawson: bool = False
+
+
+_ONE, _HALF, _THIRD = Fraction(1), Fraction(1, 2), Fraction(1, 3)
+_HEUN = Tableau(a=((), (_ONE,)), b=(_HALF, _HALF))
+_RK4 = Tableau(a=((), (_HALF,), (0, _HALF), (0, 0, _ONE)),
+               b=(_HALF * _THIRD, _THIRD, _THIRD, _HALF * _THIRD))
+
+
+def _strang(fraction, *flows):
+    """The Strang map over fraction * tau: half flows, K, flows reversed."""
+    half = tuple((term, fraction / 2) for term in flows)
+    return half + (("K", fraction),) + half[::-1]
 
 
 @dataclass(frozen=True)
 class Scheme:
+    """A tableau, or a composition of maps with an optional coarse one."""
+
     name: str
     order: int
-    fractions: tuple  # exponential step fractions the cache must hold
-    three_term: bool = False
+    tableau: Tableau = None
+    maps: tuple = ()    # (term, fraction of tau), applied in order
+    coarse: tuple = ()  # if given, the step is (4/3) maps - (1/3) coarse
 
     @property
-    def uses_exponentials(self):
-        return bool(self.fractions)
+    def fractions(self):
+        """The exponential step fractions the cache must hold, ascending."""
+        if self.tableau is None:
+            found = {f for term, f in self.maps + self.coarse if term == "K"}
+        else:
+            found = {group[0] for row in _rows(self.tableau, 1.0)
+                     for group in row}
+        return tuple(sorted(found - {0, None}))
 
 
-SCHEMES = {
-    "rk2": Scheme("rk2", 2, ()),
-    "rk4": Scheme("rk4", 4, ()),
-    "strang": Scheme("strang", 2, (_ONE,)),
-    "split4": Scheme("split4", 4, (_ONE, _HALF)),
-    "strang_3t": Scheme("strang_3t", 2, (_ONE,), three_term=True),
-    "split4_3t": Scheme("split4_3t", 4, (_ONE, _HALF), three_term=True),
-    "if2": Scheme("if2", 2, (_ONE,)),
-    "if4": Scheme("if4", 4, (_HALF, _ONE)),
-}
+SCHEMES = {s.name: s for s in (
+    Scheme("rk2", 2, tableau=_HEUN),
+    Scheme("rk4", 4, tableau=_RK4),
+    Scheme("strang", 2, maps=_strang(_ONE, "g")),
+    Scheme("split4", 4,
+           maps=(("g", _HALF / 2), ("K", _HALF), ("g", _HALF), ("K", _HALF),
+                 ("g", _HALF / 2)),
+           coarse=_strang(_ONE, "g")),
+    Scheme("strang_3t", 2, maps=_strang(_ONE, "quintic", "cubic")),
+    Scheme("split4_3t", 4, maps=2 * _strang(_HALF, "quintic", "cubic"),
+           coarse=_strang(_ONE, "quintic", "cubic")),
+    Scheme("if2", 2, tableau=replace(_HEUN, lawson=True)),
+    Scheme("if4", 4, tableau=replace(_RK4, lawson=True)),
+)}
 
 
 class Problem:
@@ -121,30 +142,24 @@ class Problem:
         return self.from_physical(eval_g(self.nonlinear,
                                          self.to_physical(fields)))
 
-    def flow(self, fields, t):
-        """Nonlinear subflow: exact for the cubic kind, RK4 substep else."""
+    def flow(self, term, fields, t):
+        """Subflow over time t: exact for "cubic" and "quintic" alone and
+        for "g" of the cubic kind; else one ``rk4`` step on ``eval_g``."""
         phys = self.to_physical(fields)
-        if self.nonlinear.kind == "cubic":
-            phys = tuple(cubic_flow(u, t, self.nonlinear.params) for u in phys)
+        if term == "g" and self.nonlinear.kind != "cubic":
+            phys = _run_tableau(_rows(_RK4, t),
+                                partial(eval_g, self.nonlinear), None, phys)
         else:
-            phys = rk4_flow(self.nonlinear, phys, t)
-        return self.from_physical(phys)
-
-    def flow_cubic(self, fields, t):
-        phys = self.to_physical(fields)
-        phys = tuple(cubic_flow(u, t, self.nonlinear.params) for u in phys)
-        return self.from_physical(phys)
-
-    def flow_quintic(self, fields, t):
-        phys = self.to_physical(fields)
-        phys = tuple(quintic_flow(u, t, self.nonlinear.params) for u in phys)
+            exact = quintic_flow if term == "quintic" else cubic_flow
+            phys = tuple(exact(u, t, self.nonlinear.params) for u in phys)
         return self.from_physical(phys)
 
     def prepare(self, tau, scheme):
-        if scheme.three_term and self.nonlinear.kind == "coupled_cubic_quintic":
-            raise ValueError("three-term splitting has no exact flow for "
-                             "the coupled cross term")
-        if scheme.uses_exponentials:
+        terms = {term for term, _ in scheme.maps + scheme.coarse}
+        if self.nonlinear.components > 1 and terms & {"cubic", "quintic"}:
+            raise ValueError("exact cubic and quintic flows leave out the "
+                             "coupled cross term")
+        if scheme.fractions:
             self.operator.prepare(tau, scheme.fractions)
 
 
@@ -210,92 +225,84 @@ def _rhs(p, u):
     return _lincomb((1, lin), (1, p.g(u)), out=lin)
 
 
-def _step_rk2(p, u, tau):
-    f1 = _rhs(p, u)
-    f2 = _rhs(p, _lincomb((tau, f1), (1, u)))
-    f12 = _lincomb((1, f1), (1, f2), out=f1)
-    return _lincomb((0.5 * tau, f12), (1, u), out=f12)
+@lru_cache(maxsize=64)
+def _rows(tableau, h):
+    """Rows 2.. of a tableau for step h as groups (fraction, c, terms).
+
+    Stage i is E(c_i) u + h sum_j a_ij E(c_i - c_j) k_j with E(f) =
+    exp(f h K), E = 1 without ``lawson``; b is a last row with c = 1. A
+    group sums the terms (coefficient, source) under one E (None for 0),
+    stage values k[j] first, u = k[0] last; equal coefficients, as of one
+    term, are applied after E as c. u's group, the largest E, is first.
+    """
+    nodes = [sum(row, Fraction(0)) for row in tableau.a] + [_ONE]
+    rows = []
+    for i, weights in enumerate(tableau.a[1:] + (tableau.b,), start=1):
+        terms = [(nodes[i] - nodes[j], h * w.numerator / w.denominator, j + 1)
+                 for j, w in enumerate(weights) if w]
+        by_fraction = {}
+        for fraction, coef, source in terms + [(nodes[i], 1, 0)]:
+            key = fraction if tableau.lawson else 0
+            by_fraction.setdefault(key, []).append((coef, source))
+        groups = []
+        for fraction in sorted(by_fraction, reverse=True):
+            terms = by_fraction[fraction]
+            c = terms[0][0] if len({coef for coef, _ in terms}) == 1 else 1
+            terms = tuple((coef / c, source) for coef, source in terms)
+            groups.append((fraction or None, c, terms))
+        rows.append(tuple(groups))
+    return tuple(rows)
 
 
-def _step_rk4(p, u, tau):
-    f1 = _rhs(p, u)
-    f2 = _rhs(p, _lincomb((0.5 * tau, f1), (1, u)))
-    f3 = _rhs(p, _lincomb((0.5 * tau, f2), (1, u)))
-    f4 = _rhs(p, _lincomb((tau, f3), (1, u)))
-    return _lincomb((tau / 6.0, f1), (tau / 3.0, f2), (tau / 3.0, f3),
-                    (tau / 6.0, f4), (1, u), out=f1)
+def _run_tableau(rows, f, expk, u):
+    """One step from u; f(U) is a stage's value. A stage's input is
+    dropped once f has read it."""
+    k = [u, f(u)]
+    for row in rows[:-1]:
+        k.append(f(_row_sum(row, k, expk, False)))
+    return _row_sum(rows[-1], k, expk, True)
 
 
-def _step_strang(p, u, tau):
-    v = p.flow(u, 0.5 * tau)
-    v = p.expk(_ONE, v)
-    return p.flow(v, 0.5 * tau)
+def _row_sum(groups, k, expk, last):
+    """A row's sum, written into its first group's value unless that is u;
+    in the last row each group's sum goes into its first stage value."""
+    parts = []
+    for fraction, c, terms in groups:
+        if len(terms) == 1:
+            x = k[terms[0][1]]
+        else:
+            xs = [(coef, k[source]) for coef, source in terms]
+            x = _lincomb(*xs, out=xs[0][1] if last else None)
+        if fraction is not None:
+            x = expk(fraction, x)
+        parts.append((c, x))
+    c, x = parts[0]
+    if len(parts) == 1 and c == 1:
+        return x
+    return _lincomb(*parts, out=None if x is k[0] else x)
 
 
-def _step_split4(p, u, tau):
-    # Richardson pairing of the Strang map, middle flows merged
-    coarse = p.flow(p.expk(_ONE, p.flow(u, 0.5 * tau)), 0.5 * tau)
-    fine = p.flow(u, 0.25 * tau)
-    fine = p.expk(_HALF, fine)
-    fine = p.flow(fine, 0.5 * tau)
-    fine = p.expk(_HALF, fine)
-    fine = p.flow(fine, 0.25 * tau)
+def _compose(p, maps, tau, u):
+    for term, f in maps:
+        t = tau * f.numerator / f.denominator
+        u = p.expk(f, u) if term == "K" else p.flow(term, u, t)
+    return u
+
+
+def _richardson(p, scheme, tau, u):
+    coarse = _compose(p, scheme.coarse, tau, u)
+    fine = _compose(p, scheme.maps, tau, u)
     return _lincomb((4.0 / 3.0, fine), (-1.0 / 3.0, coarse), out=fine)
 
 
-def _strang_three_term(p, u, tau, fraction):
-    t = float(fraction) * tau
-    v = p.flow_quintic(u, 0.5 * t)
-    v = p.flow_cubic(v, 0.5 * t)
-    v = p.expk(fraction, v)
-    v = p.flow_cubic(v, 0.5 * t)
-    return p.flow_quintic(v, 0.5 * t)
-
-
-def _step_strang_3t(p, u, tau):
-    return _strang_three_term(p, u, tau, _ONE)
-
-
-def _step_split4_3t(p, u, tau):
-    coarse = _strang_three_term(p, u, tau, _ONE)
-    fine = _strang_three_term(p, u, tau, _HALF)
-    fine = _strang_three_term(p, fine, tau, _HALF)
-    return _lincomb((4.0 / 3.0, fine), (-1.0 / 3.0, coarse), out=fine)
-
-
-def _step_if2(p, u, tau):
-    g1 = p.g(u)
-    u2 = p.expk(_ONE, _lincomb((tau, g1), (1, u)))
-    out = p.expk(_ONE, _lincomb((0.5 * tau, g1), (1, u), out=g1))
-    return _lincomb((1, out), (0.5 * tau, p.g(u2)), out=out)
-
-
-def _step_if4(p, u, tau):
-    g1 = p.g(u)
-    # the second stage is not kept: freed here, it is not alive at the
-    # final combination, where the step's memory use peaks
-    g2 = p.g(p.expk(_HALF, _lincomb((0.5 * tau, g1), (1, u))))
-    u3 = p.expk(_HALF, u)
-    u3 = _lincomb((1, u3), (0.5 * tau, g2), out=u3)
-    g3 = p.g(u3)
-    u4 = p.expk(_ONE, u)
-    u4 = _lincomb((1, u4), (tau, p.expk(_HALF, g3)), out=u4)
-    g4 = p.g(u4)
-    out = p.expk(_ONE, _lincomb((tau / 6.0, g1), (1, u), out=g1))
-    g23 = p.expk(_HALF, _lincomb((1, g2), (1, g3), out=g2))
-    return _lincomb((1, out), (tau / 3.0, g23), (tau / 6.0, g4), out=out)
-
-
-_STEPPERS = {
-    "rk2": _step_rk2,
-    "rk4": _step_rk4,
-    "strang": _step_strang,
-    "split4": _step_split4,
-    "strang_3t": _step_strang_3t,
-    "split4_3t": _step_split4_3t,
-    "if2": _step_if2,
-    "if4": _step_if4,
-}
+def _stepper(p, scheme, tau):
+    """u -> the scheme's step of size tau; a tableau's rows are built here."""
+    if scheme.tableau is not None:
+        f = p.g if scheme.tableau.lawson else partial(_rhs, p)
+        return partial(_run_tableau, _rows(scheme.tableau, tau), f, p.expk)
+    if scheme.coarse:
+        return partial(_richardson, p, scheme, tau)
+    return partial(_compose, p, scheme.maps, tau)
 
 
 @dataclass
@@ -321,8 +328,9 @@ def integrate(problem, scheme_name, fields, t_final, steps,
     if scheme_name not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme_name!r}; "
                          f"choose from {sorted(SCHEMES)}")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
+    if (not isinstance(steps, numbers.Integral) or isinstance(steps, bool)
+            or steps < 1):
+        raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
     if not np.isfinite(t_final) or t_final <= 0:
         raise ValueError("t_final must be positive and finite")
     scheme = SCHEMES[scheme_name]
@@ -331,26 +339,24 @@ def integrate(problem, scheme_name, fields, t_final, steps,
     if not all_finite(fields):
         raise ValueError("initial fields must be finite")
     problem.prepare(tau, scheme)
-    step_fn = _STEPPERS[scheme_name]
+    step = _stepper(problem, scheme, tau)
     wanted = set(int(k) for k in snapshot_steps)
 
     start = time.perf_counter()
     for k in range(1, steps + 1):
+        reason = ""
         try:
             # overflow on a diverging trajectory is reported structurally,
             # not as a warning
             with np.errstate(over="ignore", invalid="ignore"):
-                fields = step_fn(problem, fields, tau)
+                fields = step(fields)
         except DivergenceError as err:
+            reason = err.reason
+        if reason or not all_finite(fields):
             seconds = time.perf_counter() - start
             return IntegrationResult(fields, steps, tau, seconds,
                                      diverged=True, diverged_at=k,
-                                     reason=err.reason)
-        if not all_finite(fields):
-            seconds = time.perf_counter() - start
-            return IntegrationResult(fields, steps, tau, seconds,
-                                     diverged=True, diverged_at=k,
-                                     reason="non-finite state")
+                                     reason=reason or "non-finite state")
         if k in wanted and on_snapshot is not None:
             on_snapshot(k, k * tau, fields)
     seconds = time.perf_counter() - start

@@ -20,6 +20,7 @@ recomputes an exponential.
 """
 
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -96,11 +97,25 @@ def fd_nodes(kind, n, length):
     return np.arange(1, n + 1) * h
 
 
-def _as_fraction(fraction):
-    f = Fraction(fraction)
-    if f <= 0:
-        raise ValueError("step fractions must be positive")
-    return f
+def _exponentials(tau, fractions, build):
+    """{f: build(f * tau)} for every step fraction f: an operator's cache."""
+    if not np.isfinite(tau) or tau <= 0:
+        raise ValueError("tau must be positive and finite")
+    cache = {}
+    for f in map(Fraction, fractions):
+        if f <= 0:
+            raise ValueError("step fractions must be positive")
+        cache[f] = build(float(f) * float(tau))
+    return cache
+
+
+def _cached(cache, fraction):
+    """The prepared exponential for a step fraction, in one lookup."""
+    try:
+        return cache[fraction]
+    except KeyError:
+        raise RuntimeError(f"exponential for fraction {fraction} not "
+                           "prepared; call prepare()") from None
 
 
 class KroneckerOperator:
@@ -114,7 +129,6 @@ class KroneckerOperator:
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValueError("per-direction factors must be square")
         self.shape = tuple(m.shape[0] for m in self.matrices)
-        self._tau = None
         self._cache = {}
 
     def apply(self, u):
@@ -122,21 +136,12 @@ class KroneckerOperator:
 
     def prepare(self, tau, fractions):
         """Precompute exp(f*tau*A_mu) for every requested fraction f."""
-        if not np.isfinite(tau) or tau <= 0:
-            raise ValueError("tau must be positive and finite")
-        self._tau = float(tau)
-        self._cache = {}
-        for fraction in fractions:
-            f = _as_fraction(fraction)
-            step = float(f) * self._tau
-            self._cache[f] = [expm_pade(m, step) for m in self.matrices]
+        self._cache = _exponentials(
+            tau, fractions, lambda step: [expm_pade(m, step)
+                                          for m in self.matrices])
 
     def exp_apply(self, fraction, u):
-        f = Fraction(fraction)
-        if f not in self._cache:
-            raise RuntimeError(
-                f"exponential for fraction {f} not prepared; call prepare()")
-        return tucker_apply(u, self._cache[f])
+        return tucker_apply(u, _cached(self._cache, fraction))
 
 
 class FourierOperator:
@@ -151,27 +156,17 @@ class FourierOperator:
         self.grid = grid
         self.symbol = symbol
         self.shape = grid.shape
-        self._tau = None
         self._cache = {}
 
     def apply(self, u):
         return pointwise_apply(self.symbol, u)
 
     def prepare(self, tau, fractions):
-        if not np.isfinite(tau) or tau <= 0:
-            raise ValueError("tau must be positive and finite")
-        self._tau = float(tau)
-        self._cache = {}
-        for fraction in fractions:
-            f = _as_fraction(fraction)
-            self._cache[f] = symbol_exponential(self.symbol, float(f) * self._tau)
+        self._cache = _exponentials(tau, fractions,
+                                    partial(symbol_exponential, self.symbol))
 
     def exp_apply(self, fraction, u):
-        f = Fraction(fraction)
-        if f not in self._cache:
-            raise RuntimeError(
-                f"exponential for fraction {f} not prepared; call prepare()")
-        return pointwise_apply(self._cache[f], u)
+        return pointwise_apply(_cached(self._cache, fraction), u)
 
 
 class BlockOperator:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cglsolve import cli
 from cglsolve.cli import main
 from cglsolve.experiments import available_presets, config_to_dict, make_preset
 
@@ -97,6 +98,33 @@ def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
     code, err = _usage_error(["run", "--config", str(path)], capsys)
     assert code == 2
     assert "stpes" in err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("steps", 2.5), ("steps", "ten"), ("steps", True), ("t_final", "abc"),
+    ("t_final", float("nan")), ("ic_mode", "a"), ("scheme", 4),
+    ("prerun_time", None)])
+def test_malformed_config_value_is_a_usage_error(key, value, tmp_path,
+                                                 capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({key: value}))
+    code, err = _usage_error(["run", "--preset", "plane-wave-1d",
+                              "--config", str(path)], capsys)
+    assert code == 2
+    assert f"config key {key!r}" in err
+
+
+@pytest.mark.parametrize("probe", ["-3", "2.5"])
+def test_bad_frozen_probe_is_a_usage_error_before_any_work(probe, capsys,
+                                                           monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "run_preset", no_run)
+    code, err = _usage_error(["run", "--preset", "plane-wave-1d",
+                              "--frozen-probe", probe], capsys)
+    assert code == 2
+    assert "--frozen-probe" in err
 
 
 @pytest.mark.parametrize("snapshots,with_out", [("3", False), ("0,3", True),

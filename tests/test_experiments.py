@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cglsolve import experiments
 from cglsolve.experiments import (available_presets, build_problem,
                                   config_from_dict, config_to_dict,
                                   gaussian_profile, grid_axes, initial_state,
@@ -238,3 +239,14 @@ def test_run_preset_frozen_probe_on_steady_orbit():
     cfg = replace(make_preset("plane-wave-1d"), steps=20)
     summary, _ = run_preset(cfg, frozen_probe_steps=5)
     assert summary["frozen_modulus_drift"] <= 1e-6
+
+
+@pytest.mark.parametrize("probe", [-3, 2.5, True, "2"])
+def test_run_preset_rejects_bad_frozen_probe_before_any_work(probe,
+                                                             monkeypatch):
+    def no_build(config):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(experiments, "build_problem", no_build)
+    with pytest.raises(ValueError, match="frozen_probe_steps"):
+        run_preset(make_preset("plane-wave-1d"), frozen_probe_steps=probe)

@@ -1,11 +1,12 @@
 """Scheme reductions, frozen one-step values, orders, divergence handling."""
 
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cglsolve import integrators
+from cglsolve import integrators, operators
 from cglsolve.flows import NonlinearSpec
 from cglsolve.integrators import SCHEMES, IntegrationResult, Problem, integrate
 from cglsolve.linalg import expm_pade
@@ -260,8 +261,112 @@ def test_steps_never_write_the_callers_state(scheme, fourier, monkeypatch):
 
 
 def test_scheme_table():
-    assert set(SCHEMES) == {"rk2", "rk4", "strang", "split4", "strang_3t",
-                            "split4_3t", "if2", "if4"}
-    assert SCHEMES["if4"].fractions == (Fraction(1, 2), Fraction(1))
-    assert SCHEMES["rk2"].uses_exponentials is False
+    # the exponential fractions are derived from the tableaux and maps
+    half, one = Fraction(1, 2), Fraction(1)
+    assert {name: s.fractions for name, s in SCHEMES.items()} == {
+        "rk2": (), "rk4": (), "strang": (one,), "strang_3t": (one,),
+        "if2": (one,), "split4": (half, one), "split4_3t": (half, one),
+        "if4": (half, one)}
     assert SCHEMES["split4"].order == 4
+
+
+@pytest.mark.parametrize("steps", [2.5, "ten", True, None])
+def test_non_integer_steps_rejected(steps):
+    problem, _ = plane_wave_problem(n=16)
+    with pytest.raises(ValueError, match="steps must be an integer"):
+        integrate(problem, "if4", (np.zeros(16, dtype=complex),), 1.0, steps)
+
+
+# the names the benchmark's tracer rebinds
+TRACED = [(integrators, "cubic_flow"), (integrators, "quintic_flow"),
+          (integrators, "eval_g"), (integrators, "dft_forward"),
+          (integrators, "dft_inverse"), (operators, "tucker_apply"),
+          (operators, "pointwise_apply")]
+COUPLED = CglParameters(alpha1=0.125, beta1=0.5, alpha2=-0.9, alpha0=-0.4,
+                        alpha3=1.0, beta3=0.8, alpha4=-0.1, beta4=-0.6,
+                        alpha5=0.5)
+
+
+def counting_problem(name):
+    """A small FD cubic, Fourier cubic-quintic or coupled problem."""
+    grid = FourierGrid((8, 6), ((0.0, 20.0), (0.0, 10.0)))
+    if name == "fd":
+        op = build_fd_operator(CUBIC, (8, 7, 6), (10.0,) * 3, "dirichlet")
+        return Problem(op, NonlinearSpec("cubic", CUBIC))
+    if name == "fourier":
+        return Problem(build_periodic_operator(grid, CQ),
+                       NonlinearSpec("cubic_quintic", CQ))
+    block = BlockOperator([build_periodic_operator(grid, COUPLED, 1),
+                           build_periodic_operator(grid, COUPLED, -1)])
+    return Problem(block, NonlinearSpec("coupled_cubic_quintic", COUPLED))
+
+
+# per-step calls of the traced names; None: the scheme is rejected. The
+# rows marked with a benchmark workload equal its loop_calls in
+# benchmark/workloads.py. The "g" subflow of a non-cubic kind is one RK4
+# step, 4 eval_g calls.
+STEP_CALLS = {
+    ("fd", "rk2"): {"eval_g": 2},
+    ("fd", "rk4"): {"eval_g": 4},
+    ("fd", "strang"): {"cubic_flow": 2, "tucker_apply": 1},
+    ("fd", "split4"): {"cubic_flow": 5, "tucker_apply": 3},  # fd3d
+    ("fd", "strang_3t"): {"cubic_flow": 2, "quintic_flow": 2,
+                          "tucker_apply": 1},
+    ("fd", "split4_3t"): {"cubic_flow": 6, "quintic_flow": 6,
+                          "tucker_apply": 3},
+    ("fd", "if2"): {"eval_g": 2, "tucker_apply": 2},
+    ("fd", "if4"): {"eval_g": 4, "tucker_apply": 6},
+    ("fourier", "rk2"): {"dft_forward": 2, "dft_inverse": 2, "eval_g": 2,
+                         "pointwise_apply": 2},
+    ("fourier", "rk4"): {"dft_forward": 4, "dft_inverse": 4, "eval_g": 4,
+                         "pointwise_apply": 4},
+    ("fourier", "strang"): {"dft_forward": 2, "dft_inverse": 2,
+                            "eval_g": 8, "pointwise_apply": 1},
+    ("fourier", "split4"): {"dft_forward": 5, "dft_inverse": 5,
+                            "eval_g": 20, "pointwise_apply": 3},
+    ("fourier", "strang_3t"): {"cubic_flow": 2, "quintic_flow": 2,
+                               "dft_forward": 4, "dft_inverse": 4,
+                               "pointwise_apply": 1},
+    ("fourier", "split4_3t"): {"cubic_flow": 6, "quintic_flow": 6,
+                               "dft_forward": 12, "dft_inverse": 12,
+                               "pointwise_apply": 3},  # fourier3d-3t
+    ("fourier", "if2"): {"dft_forward": 2, "dft_inverse": 2, "eval_g": 2,
+                         "pointwise_apply": 2},
+    ("fourier", "if4"): {"dft_forward": 4, "dft_inverse": 4, "eval_g": 4,
+                         "pointwise_apply": 6},  # fourier3d
+    ("coupled", "rk2"): {"dft_forward": 4, "dft_inverse": 4, "eval_g": 2,
+                         "pointwise_apply": 4},
+    ("coupled", "rk4"): {"dft_forward": 8, "dft_inverse": 8, "eval_g": 4,
+                         "pointwise_apply": 8},
+    ("coupled", "strang"): {"dft_forward": 4, "dft_inverse": 4,
+                            "eval_g": 8, "pointwise_apply": 2},
+    ("coupled", "split4"): {"dft_forward": 10, "dft_inverse": 10,
+                            "eval_g": 20, "pointwise_apply": 6},
+    ("coupled", "strang_3t"): None,
+    ("coupled", "split4_3t"): None,
+    ("coupled", "if2"): {"dft_forward": 4, "dft_inverse": 4, "eval_g": 2,
+                         "pointwise_apply": 4},
+    ("coupled", "if4"): {"dft_forward": 8, "dft_inverse": 8, "eval_g": 4,
+                         "pointwise_apply": 12},  # coupled2d
+}
+
+
+@pytest.mark.parametrize("name,scheme", sorted(STEP_CALLS))
+def test_per_step_layer_calls(name, scheme, monkeypatch):
+    calls = Counter()
+    for owner, attr in TRACED:
+        def counted(*args, _fn=getattr(owner, attr), _attr=attr, **kwargs):
+            calls[_attr] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, counted)
+    problem = counting_problem(name)
+    fields = tuple(np.full(problem.operator.shape, 0.1 + 0.05j)
+                   for _ in range(problem.nonlinear.components))
+    want = STEP_CALLS[name, scheme]
+    if want is None:
+        with pytest.raises(ValueError, match="coupled cross term"):
+            integrate(problem, scheme, fields, 0.02, 2)
+        return
+    res = integrate(problem, scheme, fields, 0.02, 2)
+    assert not res.diverged
+    assert calls == Counter({k: 2 * n for k, n in want.items()})
