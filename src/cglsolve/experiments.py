@@ -89,11 +89,29 @@ def config_from_dict(data):
     if isinstance(params, dict):
         _reject_unknown_keys(params, CglParameters, "params")
         params = CglParameters(**params)
-    intervals = tuple(tuple(float(x) for x in ab)
-                      for ab in data.pop("intervals"))
-    extents = tuple(int(n) for n in data.pop("extents"))
-    return ExperimentConfig(params=params, intervals=intervals,
-                            extents=extents, **data)
+    elif not isinstance(params, CglParameters):
+        raise ValueError(f"config key 'params' must be an object, "
+                         f"got {params!r}")
+    extents = _checked_list("extents", data.pop("extents"))
+    for n in extents:
+        _check_scalar("config key 'extents' entry", n, int)
+    intervals = _checked_list("intervals", data.pop("intervals"))
+    for ab in intervals:
+        if not isinstance(ab, (list, tuple)) or len(ab) != 2:
+            raise ValueError(f"config key 'intervals' entries must be "
+                             f"pairs, got {ab!r}")
+        for x in ab:
+            _check_scalar("config key 'intervals' entry", x, float)
+    return ExperimentConfig(
+        params=params, extents=tuple(int(n) for n in extents),
+        intervals=tuple((float(a), float(b)) for a, b in intervals), **data)
+
+
+def _checked_list(key, value):
+    """value, a list or tuple, else ValueError naming the config key."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"config key {key!r} must be a list, got {value!r}")
+    return value
 
 
 # benchmark coefficient sets
@@ -484,7 +502,8 @@ def run_preset(config, snapshot_steps=(), out_dir=None,
                        snapshot_steps=snapshot_steps if observer else (),
                        on_snapshot=observer)
     physical = problem.to_physical(result.fields)
-    reached = result.tau * (result.diverged_at if result.diverged
+    # a diverged run returns the state before its failing step
+    reached = result.tau * (result.diverged_at - 1 if result.diverged
                             else result.steps)
     summary = {
         "preset": config.name,

@@ -16,7 +16,19 @@ Richardson step (4/3) fine - (1/3) coarse.
 Every linear combination of stages is one ``_lincomb`` call, which keeps
 the bits of the chained whole-array expression. ``integrate`` rejects
 non-finite initial fields and checks every step's state with
-``all_finite``.
+``all_finite``; on divergence it returns the failing step's input, the
+last finite state.
+
+Each ``integrate`` call has one workspace (``_Workspace``): a free list
+of full-size tuples, one array per component. The steppers take every
+full-size array they write from it, through the layers' ``out=``, and
+give each back once no later stage reads it, so a step pages in no new
+memory but its result. ``Problem.g`` runs the inverse transform,
+``eval_g`` and the forward transform in one tuple; symbol products and
+exact flows write into their input when the step owns it; a Tucker
+product writes into another tuple. Nothing the caller holds is written:
+the initial state, the cached exponentials, and every state a step
+returns, which leaves the workspace.
 """
 
 import numbers
@@ -36,9 +48,10 @@ __all__ = ["Tableau", "Scheme", "SCHEMES", "Problem", "IntegrationResult",
            "integrate"]
 
 # _lincomb runs its kernel on arrays of at least 32 MiB, the largest mmap
-# threshold of glibc's malloc: every array that size is a fresh mapping
-# whose pages must be faulted in, which the kernel's in-place output
-# avoids. Below it the whole-array fold measured faster (CHANGES.md).
+# threshold of glibc's malloc: there the whole-array fold's scaled-term
+# temporaries are fresh mappings whose pages must be faulted in, which the
+# chunked kernel avoids. Below it the whole-array fold measured faster
+# (CHANGES.md).
 _KERNEL_BYTES = 1 << 25
 
 
@@ -80,8 +93,8 @@ class Scheme:
         if self.tableau is None:
             found = {f for term, f in self.maps + self.coarse if term == "K"}
         else:
-            found = {group[0] for row in _rows(self.tableau, 1.0)
-                     for group in row}
+            found = {group[0] for groups, _ in _rows(self.tableau, 1.0)
+                     for group in groups}
         return tuple(sorted(found - {0, None}))
 
 
@@ -133,26 +146,57 @@ class Problem:
                                   else fields[0])
         return out if isinstance(out, tuple) else (out,)
 
-    def expk(self, fraction, fields):
-        out = self.operator.exp_apply(
-            fraction, fields if self.nonlinear.components > 1 else fields[0])
-        return out if isinstance(out, tuple) else (out,)
+    # expk, g and flow take their result's arrays from the workspace ws;
+    # they write their input, or give it back, only if ``owned``: the
+    # caller hands it over
 
-    def g(self, fields):
-        return self.from_physical(eval_g(self.nonlinear,
-                                         self.to_physical(fields)))
+    def expk(self, fraction, fields, ws, owned=False):
+        """exp(fraction tau K) fields; in place if owned and Fourier (a
+        symbol product), else into a new workspace tuple."""
+        out = fields if owned and self.fourier else ws.take()
+        if self.nonlinear.components > 1:
+            self.operator.exp_apply(fraction, fields, out=out)
+        else:
+            self.operator.exp_apply(fraction, fields[0], out=out[0])
+        if owned and out is not fields:
+            ws.give(fields)
+        return out
 
-    def flow(self, term, fields, t):
+    def g(self, fields, ws, owned=False):
+        """g(fields): the inverse transform, eval_g and the forward
+        transform all run in one tuple, fields itself if owned."""
+        out = fields if owned else ws.take()
+        if self.fourier:
+            fields = tuple(dft_inverse(u, out=v) for u, v in zip(fields, out))
+        eval_g(self.nonlinear, fields, out=out)
+        if self.fourier:
+            for v in out:
+                dft_forward(v, out=v)
+        return out
+
+    def flow(self, term, fields, t, ws, owned=False):
         """Subflow over time t: exact for "cubic" and "quintic" alone and
-        for "g" of the cubic kind; else one ``rk4`` step on ``eval_g``."""
-        phys = self.to_physical(fields)
+        for "g" of the cubic kind; else one ``rk4`` step on ``eval_g``.
+        The transforms and an exact flow run in one tuple, fields itself
+        if owned."""
+        if self.fourier:
+            out = fields if owned else ws.take()
+            fields = tuple(dft_inverse(u, out=v) for u, v in zip(fields, out))
+            owned = True
         if term == "g" and self.nonlinear.kind != "cubic":
-            phys = _run_tableau(_rows(_RK4, t),
-                                partial(eval_g, self.nonlinear), None, phys)
+            out = _run_tableau(_rows(_RK4, t), partial(_eval_g, self.nonlinear),
+                               None, ws, fields)
+            if owned:
+                ws.give(fields)
         else:
             exact = quintic_flow if term == "quintic" else cubic_flow
-            phys = tuple(exact(u, t, self.nonlinear.params) for u in phys)
-        return self.from_physical(phys)
+            out = fields if owned else ws.take()
+            for u, v in zip(fields, out):
+                exact(u, t, self.nonlinear.params, out=v)
+        if self.fourier:
+            for v in out:
+                dft_forward(v, out=v)
+        return out
 
     def prepare(self, tau, scheme):
         terms = {term for term, _ in scheme.maps + scheme.coarse}
@@ -163,39 +207,74 @@ class Problem:
             self.operator.prepare(tau, scheme.fractions)
 
 
+class _Workspace:
+    """The full-size arrays of one integrate call: a free list of tuples
+    with one array per component, shaped and ordered like the state.
+
+    ``take`` pops a free tuple or makes one; ``give`` returns a tuple that
+    no later stage reads. A step's result is never given back: it leaves
+    the workspace, so the state the caller holds is never written.
+    """
+
+    def __init__(self, like):
+        self._layout = [(u.shape, "F" if u.flags.f_contiguous
+                         and not u.flags.c_contiguous else "C")
+                        for u in like]
+        self._free = []
+
+    def take(self):
+        if self._free:
+            return self._free.pop()
+        return tuple(np.empty(shape, complex, order=order)
+                     for shape, order in self._layout)
+
+    def give(self, *tuples):
+        for arrays in tuples:
+            if any(arrays[0] is free[0] for free in self._free):
+                raise RuntimeError("workspace arrays given back twice")
+            self._free.append(arrays)
+
+
+def _eval_g(spec, fields, ws, owned=False):
+    """eval_g as a stage value: in place if owned, else into a new tuple."""
+    return eval_g(spec, fields, out=fields if owned else ws.take())
+
+
 def _lincomb(*terms, out=None):
     """Per component, the sum of c * x over the (c, x) terms, in one pass.
 
     Terms fold left to right, acc = c * x + acc from the first term, and a
     coefficient of 1 adds its term as it is, so the bits are those of the
-    chained whole-array expressions, which arrays under _KERNEL_BYTES
-    take. Larger ones run a kernel over the components' memory order,
-    _CHUNK entries at a time with per-thread scratch, one slab per usable
-    CPU. There ``out`` may be the first term's arrays, if the step made
-    them and reads them no more; the result is written into them instead
-    of a new array. It is never the caller's state or a cached
-    exponential.
+    chained whole-array expressions. ``out`` (default: new arrays) may be
+    the first term's arrays, never another term's. Arrays under
+    _KERNEL_BYTES fold whole, through temporaries for the scaled terms;
+    larger ones run a kernel over the components' memory order, _CHUNK
+    entries at a time with per-thread scratch, one slab per usable CPU.
     """
     result = []
     for i in range(len(terms[0][1])):
+        dst = None if out is None else out[i]
         c, x = terms[0]
         x = x[i]
         if x.nbytes < _KERNEL_BYTES:
-            acc = x if c == 1 else c * x
+            acc = x if c == 1 else np.multiply(c, x, out=dst)
             for c, y in terms[1:]:
                 y = y[i]
-                acc = (y if c == 1 else c * y) + acc
+                acc = np.add(y if c == 1 else c * y, acc, out=dst)
+            if dst is not None and acc is not dst:
+                np.copyto(dst, acc)
+                acc = dst
         else:
             acc = _combine([c for c, _ in terms], [y[i] for _, y in terms],
-                           None if out is None else out[i])
+                           dst)
         result.append(acc)
-    return tuple(result)
+    return tuple(result) if out is None else out
 
 
 def _combine(coefs, xs, out):
     """The kernel path of _lincomb for one component."""
-    order = spectral.memory_order(xs)
-    if out is None or not out.flags[order + "_CONTIGUOUS"]:
+    order = spectral.memory_order(xs, (out,))
+    if out is None:
         out = np.empty(xs[0].shape, np.result_type(*xs), order=order)
     kernel = partial(_lincomb_chunks, coefs, [np.ravel(x, order) for x in xs],
                      out.ravel(order), out is xs[0])
@@ -220,20 +299,25 @@ def _lincomb_chunks(coefs, srcs, dst, in_place, lo, hi):
             np.add(x, acc, out=acc)
 
 
-def _rhs(p, u):
-    lin = p.lin(u)
-    return _lincomb((1, lin), (1, p.g(u)), out=lin)
+def _rhs(p, fields, ws, owned=False):
+    """K u + g(u) as a stage value; (1, g) then (1, Ku) has the bits of
+    Ku + g, since two terms add the same either way."""
+    lin = p.lin(fields)
+    k = p.g(fields, ws, owned)
+    return _lincomb((1, k), (1, lin), out=k)
 
 
 @lru_cache(maxsize=64)
 def _rows(tableau, h):
-    """Rows 2.. of a tableau for step h as groups (fraction, c, terms).
+    """Rows 2.. of a tableau for step h as (groups, last reads).
 
     Stage i is E(c_i) u + h sum_j a_ij E(c_i - c_j) k_j with E(f) =
     exp(f h K), E = 1 without ``lawson``; b is a last row with c = 1. A
-    group sums the terms (coefficient, source) under one E (None for 0),
-    stage values k[j] first, u = k[0] last; equal coefficients, as of one
-    term, are applied after E as c. u's group, the largest E, is first.
+    group (fraction, c, terms) sums the terms (coefficient, source) under
+    one E (None for 0), stage values k[j] first, u = k[0] last; equal
+    coefficients, as of one term, are applied after E as c. u's group,
+    the largest E, is first. A row's last reads are the stage values
+    (j >= 1) that no later row reads.
     """
     nodes = [sum(row, Fraction(0)) for row in tableau.a] + [_ONE]
     rows = []
@@ -251,58 +335,79 @@ def _rows(tableau, h):
             terms = tuple((coef / c, source) for coef, source in terms)
             groups.append((fraction or None, c, terms))
         rows.append(tuple(groups))
-    return tuple(rows)
+    last = {source: r for r, groups in enumerate(rows)
+            for _, _, terms in groups for _, source in terms if source}
+    return tuple((groups, frozenset(j for j, r in last.items() if r == i))
+                 for i, groups in enumerate(rows))
 
 
-def _run_tableau(rows, f, expk, u):
-    """One step from u; f(U) is a stage's value. A stage's input is
-    dropped once f has read it."""
-    k = [u, f(u)]
-    for row in rows[:-1]:
-        k.append(f(_row_sum(row, k, expk, False)))
-    return _row_sum(rows[-1], k, expk, True)
+def _run_tableau(rows, f, expk, ws, u):
+    """One step from u, which is never written; f(U, ws, owned) is a
+    stage's value, computed in U's arrays if the step owns them."""
+    k = [u, f(u, ws)]
+    for groups, dead in rows[:-1]:
+        stage, owned = _row_sum(groups, dead, k, expk, ws)
+        k.append(f(stage, ws, owned))
+    return _row_sum(*rows[-1], k, expk, ws)[0]
 
 
-def _row_sum(groups, k, expk, last):
-    """A row's sum, written into its first group's value unless that is u;
-    in the last row each group's sum goes into its first stage value."""
+def _row_sum(groups, dead, k, expk, ws):
+    """A row's sum and whether the step owns its arrays.
+
+    The stage values in ``dead`` are read by no later row: each is written
+    over by its group's sum or its exponential, or given back once read.
+    A sum is written into its first term's arrays if the step owns them.
+    """
     parts = []
     for fraction, c, terms in groups:
-        if len(terms) == 1:
-            x = k[terms[0][1]]
-        else:
-            xs = [(coef, k[source]) for coef, source in terms]
-            x = _lincomb(*xs, out=xs[0][1] if last else None)
+        x, owned = k[terms[0][1]], terms[0][1] in dead
+        if len(terms) > 1:
+            x = _lincomb(*[(coef, k[j]) for coef, j in terms],
+                         out=x if owned else ws.take())
+            ws.give(*[k[j] for _, j in terms[1:] if j in dead])
+            owned = True
         if fraction is not None:
-            x = expk(fraction, x)
-        parts.append((c, x))
-    c, x = parts[0]
+            x, owned = expk(fraction, x, ws, owned), True
+        parts.append((c, x, owned))
+    c, x, owned = parts[0]
     if len(parts) == 1 and c == 1:
-        return x
-    return _lincomb(*parts, out=None if x is k[0] else x)
+        return x, owned
+    total = _lincomb(*[(c, x) for c, x, _ in parts],
+                     out=x if owned else ws.take())
+    ws.give(*[x for _, x, owned in parts[1:] if owned])
+    return total, True
 
 
-def _compose(p, maps, tau, u):
+def _compose(p, maps, tau, ws, u):
+    owned = False
     for term, f in maps:
-        t = tau * f.numerator / f.denominator
-        u = p.expk(f, u) if term == "K" else p.flow(term, u, t)
+        if term == "K":
+            u = p.expk(f, u, ws, owned)
+        else:
+            u = p.flow(term, u, tau * f.numerator / f.denominator, ws, owned)
+        owned = True
     return u
 
 
-def _richardson(p, scheme, tau, u):
-    coarse = _compose(p, scheme.coarse, tau, u)
-    fine = _compose(p, scheme.maps, tau, u)
-    return _lincomb((4.0 / 3.0, fine), (-1.0 / 3.0, coarse), out=fine)
+def _richardson(p, scheme, tau, ws, u):
+    coarse = _compose(p, scheme.coarse, tau, ws, u)
+    fine = _compose(p, scheme.maps, tau, ws, u)
+    fine = _lincomb((4.0 / 3.0, fine), (-1.0 / 3.0, coarse), out=fine)
+    ws.give(coarse)
+    return fine
 
 
-def _stepper(p, scheme, tau):
-    """u -> the scheme's step of size tau; a tableau's rows are built here."""
+def _stepper(p, scheme, tau, like):
+    """u -> the scheme's step of size tau, with one workspace shaped like
+    ``like`` for all its steps; a tableau's rows are built here."""
+    ws = _Workspace(like)
     if scheme.tableau is not None:
         f = p.g if scheme.tableau.lawson else partial(_rhs, p)
-        return partial(_run_tableau, _rows(scheme.tableau, tau), f, p.expk)
+        return partial(_run_tableau, _rows(scheme.tableau, tau), f, p.expk,
+                       ws)
     if scheme.coarse:
-        return partial(_richardson, p, scheme, tau)
-    return partial(_compose, p, scheme.maps, tau)
+        return partial(_richardson, p, scheme, tau, ws)
+    return partial(_compose, p, scheme.maps, tau, ws)
 
 
 @dataclass
@@ -323,7 +428,9 @@ def integrate(problem, scheme_name, fields, t_final, steps,
     Exponential caches are built before the loop; the reported seconds
     cover the stepping loop only. A NaN/Inf state or a flow blow-up stops
     the run and is reported through the result, with the offending step
-    index (1-based).
+    index (1-based) and the fields before that step, the last finite
+    state. ``on_snapshot(k, t, fields)`` gets each requested step's state;
+    later steps never write it.
     """
     if scheme_name not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme_name!r}; "
@@ -339,7 +446,7 @@ def integrate(problem, scheme_name, fields, t_final, steps,
     if not all_finite(fields):
         raise ValueError("initial fields must be finite")
     problem.prepare(tau, scheme)
-    step = _stepper(problem, scheme, tau)
+    step = _stepper(problem, scheme, tau, fields)
     wanted = set(int(k) for k in snapshot_steps)
 
     start = time.perf_counter()
@@ -349,14 +456,19 @@ def integrate(problem, scheme_name, fields, t_final, steps,
             # overflow on a diverging trajectory is reported structurally,
             # not as a warning
             with np.errstate(over="ignore", invalid="ignore"):
-                fields = step(fields)
+                new = step(fields)
         except DivergenceError as err:
             reason = err.reason
-        if reason or not all_finite(fields):
+        else:
+            if not all_finite(new):
+                reason = "non-finite state"
+        if reason:
+            # a step never writes its input: fields is the last finite state
             seconds = time.perf_counter() - start
             return IntegrationResult(fields, steps, tau, seconds,
                                      diverged=True, diverged_at=k,
-                                     reason=reason or "non-finite state")
+                                     reason=reason)
+        fields = new
         if k in wanted and on_snapshot is not None:
             on_snapshot(k, k * tau, fields)
     seconds = time.perf_counter() - start

@@ -140,8 +140,9 @@ class KroneckerOperator:
             tau, fractions, lambda step: [expm_pade(m, step)
                                           for m in self.matrices])
 
-    def exp_apply(self, fraction, u):
-        return tucker_apply(u, _cached(self._cache, fraction))
+    def exp_apply(self, fraction, u, *, out=None):
+        """exp(fraction tau A) u, into ``out`` if given (never u itself)."""
+        return tucker_apply(u, _cached(self._cache, fraction), out=out)
 
 
 class FourierOperator:
@@ -165,8 +166,9 @@ class FourierOperator:
         self._cache = _exponentials(tau, fractions,
                                     partial(symbol_exponential, self.symbol))
 
-    def exp_apply(self, fraction, u):
-        return pointwise_apply(_cached(self._cache, fraction), u)
+    def exp_apply(self, fraction, u, *, out=None):
+        """exp(fraction tau symbol) u, into ``out`` if given (may be u)."""
+        return pointwise_apply(_cached(self._cache, fraction), u, out=out)
 
 
 class BlockOperator:
@@ -193,9 +195,16 @@ class BlockOperator:
         for b in self.blocks:
             b.prepare(tau, fractions)
 
-    def exp_apply(self, fraction, fields):
+    def exp_apply(self, fraction, fields, *, out=None):
+        """Each block's exp_apply, into the arrays of ``out`` if given."""
         self._check(fields)
-        return tuple(b.exp_apply(fraction, u) for b, u in zip(self.blocks, fields))
+        if out is None:
+            return tuple(b.exp_apply(fraction, u)
+                         for b, u in zip(self.blocks, fields))
+        self._check(out)
+        for b, u, v in zip(self.blocks, fields, out):
+            b.exp_apply(fraction, u, out=v)
+        return out
 
     def _check(self, fields):
         if len(fields) != len(self.blocks):

@@ -28,7 +28,8 @@ class CglParameters:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            if not isinstance(v, (int, float)) or v != v or abs(v) == float("inf"):
+            if (not isinstance(v, (int, float)) or isinstance(v, bool)
+                    or v != v or abs(v) == float("inf")):
                 raise ValueError(f"parameter {f.name} must be a finite real")
         if self.alpha1 <= 0.0:
             raise ValueError("alpha1 must be positive (parabolic diffusion)")

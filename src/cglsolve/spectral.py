@@ -21,6 +21,12 @@ memory order (``memory_order``) from arrays of _SERIAL_BELOW entries on
 (the step combinations from 32 MiB), in _CHUNK-entry chunks with
 per-thread scratch, computing every entry the same way whatever the
 split.
+
+The transforms and ``pointwise_apply`` take a keyword-only ``out``, a
+complex array of the result's shape (``check_out``) that may be the input
+itself; the result is written there, with the bits of a new result, and
+``out`` is returned. The steppers pass arrays of their workspace, so a
+step makes no new full-size arrays.
 """
 
 import contextvars
@@ -95,14 +101,22 @@ class FourierGrid:
         return np.meshgrid(*axes, indexing="ij")
 
 
-def dft_forward(u):
-    """Unnormalized forward DFT over all axes; equals ``np.fft.fftn``."""
-    return _transform_all_axes(np.asarray(u), np.fft.fft, np.fft.fftn)
+def dft_forward(u, *, out=None):
+    """Unnormalized forward DFT over all axes; equals ``np.fft.fftn``.
+
+    With ``out`` (a complex array of u's shape, which may be u itself) the
+    result is written there and ``out`` is returned.
+    """
+    return _transform_all_axes(np.asarray(u), np.fft.fft, np.fft.fftn, out)
 
 
-def dft_inverse(uhat):
-    """Inverse DFT carrying the 1/N normalization; equals ``np.fft.ifftn``."""
-    return _transform_all_axes(np.asarray(uhat), np.fft.ifft, np.fft.ifftn)
+def dft_inverse(uhat, *, out=None):
+    """Inverse DFT carrying the 1/N normalization; equals ``np.fft.ifftn``.
+
+    ``out`` as for ``dft_forward``.
+    """
+    return _transform_all_axes(np.asarray(uhat), np.fft.ifft, np.fft.ifftn,
+                               out)
 
 
 def _usable_cpus():
@@ -148,7 +162,7 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _transform_all_axes(x, line_fn, nd_fn):
+def _transform_all_axes(x, line_fn, nd_fn, out):
     """line_fn over every axis of x, last axis first, as nd_fn does.
 
     Serial paths: 1-D arrays call line_fn directly (the same bits as
@@ -161,13 +175,15 @@ def _transform_all_axes(x, line_fn, nd_fn):
     0.31-0.53 ms, 700x350 1.3-1.5 vs 0.7 ms, 64^3 4.2-5.7 vs 1.3-2.8 ms,
     128^3 34-35 vs 15 ms.
     """
+    check_out(out, x.shape)
     if x.ndim == 1:
-        return line_fn(x)
+        return line_fn(x, out=out)
     if x.size < _SERIAL_BELOW or _THREADS < 2:
-        return nd_fn(x)
+        return nd_fn(x, out=out)
     # the first pass reads x; later passes work in place on out, each thread
-    # on the same slab of both, so x is never written
-    out = np.empty(x.shape, np.result_type(x.dtype, 1j))
+    # on the same slab of both, so x is written only if it is out
+    if out is None:
+        out = np.empty(x.shape, np.result_type(x.dtype, 1j))
     src = x
     for axis in reversed(range(x.ndim)):
         _slab_pass(line_fn, src, out, axis)
@@ -212,16 +228,29 @@ def run_slabs(fn, n):
     return [first] + [f.result() for f in futures]
 
 
-def memory_order(arrays):
+def memory_order(arrays, out=()):
     """"C" or "F": the memory order the elementwise kernels walk.
 
-    The order all of ``arrays`` share, else C; arrays stored otherwise
-    are copied once by ``np.ravel``.
+    The order the ``out`` arrays (None entries left out) and all of
+    ``arrays`` share; else the order of the ``out`` arrays, which must
+    have one (ValueError); else C. Arrays stored otherwise are copied
+    once by ``np.ravel``.
     """
-    for order in ("C", "F"):
-        if all(a.flags[order + "_CONTIGUOUS"] for a in arrays):
-            return order
-    return "C"
+    out = tuple(a for a in out if a is not None)
+    for group in (out + tuple(arrays), out):
+        for order in ("C", "F"):
+            if all(a.flags[order + "_CONTIGUOUS"] for a in group):
+                return order
+    raise ValueError("out must be a C- or F-contiguous array")
+
+
+def check_out(out, shape):
+    """ValueError unless out is None or a complex128 array of `shape`."""
+    if out is not None and not (isinstance(out, np.ndarray)
+                                and out.shape == tuple(shape)
+                                and out.dtype == np.complex128):
+        raise ValueError(
+            f"out must be a complex128 array of shape {tuple(shape)}")
 
 
 def build_symbol(grid, params, advection_sign=0):
@@ -258,10 +287,12 @@ def symbol_exponential(symbol, tau):
     return np.exp(tau * np.asarray(symbol))
 
 
-def pointwise_apply(factor, u):
+def pointwise_apply(factor, u, *, out=None):
     """Elementwise product with shape validation.
 
-    Below _SERIAL_BELOW entries this is ``factor * u``; larger products
+    With ``out`` (a complex array of u's shape, which may be u itself) the
+    product is written there and ``out`` is returned. Below
+    _SERIAL_BELOW entries this is ``factor * u``; larger products
     run one slab per usable CPU over the operands' shared memory order,
     with the same bits. The floor is the transforms'. Timed both ways on
     the arrays of real solves (2-vCPU VM, medians), the threaded product
@@ -274,11 +305,13 @@ def pointwise_apply(factor, u):
     u = np.asarray(u)
     if factor.shape != u.shape:
         raise ValueError(f"shape mismatch {factor.shape} vs {u.shape}")
+    check_out(out, u.shape)
     if u.size < _SERIAL_BELOW:
-        return factor * u
-    order = memory_order((factor, u))
+        return np.multiply(factor, u, out=out)
+    order = memory_order((factor, u), (out,))
     f, x = np.ravel(factor, order), np.ravel(u, order)
-    out = np.empty(u.shape, np.result_type(factor, u), order=order)
+    if out is None:
+        out = np.empty(u.shape, np.result_type(factor, u), order=order)
     dst = out.ravel(order)
 
     def multiply(lo, hi):

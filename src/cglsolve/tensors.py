@@ -33,6 +33,8 @@ import math
 
 import numpy as np
 
+from .spectral import check_out
+
 __all__ = [
     "vec",
     "unvec",
@@ -74,14 +76,16 @@ def _checked(u, mats, axes):
     return u, mats
 
 
-def _column_major(u):
+def _column_major(u, like=None):
     """u as an F-ordered array, and whether that array is u.T.
 
-    A C-ordered u (that is not also F-ordered) is used through its
-    transpose, whose directions are u's reversed; other strides are copied.
+    If ``like`` (default u) is C-ordered and not also F-ordered, u is used
+    through its transpose, whose directions are u's reversed; u is copied
+    where its strides do not fit.
     """
-    if u.flags.c_contiguous and not u.flags.f_contiguous:
-        return u.T, True
+    like = u if like is None else like
+    if like.flags.c_contiguous and not like.flags.f_contiguous:
+        return np.asfortranarray(u.T), True
     return np.asfortranarray(u), False
 
 
@@ -123,35 +127,54 @@ def mu_mode_product(u, mat, axis):
     return out.T if transposed else out
 
 
-def tucker_apply(u, mats):
-    """Apply one matrix per direction: ``u x_1 m_1 x_2 m_2 ...``."""
+def tucker_apply(u, mats, *, out=None):
+    """Apply one matrix per direction: ``u x_1 m_1 x_2 m_2 ...``.
+
+    With ``out``, a C- or F-contiguous complex array of the result's shape
+    that shares no memory with u, the result is written there and ``out``
+    is returned.
+    """
     u = np.asarray(u)
     if len(mats) != u.ndim:
         raise ValueError(f"need {u.ndim} factors, got {len(mats)}")
-    if u.ndim == 0:
+    if u.ndim == 0 and out is None:
         return u
     u, mats = _checked(u, mats, range(u.ndim))
-    x, transposed = _column_major(u)
-    if transposed:
-        return _tucker_column_major(x, mats[::-1]).T
-    return _tucker_column_major(x, mats)
+    if out is not None:
+        check_out(out, tuple(m.shape[0] for m in mats))
+        if not (out.flags.c_contiguous or out.flags.f_contiguous):
+            raise ValueError("out must be a C- or F-contiguous array")
+        if np.shares_memory(out, u):
+            raise ValueError("out must not share memory with u")
+        if u.ndim == 0:
+            out[()] = u
+            return out
+    x, transposed = _column_major(u, out)
+    if not transposed:
+        return _tucker_column_major(x, mats, out)
+    result = _tucker_column_major(x, mats[::-1],
+                                  None if out is None else out.T).T
+    return result if out is None else out
 
 
-def _tucker_column_major(x, mats):
-    """tucker_apply for an F-ordered x, in one full-size output buffer."""
+def _tucker_column_major(x, mats, out):
+    """tucker_apply for an F-ordered x into the F-ordered out (or a new
+    array)."""
     lead, last = mats[:-1], mats[-1]
     dtype = np.result_type(x.dtype, *mats)
-    buf = np.empty(_mode_shape(x.shape, last, x.ndim - 1), dtype, order="F")
+    shape = _mode_shape(x.shape, last, x.ndim - 1)
+    # shapes of one last-axis slice before and after each leading product
+    shapes = [shape[:-1]]
+    for axis, m in enumerate(lead):
+        shapes.append(_mode_shape(shapes[-1], m, axis))
+    if out is None:
+        out = np.empty(shapes[-1] + shape[-1:], dtype, order="F")
+    buf = out
+    if shapes[-1] != shapes[0]:  # a rectangular factor resizes the slices
+        buf = np.empty(shape, dtype, order="F")
     _mode_pass(x, last, x.ndim - 1, buf)
     if not lead:
         return buf
-    # shapes of one last-axis slice before and after each leading product
-    shapes = [buf.shape[:-1]]
-    for axis, m in enumerate(lead):
-        shapes.append(_mode_shape(shapes[-1], m, axis))
-    out = buf
-    if shapes[-1] != shapes[0]:  # a rectangular factor resizes the slices
-        out = np.empty(shapes[-1] + buf.shape[-1:], dtype, order="F")
     width = -(-_BLOCK // max(1, math.prod(shapes[0])))
     size = max(map(math.prod, shapes[1:-1]), default=0) * width
     scratch = [np.empty(size, dtype) for _ in range(min(len(lead) - 1, 2))]

@@ -103,7 +103,9 @@ def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
 @pytest.mark.parametrize("key,value", [
     ("steps", 2.5), ("steps", "ten"), ("steps", True), ("t_final", "abc"),
     ("t_final", float("nan")), ("ic_mode", "a"), ("scheme", 4),
-    ("prerun_time", None)])
+    ("prerun_time", None), ("extents", [64.9]), ("extents", [True]),
+    ("extents", 64), ("intervals", [[0.0, True]]),
+    ("intervals", [[0.0, float("inf")]]), ("intervals", [[0.0, 1.0, 2.0]])])
 def test_malformed_config_value_is_a_usage_error(key, value, tmp_path,
                                                  capsys):
     path = tmp_path / "cfg.json"
@@ -112,6 +114,16 @@ def test_malformed_config_value_is_a_usage_error(key, value, tmp_path,
                               "--config", str(path)], capsys)
     assert code == 2
     assert f"config key {key!r}" in err
+
+
+def test_bool_parameter_is_a_usage_error(tmp_path, capsys):
+    params = config_to_dict(make_preset("plane-wave-1d"))["params"]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"params": {**params, "alpha3": True}}))
+    code, err = _usage_error(["run", "--preset", "plane-wave-1d",
+                              "--config", str(path)], capsys)
+    assert code == 2
+    assert "parameter alpha3" in err
 
 
 @pytest.mark.parametrize("probe", ["-3", "2.5"])

@@ -51,6 +51,26 @@ def test_config_from_dict_names_unknown_keys():
         config_from_dict(data)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("extents", [64.9]), ("extents", [True]), ("extents", ["64"]),
+    ("extents", 64), ("intervals", [[0.0, 50.0, 1.0]]), ("intervals", [5]),
+    ("intervals", [[0.0, True]]), ("intervals", [[0.0, float("nan")]]),
+    ("intervals", [["0", 50.0]]), ("params", [1.0])])
+def test_config_from_dict_checks_tuple_fields(key, value):
+    # a bad value is refused, not converted ([64.9] once became (64,))
+    data = config_to_dict(make_preset("plane-wave-1d"))
+    with pytest.raises(ValueError, match=f"config key {key!r}"):
+        config_from_dict({**data, key: value})
+
+
+@pytest.mark.parametrize("name", ["alpha1", "alpha3", "beta4", "alpha5"])
+def test_config_from_dict_rejects_bool_parameters(name):
+    data = config_to_dict(make_preset("plane-wave-1d"))
+    data["params"][name] = True
+    with pytest.raises(ValueError, match=f"parameter {name} "):
+        config_from_dict(data)
+
+
 def test_plane_wave_satisfies_dispersion_relation():
     cfg = make_preset("plane-wave-1d")
     p = cfg.params
@@ -231,6 +251,18 @@ def test_run_preset_writes_snapshots_and_summary(tmp_path):
     fields, t = read_snapshot(tmp_path / "plane-wave-1d-final.cgls")
     assert t == pytest.approx(1.0)
     assert fields[0].tobytes() == physical[0].tobytes()
+
+
+def test_run_preset_writes_the_last_finite_state_on_divergence(tmp_path):
+    cfg = replace(make_preset("cubic-2d-dirichlet"), scheme="rk4", steps=10)
+    summary, physical = run_preset(cfg, out_dir=str(tmp_path))
+    k = summary["diverged_at"]
+    assert summary["diverged"] and k >= 2
+    assert summary["t_reached"] == pytest.approx((k - 1) * summary["tau"])
+    fields, t = read_snapshot(str(tmp_path / "cubic-2d-dirichlet-final.cgls"))
+    assert t == summary["t_reached"]
+    assert all(np.all(np.isfinite(u)) for u in fields)
+    assert all(np.array_equal(a, b) for a, b in zip(fields, physical))
 
 
 def test_run_preset_frozen_probe_on_steady_orbit():

@@ -16,7 +16,7 @@ from cglsolve.flows import (
     eval_g,
     quintic_flow,
 )
-from cglsolve.integrators import Problem
+from cglsolve.integrators import Problem, _Workspace
 from cglsolve.operators import BlockOperator, KroneckerOperator
 from cglsolve.params import CglParameters
 
@@ -161,7 +161,7 @@ def g_subflow(spec, fields, t):
     op = KroneckerOperator([np.zeros((n, n))])
     if spec.components > 1:
         op = BlockOperator([op, KroneckerOperator([np.zeros((n, n))])])
-    return Problem(op, spec).flow("g", fields, t)
+    return Problem(op, spec).flow("g", fields, t, _Workspace(fields))
 
 
 def test_rk4_flow_close_to_exact_cubic():

@@ -370,3 +370,122 @@ def test_per_step_layer_calls(name, scheme, monkeypatch):
     res = integrate(problem, scheme, fields, 0.02, 2)
     assert not res.diverged
     assert calls == Counter({k: 2 * n for k, n in want.items()})
+
+
+BLOW_UP = CglParameters(alpha1=0.01, beta1=0.1, alpha3=1.0, beta3=0.5)
+
+
+@pytest.mark.parametrize("reason", ["finite-time blow-up in cubic flow",
+                                    "non-finite state"])
+def test_divergence_returns_the_last_finite_state(reason):
+    # tau is a power of two, so the shorter run steps with the same tau
+    if "blow-up" in reason:
+        op = build_fd_operator(BLOW_UP, (16,), (10.0,), "dirichlet")
+        problem = Problem(op, NonlinearSpec("cubic", BLOW_UP))
+        u0, scheme, tau = np.full(16, 0.6 + 0j), "strang", 0.25
+    else:
+        op = build_fd_operator(CUBIC, (64,), (100.0,), "dirichlet")
+        problem = Problem(op, NonlinearSpec("cubic", CUBIC))
+        rng = np.random.default_rng(73)
+        u0 = (rng.standard_normal(64) / 50.0).astype(complex)
+        scheme, tau = "rk4", 1.0
+    res = integrate(problem, scheme, (u0,), 8 * tau, 8)
+    assert res.diverged and res.reason == reason
+    k = res.diverged_at
+    assert k >= 2
+    before = integrate(problem, scheme, (u0,), (k - 1) * tau, k - 1)
+    assert not before.diverged
+    assert np.all(np.isfinite(res.fields[0]))
+    assert np.array_equal(res.fields[0], before.fields[0])
+
+
+def problem_of(name, shape):
+    """An FD cubic-quintic, Fourier cubic-quintic or coupled problem."""
+    if name == "fd":
+        op = build_fd_operator(CQ, shape, (20.0,) * len(shape), "dirichlet")
+        return Problem(op, NonlinearSpec("cubic_quintic", CQ))
+    grid = FourierGrid(shape, ((0.0, 20.0),) * len(shape))
+    if name == "fourier":
+        return Problem(build_periodic_operator(grid, CQ),
+                       NonlinearSpec("cubic_quintic", CQ))
+    block = BlockOperator([build_periodic_operator(grid, COUPLED, 1),
+                           build_periodic_operator(grid, COUPLED, -1)])
+    return Problem(block, NonlinearSpec("coupled_cubic_quintic", COUPLED))
+
+
+def initial_fields(problem, seed):
+    rng = np.random.default_rng(seed)
+    fields = tuple(0.3 * random_complex(rng, problem.operator.shape)
+                   for _ in range(problem.nonlinear.components))
+    if problem.fourier:
+        return problem.from_physical(fields)
+    return tuple(np.asfortranarray(u) for u in fields)  # as the solver's
+
+
+RUNNABLE = sorted(k for k, v in STEP_CALLS.items() if v is not None)
+
+
+@pytest.mark.parametrize("name,scheme", RUNNABLE)
+def test_kernel_path_steps_equal_the_default(name, scheme, monkeypatch):
+    # 2^15 entries per component reach the threaded kernels; with the
+    # lowered bound every combination runs the chunked kernel, writing
+    # into workspace arrays, and three steps reuse them
+    shape = (256, 128) if name == "coupled" else (32, 32, 32)
+    problem = problem_of(name, shape)
+    u0 = initial_fields(problem, 76)
+    want = integrate(problem, scheme, u0, 3e-3, 3)
+    monkeypatch.setattr(integrators, "_KERNEL_BYTES", 1 << 19)
+    got = integrate(problem, scheme, u0, 3e-3, 3)
+    assert not want.diverged and not got.diverged
+    for a, b in zip(got.fields, want.fields):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name,scheme", RUNNABLE)
+def test_states_kept_by_the_caller_are_never_written(name, scheme):
+    shape = (12, 10) if name == "coupled" else (8, 7, 6)
+    problem = problem_of(name, shape)
+    u0 = initial_fields(problem, 77)
+    saved0 = tuple(u.copy() for u in u0)
+    kept = []
+    res = integrate(problem, scheme, u0, 4e-3, 4, snapshot_steps=range(1, 5),
+                    on_snapshot=lambda k, t, fields: kept.append(
+                        (fields, tuple(u.copy() for u in fields))))
+    assert not res.diverged and len(kept) == 4
+    assert kept[-1][0] is res.fields
+    for fields, copies in [(u0, saved0)] + kept:
+        assert all(np.array_equal(a, b) for a, b in zip(fields, copies))
+
+
+# the most workspace tuples a step holds at once: each stage value, a
+# stage's exponential while its input is still read, and the coarse map of
+# split4 while the fine one runs. No more than the step arrays that were
+# live at once before the workspace, when every layer returned new arrays.
+# An exponential writes into its own input only in Fourier space, and the
+# "g" subflow of a non-cubic kind holds its four RK4 stages.
+STEP_PEAK = {
+    "fd": {"rk2": 2, "rk4": 4, "if2": 3, "if4": 5, "strang": 2,
+           "strang_3t": 2, "split4": 3, "split4_3t": 3},
+    "fourier": {"rk2": 2, "rk4": 4, "if2": 2, "if4": 5, "strang": 5,
+                "strang_3t": 1, "split4": 6, "split4_3t": 2},
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+@pytest.mark.parametrize("name", sorted(STEP_PEAK))
+def test_workspace_holds_a_steps_peak(scheme, name, monkeypatch):
+    made = []
+    take = integrators._Workspace.take
+
+    def counted(ws):
+        made.append(not ws._free)
+        return take(ws)
+
+    monkeypatch.setattr(integrators._Workspace, "take", counted)
+    problem = counting_problem(name)
+    fields = tuple(np.full(problem.operator.shape, 0.1 + 0.05j)
+                   for _ in range(problem.nonlinear.components))
+    integrate(problem, scheme, fields, 0.03, 3)
+    # each step's result leaves the workspace: one new tuple a step after
+    # the first step's peak
+    assert sum(made) == STEP_PEAK[name][scheme] + 2
