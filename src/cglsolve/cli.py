@@ -52,6 +52,8 @@ def _resolve_config(args, parser):
                 data = json.load(fh)
         except (OSError, ValueError) as err:
             parser.error(f"--config {args.config}: {err}")
+        if not isinstance(data, dict):
+            parser.error(f"--config {args.config}: not a JSON object")
         base = data if base is None else {**base, **data}
     if base is None:
         parser.error("either --preset or --config is required")

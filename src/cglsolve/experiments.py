@@ -12,7 +12,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -61,10 +61,16 @@ def config_to_dict(config):
     return asdict(config)
 
 
-def _reject_unknown_keys(data, cls, what):
+def _check_keys(data, cls, what):
+    """ValueError naming the keys of data that cls lacks, or else the
+    keys cls requires that data lacks."""
     unknown = sorted(set(data) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown {what} key(s): {', '.join(unknown)}")
+    missing = [f.name for f in fields(cls) if f.name not in data
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"missing {what} key(s): {', '.join(missing)}")
 
 
 _SCALARS = {str: ("a string", str), int: ("an integer", numbers.Integral),
@@ -80,14 +86,16 @@ def _check_scalar(name, value, kind):
 
 
 def config_from_dict(data):
-    _reject_unknown_keys(data, ExperimentConfig, "config")
+    if not isinstance(data, dict):
+        raise ValueError(f"a config must be an object, got {data!r}")
+    _check_keys(data, ExperimentConfig, "config")
     for f in fields(ExperimentConfig):
         if f.name in data and f.type in _SCALARS:
             _check_scalar(f"config key {f.name!r}", data[f.name], f.type)
     data = dict(data)
     params = data.pop("params")
     if isinstance(params, dict):
-        _reject_unknown_keys(params, CglParameters, "params")
+        _check_keys(params, CglParameters, "params")
         params = CglParameters(**params)
     elif not isinstance(params, CglParameters):
         raise ValueError(f"config key 'params' must be an object, "
@@ -217,15 +225,10 @@ def build_problem(config):
     spec = NonlinearSpec(config.kind, config.params)
     if config.boundary == "periodic":
         grid = FourierGrid(config.extents, config.intervals)
-        if spec.components == 2:
-            # advection enters with opposite signs in the two components
-            operator = BlockOperator([
-                build_periodic_operator(grid, config.params, 1),
-                build_periodic_operator(grid, config.params, -1),
-            ])
-        else:
-            operator = build_periodic_operator(grid, config.params)
-        return Problem(operator, spec)
+        # advection enters with opposite signs in the two components
+        signs = (1, -1) if spec.components == 2 else (0,)
+        return Problem(BlockOperator([build_periodic_operator(
+            grid, config.params, s) for s in signs]), spec)
     if spec.components != 1:
         raise ValueError("coupled presets require periodic boundaries")
     lengths = tuple(b - a for a, b in config.intervals)

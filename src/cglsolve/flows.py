@@ -63,11 +63,9 @@ _FINITE_CHUNK = 1 << 16
 class DivergenceError(RuntimeError):
     """Raised when a flow or a step produces blow-up or NaN/Inf values."""
 
-    def __init__(self, reason, step=None):
+    def __init__(self, reason):
         self.reason = reason
-        self.step = step
-        where = f" at step {step}" if step is not None else ""
-        super().__init__(f"{reason}{where}")
+        super().__init__(reason)
 
 
 class NonlinearSpec:

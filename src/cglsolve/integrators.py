@@ -4,8 +4,9 @@ All schemes advance the split form du/dt = K u + g(u). State is always a
 tuple of component tensors (length 1 for scalar problems, 2 for the
 coupled system), in the operator's own representation: grid values for
 Kronecker-form operators, Fourier coefficients for symbol operators. The
-Problem wrapper moves the pointwise nonlinearity through the transform
-pair when needed.
+Problem wrapper holds K as a ``BlockOperator`` with one block per
+component (a plain operator is one block) and moves the pointwise
+nonlinearity through the transform pair when needed.
 
 Schemes are data (``SCHEMES``), run by two steppers. ``rk2``/``rk4`` are
 Butcher tableaux on K u + g(u), and ``if2``/``if4`` the same tableaux in
@@ -19,6 +20,11 @@ non-finite initial fields and checks every step's state with
 ``all_finite``; on divergence it returns the failing step's input, the
 last finite state.
 
+``integrate`` prepares the scheme's exponentials once and ``_stepper``
+binds them into the tableau rows and map lists, so a step looks nothing
+up. Operators hold no run state, so runs on one problem may nest (say,
+from ``on_snapshot``).
+
 Each ``integrate`` call has one workspace (``_Workspace``): a free list
 of full-size tuples, one array per component. The steppers take every
 full-size array they write from it, through the layers' ``out=``, and
@@ -27,7 +33,7 @@ memory but its result. ``Problem.g`` runs the inverse transform,
 ``eval_g`` and the forward transform in one tuple; symbol products and
 exact flows write into their input when the step owns it; a Tucker
 product writes into another tuple. Nothing the caller holds is written:
-the initial state, the cached exponentials, and every state a step
+the initial state, the prepared exponentials, and every state a step
 returns, which leaves the workspace.
 """
 
@@ -42,17 +48,11 @@ import numpy as np
 from . import spectral
 from .flows import (DivergenceError, all_finite, cubic_flow, eval_g,
                     quintic_flow)
+from .operators import BlockOperator
 from .spectral import dft_forward, dft_inverse
 
 __all__ = ["Tableau", "Scheme", "SCHEMES", "Problem", "IntegrationResult",
            "integrate"]
-
-# _lincomb runs its kernel on arrays of at least 32 MiB, the largest mmap
-# threshold of glibc's malloc: there the whole-array fold's scaled-term
-# temporaries are fresh mappings whose pages must be faulted in, which the
-# chunked kernel avoids. Below it the whole-array fold measured faster
-# (CHANGES.md).
-_KERNEL_BYTES = 1 << 25
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +89,7 @@ class Scheme:
 
     @property
     def fractions(self):
-        """The exponential step fractions the cache must hold, ascending."""
+        """The step fractions of the exponentials, ascending."""
         if self.tableau is None:
             found = {f for term, f in self.maps + self.coarse if term == "K"}
         else:
@@ -115,16 +115,15 @@ SCHEMES = {s.name: s for s in (
 
 
 class Problem:
-    """Linear operator + nonlinearity, with representation-aware wrappers."""
+    """Linear operator + nonlinearity, with representation-aware wrappers;
+    a plain operator becomes a one-block ``BlockOperator``."""
 
     def __init__(self, operator, nonlinear):
-        blocks = getattr(operator, "blocks", None)
-        if nonlinear.components > 1:
-            if blocks is None or len(blocks) != nonlinear.components:
-                raise ValueError("coupled nonlinearity needs a block operator "
-                                 "with one block per component")
-        elif blocks is not None:
-            raise ValueError("scalar nonlinearity takes a plain operator")
+        if not isinstance(operator, BlockOperator):
+            operator = BlockOperator([operator])
+        if len(operator.blocks) != nonlinear.components:
+            raise ValueError("the operator needs one block per component "
+                             "of the nonlinearity")
         self.operator = operator
         self.nonlinear = nonlinear
         self.fourier = operator.representation == "fourier"
@@ -141,23 +140,16 @@ class Problem:
         return tuple(dft_forward(u) for u in fields)
 
     # -- pieces the steppers use -------------------------------------
-    def lin(self, fields):
-        out = self.operator.apply(fields if self.nonlinear.components > 1
-                                  else fields[0])
-        return out if isinstance(out, tuple) else (out,)
-
     # expk, g and flow take their result's arrays from the workspace ws;
     # they write their input, or give it back, only if ``owned``: the
     # caller hands it over
 
-    def expk(self, fraction, fields, ws, owned=False):
-        """exp(fraction tau K) fields; in place if owned and Fourier (a
-        symbol product), else into a new workspace tuple."""
+    def expk(self, exponentials, fields, ws, owned=False):
+        """A prepared exponential (one per block) times fields; in place if
+        owned and Fourier (a symbol product), else into a new workspace
+        tuple."""
         out = fields if owned and self.fourier else ws.take()
-        if self.nonlinear.components > 1:
-            self.operator.exp_apply(fraction, fields, out=out)
-        else:
-            self.operator.exp_apply(fraction, fields[0], out=out[0])
+        self.operator.exp_apply(exponentials, fields, out=out)
         if owned and out is not fields:
             ws.give(fields)
         return out
@@ -199,12 +191,13 @@ class Problem:
         return out
 
     def prepare(self, tau, scheme):
+        """The scheme's exponentials for step tau, {fraction: one per
+        block}."""
         terms = {term for term, _ in scheme.maps + scheme.coarse}
         if self.nonlinear.components > 1 and terms & {"cubic", "quintic"}:
             raise ValueError("exact cubic and quintic flows leave out the "
                              "coupled cross term")
-        if scheme.fractions:
-            self.operator.prepare(tau, scheme.fractions)
+        return self.operator.prepare(tau, scheme.fractions)
 
 
 class _Workspace:
@@ -247,16 +240,17 @@ def _lincomb(*terms, out=None):
     coefficient of 1 adds its term as it is, so the bits are those of the
     chained whole-array expressions. ``out`` (default: new arrays) may be
     the first term's arrays, never another term's. Arrays under
-    _KERNEL_BYTES fold whole, through temporaries for the scaled terms;
-    larger ones run a kernel over the components' memory order, _CHUNK
-    entries at a time with per-thread scratch, one slab per usable CPU.
+    _SERIAL_BELOW entries fold whole, through temporaries for the scaled
+    terms; larger ones run a kernel over the components' memory order,
+    _CHUNK entries at a time with per-thread scratch, one slab per usable
+    CPU, like the other elementwise kernels.
     """
     result = []
     for i in range(len(terms[0][1])):
         dst = None if out is None else out[i]
         c, x = terms[0]
         x = x[i]
-        if x.nbytes < _KERNEL_BYTES:
+        if x.size < spectral._SERIAL_BELOW:
             acc = x if c == 1 else np.multiply(c, x, out=dst)
             for c, y in terms[1:]:
                 y = y[i]
@@ -302,7 +296,7 @@ def _lincomb_chunks(coefs, srcs, dst, in_place, lo, hi):
 def _rhs(p, fields, ws, owned=False):
     """K u + g(u) as a stage value; (1, g) then (1, Ku) has the bits of
     Ku + g, since two terms add the same either way."""
-    lin = p.lin(fields)
+    lin = p.operator.apply(fields)
     k = p.g(fields, ws, owned)
     return _lincomb((1, k), (1, lin), out=k)
 
@@ -359,15 +353,15 @@ def _row_sum(groups, dead, k, expk, ws):
     A sum is written into its first term's arrays if the step owns them.
     """
     parts = []
-    for fraction, c, terms in groups:
+    for exponential, c, terms in groups:
         x, owned = k[terms[0][1]], terms[0][1] in dead
         if len(terms) > 1:
             x = _lincomb(*[(coef, k[j]) for coef, j in terms],
                          out=x if owned else ws.take())
             ws.give(*[k[j] for _, j in terms[1:] if j in dead])
             owned = True
-        if fraction is not None:
-            x, owned = expk(fraction, x, ws, owned), True
+        if exponential is not None:
+            x, owned = expk(exponential, x, ws, owned), True
         parts.append((c, x, owned))
     c, x, owned = parts[0]
     if len(parts) == 1 and c == 1:
@@ -378,36 +372,46 @@ def _row_sum(groups, dead, k, expk, ws):
     return total, True
 
 
-def _compose(p, maps, tau, ws, u):
+def _compose(p, maps, ws, u):
+    """u through the bound maps: (term, exponential or subflow time)."""
     owned = False
-    for term, f in maps:
-        if term == "K":
-            u = p.expk(f, u, ws, owned)
-        else:
-            u = p.flow(term, u, tau * f.numerator / f.denominator, ws, owned)
+    for term, x in maps:
+        u = (p.expk(x, u, ws, owned) if term == "K"
+             else p.flow(term, u, x, ws, owned))
         owned = True
     return u
 
 
-def _richardson(p, scheme, tau, ws, u):
-    coarse = _compose(p, scheme.coarse, tau, ws, u)
-    fine = _compose(p, scheme.maps, tau, ws, u)
+def _richardson(p, maps, coarse, ws, u):
+    coarse = _compose(p, coarse, ws, u)
+    fine = _compose(p, maps, ws, u)
     fine = _lincomb((4.0 / 3.0, fine), (-1.0 / 3.0, coarse), out=fine)
     ws.give(coarse)
     return fine
 
 
-def _stepper(p, scheme, tau, like):
+def _stepper(p, scheme, tau, exponentials, like):
     """u -> the scheme's step of size tau, with one workspace shaped like
-    ``like`` for all its steps; a tableau's rows are built here."""
+    ``like`` for all its steps. The prepared exponentials replace the
+    fractions of the tableau's rows and of the maps, whose flows get their
+    times, so a step looks nothing up."""
     ws = _Workspace(like)
     if scheme.tableau is not None:
+        rows = tuple((tuple((frac and exponentials[frac], c, terms)
+                            for frac, c, terms in groups), dead)
+                     for groups, dead in _rows(scheme.tableau, tau))
         f = p.g if scheme.tableau.lawson else partial(_rhs, p)
-        return partial(_run_tableau, _rows(scheme.tableau, tau), f, p.expk,
-                       ws)
+        return partial(_run_tableau, rows, f, p.expk, ws)
+
+    def bound(maps):
+        return tuple((term, exponentials[f] if term == "K"
+                      else tau * f.numerator / f.denominator)
+                     for term, f in maps)
+
     if scheme.coarse:
-        return partial(_richardson, p, scheme, tau, ws)
-    return partial(_compose, p, scheme.maps, tau, ws)
+        return partial(_richardson, p, bound(scheme.maps),
+                       bound(scheme.coarse), ws)
+    return partial(_compose, p, bound(scheme.maps), ws)
 
 
 @dataclass
@@ -425,12 +429,13 @@ def integrate(problem, scheme_name, fields, t_final, steps,
               snapshot_steps=(), on_snapshot=None):
     """March `steps` uniform steps of the named scheme to t_final.
 
-    Exponential caches are built before the loop; the reported seconds
-    cover the stepping loop only. A NaN/Inf state or a flow blow-up stops
-    the run and is reported through the result, with the offending step
-    index (1-based) and the fields before that step, the last finite
-    state. ``on_snapshot(k, t, fields)`` gets each requested step's state;
-    later steps never write it.
+    The exponentials are prepared before the loop and held by this
+    call's stepper alone; the reported seconds cover the stepping loop
+    only. A NaN/Inf state or a flow blow-up stops the run and is reported
+    through the result, with the offending step index (1-based) and the
+    fields before that step, the last finite state. ``on_snapshot(k, t,
+    fields)`` gets each requested step's state; later steps never write
+    it.
     """
     if scheme_name not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme_name!r}; "
@@ -445,8 +450,8 @@ def integrate(problem, scheme_name, fields, t_final, steps,
     fields = tuple(np.asarray(u, dtype=complex) for u in fields)
     if not all_finite(fields):
         raise ValueError("initial fields must be finite")
-    problem.prepare(tau, scheme)
-    step = _stepper(problem, scheme, tau, fields)
+    step = _stepper(problem, scheme, tau, problem.prepare(tau, scheme),
+                    fields)
     wanted = set(int(k) for k in snapshot_steps)
 
     start = time.perf_counter()

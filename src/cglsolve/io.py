@@ -14,11 +14,16 @@ Snapshot layout (all little-endian):
 A text sidecar "<path>.grid.txt" holds one whitespace-separated line of
 node coordinates per direction. Reports are written as a CSV table and a
 JSON mirror with identical content.
+
+Each component is written from its first-index-fastest flattening (a
+view of an F-ordered array, a copy of a C-ordered one) and read straight
+into a new F-ordered array, with no staging buffer.
 """
 
 import csv
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -35,7 +40,7 @@ REPORT_COLUMNS = ("scheme", "steps", "tau", "seconds", "rel_err",
 
 def write_snapshot(path, fields, time, grids):
     """Write component tensors plus the grid sidecar; bitwise reproducible."""
-    fields = [np.asarray(u, dtype=complex) for u in fields]
+    fields = [np.asarray(u, dtype="<c16") for u in fields]
     shape = fields[0].shape
     for u in fields:
         if u.shape != shape:
@@ -53,8 +58,7 @@ def write_snapshot(path, fields, time, grids):
         fh.write(struct.pack("<d", float(time)))
         fh.write(struct.pack("<I", len(fields)))
         for u in fields:
-            flat = u.reshape(-1, order="F").astype("<c16")
-            fh.write(flat.tobytes())
+            fh.write(np.ravel(u, order="F"))
     with open(path + ".grid.txt", "w") as fh:
         for g in grids:
             fh.write(" ".join(repr(float(x)) for x in g) + "\n")
@@ -66,39 +70,41 @@ def read_snapshot(path):
     A file cut short at any byte raises ValueError("truncated snapshot ...").
     """
     with open(str(path), "rb") as fh:
-        data = fh.read()
-    if len(data) < len(_MAGIC) and _MAGIC.startswith(data):
-        raise ValueError(f"truncated snapshot: {len(data)} bytes")
-    if data[:4] != _MAGIC:
-        raise ValueError("not a snapshot file (bad magic)")
-    off = 4
-    (version, order), off = _unpack("<II", data, off)
-    if version != _VERSION:
-        raise ValueError(f"unsupported snapshot version {version}")
-    shape, off = _unpack(f"<{order}Q", data, off)
-    (time,), off = _unpack("<d", data, off)
-    (ncomp,), off = _unpack("<I", data, off)
-    total = math.prod(shape)
-    end = off + 16 * total * ncomp
-    if len(data) < end:
-        raise ValueError(f"truncated snapshot: {len(data)} of {end} bytes")
-    if len(data) > end:
-        raise ValueError("trailing bytes in snapshot file")
-    fields = []
-    for _ in range(ncomp):
-        flat = np.frombuffer(data, dtype="<c16", count=total, offset=off)
-        off += 16 * total
-        fields.append(flat.astype(complex).reshape(shape, order="F"))
-    return tuple(fields), time
+        size = os.fstat(fh.fileno()).st_size
+        magic = fh.read(len(_MAGIC))
+        if len(magic) < len(_MAGIC) and _MAGIC.startswith(magic):
+            raise ValueError(f"truncated snapshot: {size} bytes")
+        if magic != _MAGIC:
+            raise ValueError("not a snapshot file (bad magic)")
+        version, order = _unpack(fh, "<II", size)
+        if version != _VERSION:
+            raise ValueError(f"unsupported snapshot version {version}")
+        shape = _unpack(fh, f"<{order}Q", size)
+        (time,) = _unpack(fh, "<d", size)
+        (ncomp,) = _unpack(fh, "<I", size)
+        end = fh.tell() + 16 * math.prod(shape) * ncomp
+        if size < end:
+            raise ValueError(f"truncated snapshot: {size} of {end} bytes")
+        if size > end:
+            raise ValueError("trailing bytes in snapshot file")
+        fields = tuple(np.empty(shape, "<c16", order="F")
+                       for _ in range(ncomp))
+        for u in fields:
+            if fh.readinto(np.ravel(u, order="F")) < u.nbytes:
+                raise ValueError("truncated snapshot: shrank while read")
+    return tuple(u.astype(complex, copy=False) for u in fields), time
 
 
-def _unpack(fmt, data, off):
-    """struct.unpack_from that reports a short header as truncation."""
-    end = off + struct.calcsize(fmt)
-    if len(data) < end:
-        raise ValueError(f"truncated snapshot: {len(data)} bytes, header "
-                         f"needs {end}")
-    return struct.unpack_from(fmt, data, off), end
+def _unpack(fh, fmt, size):
+    """The next header field; a short one is reported as truncation (and
+    not read, so a corrupt count allocates nothing)."""
+    n = struct.calcsize(fmt)
+    end = fh.tell() + n
+    data = fh.read(n) if end <= size else b""
+    if len(data) < n:
+        raise ValueError(f"truncated snapshot: {size} bytes, header needs "
+                         f"{end}")
+    return struct.unpack(fmt, data)
 
 
 def _cell(value):

@@ -14,9 +14,13 @@ with all entries rational multiples of 1/(12 h^2). Boundary closures use
 one-sided stencils; with a Neumann condition at the right endpoint the
 derivative constraint is folded into the last two rows.
 
-Exponential caches are keyed by exact step fractions (fractions.Fraction)
-and built once per (tau, fraction set) by ``prepare``; stepping never
-recomputes an exponential.
+Operators hold no state but their definition. ``prepare(tau, fractions)``
+returns the exponentials of the exact step fractions (fractions.Fraction)
+as ``{fraction: exponential}``: per-direction matrices for the Kronecker
+form, a symbol tensor for the Fourier form, one of those per block for a
+``BlockOperator``. ``exp_apply(exponential, u)`` applies one of them. The
+integrator prepares once per run and binds the values into its stepper,
+so a step never recomputes or looks up an exponential.
 """
 
 from fractions import Fraction
@@ -98,28 +102,19 @@ def fd_nodes(kind, n, length):
 
 
 def _exponentials(tau, fractions, build):
-    """{f: build(f * tau)} for every step fraction f: an operator's cache."""
+    """{f: build(f * tau)} for every step fraction f."""
     if not np.isfinite(tau) or tau <= 0:
         raise ValueError("tau must be positive and finite")
-    cache = {}
+    found = {}
     for f in map(Fraction, fractions):
         if f <= 0:
             raise ValueError("step fractions must be positive")
-        cache[f] = build(float(f) * float(tau))
-    return cache
-
-
-def _cached(cache, fraction):
-    """The prepared exponential for a step fraction, in one lookup."""
-    try:
-        return cache[fraction]
-    except KeyError:
-        raise RuntimeError(f"exponential for fraction {fraction} not "
-                           "prepared; call prepare()") from None
+        found[f] = build(float(f) * float(tau))
+    return found
 
 
 class KroneckerOperator:
-    """Kronecker sum of per-direction matrices, with exponential cache."""
+    """Kronecker sum of per-direction matrices."""
 
     representation = "grid"
 
@@ -129,20 +124,19 @@ class KroneckerOperator:
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValueError("per-direction factors must be square")
         self.shape = tuple(m.shape[0] for m in self.matrices)
-        self._cache = {}
 
     def apply(self, u):
         return kron_sum_apply(u, self.matrices)
 
     def prepare(self, tau, fractions):
-        """Precompute exp(f*tau*A_mu) for every requested fraction f."""
-        self._cache = _exponentials(
-            tau, fractions, lambda step: [expm_pade(m, step)
-                                          for m in self.matrices])
+        """{f: [exp(f tau A_mu) for each direction mu]}."""
+        return _exponentials(tau, fractions, lambda step: [
+            expm_pade(m, step) for m in self.matrices])
 
-    def exp_apply(self, fraction, u, *, out=None):
-        """exp(fraction tau A) u, into ``out`` if given (never u itself)."""
-        return tucker_apply(u, _cached(self._cache, fraction), out=out)
+    def exp_apply(self, exponential, u, *, out=None):
+        """A prepared exponential times u, into ``out`` if given (never u
+        itself): a Tucker product."""
+        return tucker_apply(u, exponential, out=out)
 
 
 class FourierOperator:
@@ -157,18 +151,19 @@ class FourierOperator:
         self.grid = grid
         self.symbol = symbol
         self.shape = grid.shape
-        self._cache = {}
 
     def apply(self, u):
         return pointwise_apply(self.symbol, u)
 
     def prepare(self, tau, fractions):
-        self._cache = _exponentials(tau, fractions,
-                                    partial(symbol_exponential, self.symbol))
+        """{f: exp(f tau symbol)}."""
+        return _exponentials(tau, fractions,
+                             partial(symbol_exponential, self.symbol))
 
-    def exp_apply(self, fraction, u, *, out=None):
-        """exp(fraction tau symbol) u, into ``out`` if given (may be u)."""
-        return pointwise_apply(_cached(self._cache, fraction), u, out=out)
+    def exp_apply(self, exponential, u, *, out=None):
+        """A prepared exponential times u, into ``out`` if given (may be
+        u): a pointwise product."""
+        return pointwise_apply(exponential, u, out=out)
 
 
 class BlockOperator:
@@ -192,18 +187,20 @@ class BlockOperator:
         return tuple(b.apply(u) for b, u in zip(self.blocks, fields))
 
     def prepare(self, tau, fractions):
-        for b in self.blocks:
-            b.prepare(tau, fractions)
+        """{f: (each block's exponential of f)}."""
+        per_block = [b.prepare(tau, fractions) for b in self.blocks]
+        return {f: tuple(e[f] for e in per_block) for f in per_block[0]}
 
-    def exp_apply(self, fraction, fields, *, out=None):
-        """Each block's exp_apply, into the arrays of ``out`` if given."""
+    def exp_apply(self, exponentials, fields, *, out=None):
+        """Each block's exp_apply with its exponential, into the arrays of
+        ``out`` if given."""
         self._check(fields)
         if out is None:
-            return tuple(b.exp_apply(fraction, u)
-                         for b, u in zip(self.blocks, fields))
+            return tuple(b.exp_apply(e, u) for b, e, u
+                         in zip(self.blocks, exponentials, fields))
         self._check(out)
-        for b, u, v in zip(self.blocks, fields, out):
-            b.exp_apply(fraction, u, out=v)
+        for b, e, u, v in zip(self.blocks, exponentials, fields, out):
+            b.exp_apply(e, u, out=v)
         return out
 
     def _check(self, fields):

@@ -17,10 +17,9 @@ worker pool and ``run_slabs``, which splits an index range across it, are
 shared with the elementwise kernels: ``pointwise_apply`` here, the exact
 flows and ``eval_g`` (``flows.py``) and the step combinations
 (``integrators.py``). Each kernel walks its operands' shared
-memory order (``memory_order``) from arrays of _SERIAL_BELOW entries on
-(the step combinations from 32 MiB), in _CHUNK-entry chunks with
-per-thread scratch, computing every entry the same way whatever the
-split.
+memory order (``memory_order``) from arrays of _SERIAL_BELOW entries on,
+in _CHUNK-entry chunks with per-thread scratch, computing every entry
+the same way whatever the split.
 
 The transforms and ``pointwise_apply`` take a keyword-only ``out``, a
 complex array of the result's shape (``check_out``) that may be the input
@@ -95,10 +94,6 @@ class FourierGrid:
 
     def wavenumbers(self, axis):
         return wavenumber_table(self.extents[axis], self.intervals[axis])
-
-    def meshgrid(self):
-        axes = [self.nodes(k) for k in range(self.ndim)]
-        return np.meshgrid(*axes, indexing="ij")
 
 
 def dft_forward(u, *, out=None):

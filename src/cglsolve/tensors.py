@@ -1,7 +1,7 @@
 """Dense tensor kernels for Kronecker-form operators.
 
-A state tensor ``u`` has shape ``(n_1, ..., n_d)`` and ``vec`` stacks its
-entries first-index-fastest (column-major). Under that convention the mode
+A state tensor ``u`` has shape ``(n_1, ..., n_d)``, and ``vec(u)`` stacks
+its entries first-index-fastest (column-major). Under that convention the mode
 products implemented here satisfy, for d = 2,
 
     vec(mu_mode_product(u, m, 0)) == kron(eye(n_2), m) @ vec(u)
@@ -36,8 +36,6 @@ import numpy as np
 from .spectral import check_out
 
 __all__ = [
-    "vec",
-    "unvec",
     "mu_mode_product",
     "tucker_apply",
     "kron_sum_apply",
@@ -47,16 +45,6 @@ __all__ = [
 # of complex data), so that a 2-D tensor's first direction is applied to
 # many columns per GEMM instead of one matrix-vector product per column
 _BLOCK = 1 << 14
-
-
-def vec(u):
-    """Flatten a tensor column-major (first index fastest)."""
-    return np.asarray(u).reshape(-1, order="F")
-
-
-def unvec(x, shape):
-    """Inverse of :func:`vec` for the given shape."""
-    return np.asarray(x).reshape(tuple(shape), order="F")
 
 
 def _checked(u, mats, axes):

@@ -51,8 +51,14 @@ def kron_sum_matrix(mats):
     return out
 
 
-def vec_ref(u):
+def vec(u):
+    """Flatten a tensor column-major (first index fastest)."""
     return np.asarray(u).reshape(-1, order="F")
+
+
+def unvec(x, shape):
+    """Inverse of :func:`vec` for the given shape."""
+    return np.asarray(x).reshape(tuple(shape), order="F")
 
 
 def expm_taylor_ref(a, scale=1.0, terms=60):

@@ -26,10 +26,10 @@ from cglsolve.operators import (BlockOperator, KroneckerOperator,
                                 fd_second_derivative_dirichlet_neumann)
 from cglsolve.params import CglParameters
 from cglsolve.spectral import FourierGrid
-from cglsolve.tensors import kron_sum_apply, tucker_apply, vec
+from cglsolve.tensors import kron_sum_apply, tucker_apply
 
 from oracles import (expm_taylor_ref, kron_chain, kron_sum_matrix,
-                     random_complex, rk4_ode_ref)
+                     random_complex, rk4_ode_ref, vec)
 from test_operators import (dirichlet_apply_error,
                             dirichlet_neumann_apply_error,
                             expected_dirichlet, expected_dirichlet_neumann)
@@ -102,11 +102,11 @@ def test_criterion_03_exponential_factorization():
     for shape in ((6, 7), (4, 5, 6), (8, 8, 8)):
         mats = [0.8 * random_complex(rng, (n, n)) for n in shape]
         op = KroneckerOperator(mats)
-        op.prepare(tau, fractions)
+        exps = op.prepare(tau, fractions)
         u = random_complex(rng, shape)
         dense = kron_sum_matrix(mats)
         for frac in fractions:
-            got = vec(op.exp_apply(frac, u))
+            got = vec(op.exp_apply(exps[frac], u))
             want = expm_taylor_ref(dense, float(frac) * tau) @ vec(u)
             worst = max(worst, _rel(got, want))
     seconds = time.perf_counter() - t0
@@ -244,13 +244,12 @@ def test_criterion_09_coupled_system():
     alone = [build_periodic_operator(grid, params, 1),
              build_periodic_operator(grid, params, -1)]
     block = BlockOperator(blocks)
-    block.prepare(0.21, (Fraction(1, 2),))
-    for op in alone:
-        op.prepare(0.21, (Fraction(1, 2),))
+    half = Fraction(1, 2)
+    exps = block.prepare(0.21, (half,))
     rng = np.random.default_rng(5)
     fields = (random_complex(rng, (8, 6)), random_complex(rng, (8, 6)))
-    got = block.exp_apply(Fraction(1, 2), fields)
-    want = tuple(op.exp_apply(Fraction(1, 2), f)
+    got = block.exp_apply(exps[half], fields)
+    want = tuple(op.exp_apply(op.prepare(0.21, (half,))[half], f)
                  for op, f in zip(alone, fields))
     block_ok = all(np.array_equal(g, w) for g, w in zip(got, want))
 

@@ -100,6 +100,30 @@ def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
     assert "stpes" in err
 
 
+@pytest.mark.parametrize("key", ["name", "kind", "boundary", "params",
+                                 "intervals", "extents", "t_final", "ic",
+                                 "params.alpha1"])
+def test_missing_config_key_is_a_usage_error(key, tmp_path, capsys):
+    cfg = config_to_dict(make_preset("plane-wave-1d"))
+    what, _, name = key.rpartition(".")
+    del (cfg["params"] if what else cfg)[name]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, err = _usage_error(["run", "--config", str(path)], capsys)
+    assert code == 2
+    assert f"missing {what or 'config'} key(s): {name}" in err
+
+
+@pytest.mark.parametrize("with_preset", [False, True])
+def test_non_object_config_is_a_usage_error(with_preset, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text("[1, 2]")
+    preset = ["--preset", "plane-wave-1d"] if with_preset else []
+    code, err = _usage_error(["run", *preset, "--config", str(path)], capsys)
+    assert code == 2
+    assert "not a JSON object" in err
+
+
 @pytest.mark.parametrize("key,value", [
     ("steps", 2.5), ("steps", "ten"), ("steps", True), ("t_final", "abc"),
     ("t_final", float("nan")), ("ic_mode", "a"), ("scheme", 4),

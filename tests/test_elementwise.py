@@ -1,9 +1,8 @@
 """Property tests of the slab-threaded elementwise kernels.
 
-``pointwise_apply`` and ``eval_g`` run as chunked kernels from 2^15
-entries on, one slab per usable CPU, and so does the step combination
-``integrators._lincomb`` from 32 MiB; the tests lower that to 2^15
-entries. On random shapes with d = 1..4 and sizes on both sides of that
+``pointwise_apply``, ``eval_g`` and the step combination
+``integrators._lincomb`` run as chunked kernels from 2^15 entries on, one
+slab per usable CPU. On random shapes with d = 1..4 and sizes on both sides of that
 floor, in C, F and strided layouts, and with
 1, 2 or 5 slabs, they must give the bits of their whole-array expressions
 (``eval_g``: the seed formula to roundoff, and the values its own
@@ -19,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cglsolve import integrators, spectral
+from cglsolve import spectral
 from cglsolve.flows import NonlinearSpec, all_finite, eval_g
 from cglsolve.integrators import _lincomb
 from cglsolve.params import CglParameters
@@ -62,14 +61,13 @@ def make(rng, shape, layout):
 
 @contextmanager
 def slabs(n):
-    """n slabs, and _lincomb's kernel from the same 2^15-entry floor."""
-    saved = spectral._THREADS, integrators._KERNEL_BYTES
+    """n slabs for the kernels, all from the same 2^15-entry floor."""
+    saved = spectral._THREADS
     spectral._THREADS = n
-    integrators._KERNEL_BYTES = spectral._SERIAL_BELOW * 16
     try:
         yield
     finally:
-        spectral._THREADS, integrators._KERNEL_BYTES = saved
+        spectral._THREADS = saved
 
 
 def same_bits(a, b):

@@ -51,6 +51,26 @@ def test_config_from_dict_names_unknown_keys():
         config_from_dict(data)
 
 
+# every key without a default, and alpha1 inside params
+REQUIRED = ["name", "kind", "boundary", "params", "intervals", "extents",
+            "t_final", "ic", "params.alpha1"]
+
+
+@pytest.mark.parametrize("key", REQUIRED)
+def test_config_from_dict_names_missing_keys(key):
+    data = config_to_dict(make_preset("plane-wave-1d"))
+    what, _, name = key.rpartition(".")
+    del (data["params"] if what else data)[name]
+    with pytest.raises(ValueError,
+                       match=f"missing {what or 'config'} key.*{name}"):
+        config_from_dict(data)
+
+
+def test_config_from_dict_rejects_a_non_object():
+    with pytest.raises(ValueError, match="must be an object"):
+        config_from_dict([["name", "x"]])
+
+
 @pytest.mark.parametrize("key,value", [
     ("extents", [64.9]), ("extents", [True]), ("extents", ["64"]),
     ("extents", 64), ("intervals", [[0.0, 50.0, 1.0]]), ("intervals", [5]),

@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cglsolve import integrators, operators
+from cglsolve import integrators, operators, spectral
+from cglsolve.experiments import build_problem, initial_state, make_preset
 from cglsolve.flows import NonlinearSpec
 from cglsolve.integrators import SCHEMES, IntegrationResult, Problem, integrate
 from cglsolve.linalg import expm_pade
@@ -18,9 +19,8 @@ from cglsolve.operators import (
 )
 from cglsolve.params import CglParameters
 from cglsolve.spectral import FourierGrid, dft_forward
-from cglsolve.tensors import unvec, vec
 
-from oracles import kron_sum_matrix, random_complex
+from oracles import kron_sum_matrix, random_complex, unvec, vec
 
 CUBIC = CglParameters(alpha1=1.0, beta1=2.0, alpha2=1.0, alpha3=-1.0,
                       beta3=0.2)
@@ -165,6 +165,26 @@ def test_integrate_is_deterministic():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("scheme", EXP_SCHEMES)
+def test_a_nested_run_leaves_the_outer_run_alone(scheme):
+    # the operators hold no run state: a run on the same problem with
+    # another tau, made from on_snapshot, changes no bit of the outer run
+    cfg = make_preset("plane-wave-1d")
+    problem = build_problem(cfg)
+    u0 = problem.from_physical(initial_state(cfg))
+    tau = cfg.t_final / cfg.steps
+    plain = integrate(problem, scheme, u0, 8 * tau, 8)
+    inner = []
+
+    def nested(k, t, fields):
+        inner.append(integrate(problem, scheme, fields, 5 * 0.7 * tau, 5))
+
+    outer = integrate(problem, scheme, u0, 8 * tau, 8,
+                      snapshot_steps=range(1, 9), on_snapshot=nested)
+    assert len(inner) == 8 and not any(r.diverged for r in inner)
+    assert outer.fields[0].tobytes() == plain.fields[0].tobytes()
+
+
 def test_coupled_requires_block_operator():
     p = CglParameters(alpha1=0.125, beta1=0.5, alpha2=-0.9, alpha0=-0.4,
                       alpha3=1.0, beta3=0.8, alpha4=-0.1, beta4=-0.6,
@@ -238,10 +258,9 @@ CQ = CglParameters(alpha1=0.5, beta1=0.5, alpha2=-0.5, alpha3=2.52,
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))
 @pytest.mark.parametrize("fourier", [True, False], ids=["fourier", "fd"])
 def test_steps_never_write_the_callers_state(scheme, fourier, monkeypatch):
-    # 32^3 entries reach the threaded kernels, and with the lowered bound
-    # the combinations write into stage arrays; the initial state and the
-    # cached exponentials must come out unchanged
-    monkeypatch.setattr(integrators, "_KERNEL_BYTES", 1 << 19)
+    # 32^3 entries reach the threaded kernels, whose combinations write
+    # into stage arrays; the initial state and the prepared exponentials
+    # must come out unchanged
     shape = (32, 32, 32)
     if fourier:
         grid = FourierGrid(shape, ((0.0, 20.0),) * 3)
@@ -251,13 +270,21 @@ def test_steps_never_write_the_callers_state(scheme, fourier, monkeypatch):
     problem = Problem(op, NonlinearSpec("cubic_quintic", CQ))
     u0 = 0.3 * random_complex(np.random.default_rng(74), shape)
     saved = u0.copy()
-    problem.prepare(1e-3, SCHEMES[scheme])
-    cache = {f: np.copy(e) for f, e in op._cache.items()}
+    prepared = []
+
+    def prepare(tau, fractions, _prepare=op.prepare):
+        exps = _prepare(tau, fractions)
+        prepared.append((exps, {f: np.array(e) for f, e in exps.items()}))
+        return exps
+
+    monkeypatch.setattr(op, "prepare", prepare)
     res = integrate(problem, scheme, (u0,), 2e-3, 2)
     assert not res.diverged
     assert np.array_equal(u0, saved)
-    for f, e in op._cache.items():
-        assert np.array_equal(e, cache[f])
+    assert len(prepared) == 1
+    exps, copies = prepared[0]
+    for f, e in exps.items():
+        assert np.array_equal(np.array(e), copies[f])
 
 
 def test_scheme_table():
@@ -427,15 +454,16 @@ RUNNABLE = sorted(k for k, v in STEP_CALLS.items() if v is not None)
 
 @pytest.mark.parametrize("name,scheme", RUNNABLE)
 def test_kernel_path_steps_equal_the_default(name, scheme, monkeypatch):
-    # 2^15 entries per component reach the threaded kernels; with the
-    # lowered bound every combination runs the chunked kernel, writing
-    # into workspace arrays, and three steps reuse them
+    # 2^15 entries per component reach the threaded kernels: every
+    # combination runs the chunked kernel, writing into workspace arrays,
+    # and three steps reuse them. With the floor raised, every layer runs
+    # its whole-array path.
     shape = (256, 128) if name == "coupled" else (32, 32, 32)
     problem = problem_of(name, shape)
     u0 = initial_fields(problem, 76)
-    want = integrate(problem, scheme, u0, 3e-3, 3)
-    monkeypatch.setattr(integrators, "_KERNEL_BYTES", 1 << 19)
     got = integrate(problem, scheme, u0, 3e-3, 3)
+    monkeypatch.setattr(spectral, "_SERIAL_BELOW", 1 << 30)
+    want = integrate(problem, scheme, u0, 3e-3, 3)
     assert not want.diverged and not got.diverged
     for a, b in zip(got.fields, want.fields):
         assert a.tobytes() == b.tobytes()

@@ -37,16 +37,19 @@ HALF = Fraction(1, 2)
 
 
 def kronecker(rng, shape):
-    op = KroneckerOperator([random_complex(rng, (n, n)) / n for n in shape])
-    op.prepare(0.1, [HALF])
-    return op
+    return KroneckerOperator([random_complex(rng, (n, n)) / n
+                              for n in shape])
 
 
 def fourier(rng, shape):
     grid = FourierGrid(shape, ((0.0, 1.0),) * len(shape))
-    op = FourierOperator(grid, random_complex(rng, shape))
-    op.prepare(0.1, [HALF])
-    return op
+    return FourierOperator(grid, random_complex(rng, shape))
+
+
+def exp_apply(op):
+    """op's exp_apply with its prepared exp(tau/2 K), tau = 0.1."""
+    e = op.prepare(0.1, [HALF])[HALF]
+    return lambda x, out=None: op.exp_apply(e, x, out=out)
 
 
 def layer(name, rng, shape):
@@ -75,15 +78,11 @@ def layer(name, rng, shape):
         return (lambda x, out=None: tucker_apply(x, mats, out=out), None,
                 False)
     if name == "kronecker_exp_apply":
-        op = kronecker(rng, shape)
-        return (lambda x, out=None: op.exp_apply(HALF, x, out=out), None,
-                False)
+        return exp_apply(kronecker(rng, shape)), None, False
     if name == "fourier_exp_apply":
-        op = fourier(rng, shape)
-        return (lambda x, out=None: op.exp_apply(HALF, x, out=out), None,
-                True)
+        return exp_apply(fourier(rng, shape)), None, True
     op = BlockOperator([fourier(rng, shape), fourier(rng, shape)])
-    return (lambda x, out=None: op.exp_apply(HALF, x, out=out), 2, True)
+    return exp_apply(op), 2, True
 
 
 LAYERS = ("dft_forward", "dft_inverse", "pointwise_apply", "cubic_flow",

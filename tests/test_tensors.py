@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from cglsolve import tensors
-from cglsolve.tensors import (
-    kron_sum_apply,
-    mu_mode_product,
-    tucker_apply,
-    unvec,
-    vec,
-)
+from cglsolve.tensors import kron_sum_apply, mu_mode_product, tucker_apply
 
 from oracles import (
     kron_chain,
@@ -18,6 +12,8 @@ from oracles import (
     kron_sum_matrix,
     mu_mode_ref,
     random_complex,
+    unvec,
+    vec,
 )
 
 # Mixed-extent shapes keep the non-hypercubic paths honest.
