@@ -145,14 +145,17 @@ def _cmd_sweep(args, parser):
     else:
         rows, meta = run_convergence_study(config, schemes, ladder)
     _print_rows(rows, args.format, sys.stdout)
+    # csv and json keep stdout machine-readable
+    notes = sys.stdout if args.format == "table" else sys.stderr
     if meta.get("orders"):
-        print("reference:", meta["reference"])
+        print("reference:", meta["reference"], file=notes)
         for scheme, order in sorted(meta["orders"].items()):
-            print("  least-squares order %-11s %.3f" % (scheme, order))
+            print("  least-squares order %-11s %.3f" % (scheme, order),
+                  file=notes)
     if out_dir:
         base = os.path.join(out_dir, f"{config.name}-sweep")
         csv_path, json_path = write_report(base, rows)
-        print("wrote", csv_path, "and", json_path)
+        print("wrote", csv_path, "and", json_path, file=notes)
     return 0
 
 

@@ -1,11 +1,14 @@
 """Benchmark presets, initial states, and measurement harnesses.
 
-Presets come in two sizes: the default desk scale keeps every study under
-a couple of minutes on one core, while paper_scale=True restores the full
-resolutions the benchmark tables were produced at. Convergence studies
-measure against an exact plane-wave solution when one exists, otherwise
-against a fine-step reference cross-checked between two unrelated
-4th-order schemes.
+Set-up is data. ``PRESETS`` maps each name to its desk-scale config,
+which keeps every study under a couple of minutes on one core;
+``_PAPER_SCALE`` holds the fields each preset changes at the full
+resolutions the benchmark tables were produced at, and
+``make_preset(name, paper_scale=True)`` applies them. ``initial_state``
+looks its recipe up in ``_INITIAL_STATES``. Convergence studies measure
+against an exact plane-wave solution when one exists, otherwise against
+a fine-step reference cross-checked between two unrelated 4th-order
+schemes.
 """
 
 import json
@@ -17,7 +20,8 @@ from dataclasses import MISSING, asdict, dataclass, fields, replace
 import numpy as np
 
 from .flows import NonlinearSpec
-from .integrators import SCHEMES, Problem, integrate
+from .integrators import (SCHEMES, Problem, checked_snapshot_steps,
+                          integrate)
 from .io import write_snapshot
 from .operators import (BlockOperator, build_fd_operator,
                         build_periodic_operator, fd_nodes)
@@ -132,69 +136,48 @@ _COUPLED = CglParameters(alpha1=0.125, beta1=0.5, alpha2=-0.9,
                          alpha3=1.0, beta3=0.8, alpha4=-0.1, beta4=-0.6,
                          alpha0=-0.4, alpha5=0.5)
 
+_CUBIC_2D = dict(kind="cubic", params=_CUBIC,
+                 intervals=((0.0, 100.0),) * 2, extents=(64, 64),
+                 t_final=6.0, ic="random_small", scheme="split4", steps=200)
 
-def _cubic_2d_dirichlet(paper_scale):
-    n = 256 if paper_scale else 64
-    return ExperimentConfig(
-        name="cubic-2d-dirichlet", kind="cubic", boundary="dirichlet",
-        params=_CUBIC, intervals=((0.0, 100.0),) * 2, extents=(n, n),
-        t_final=6.0, ic="random_small", scheme="split4", steps=200)
-
-
-def _cubic_2d_periodic(paper_scale):
-    n = 256 if paper_scale else 64
-    return ExperimentConfig(
-        name="cubic-2d-periodic", kind="cubic", boundary="periodic",
-        params=_CUBIC, intervals=((0.0, 100.0),) * 2, extents=(n, n),
-        t_final=6.0, ic="random_small", scheme="split4", steps=200)
-
-
-def _cubic_3d_dirichlet_neumann(paper_scale):
-    n = 128 if paper_scale else 32
-    return ExperimentConfig(
+# every preset at desk scale
+PRESETS = {c.name: c for c in (
+    ExperimentConfig(name="cubic-2d-dirichlet", boundary="dirichlet",
+                     **_CUBIC_2D),
+    ExperimentConfig(name="cubic-2d-periodic", boundary="periodic",
+                     **_CUBIC_2D),
+    ExperimentConfig(
         name="cubic-3d-dirichlet-neumann", kind="cubic",
         boundary="dirichlet_neumann", params=_CUBIC,
-        intervals=((0.0, 100.0),) * 3, extents=(n,) * 3,
-        t_final=10.0, ic="random_small", scheme="split4", steps=200)
-
-
-def _cubic_quintic_3d_periodic(paper_scale):
-    n = 128 if paper_scale else 32
-    return ExperimentConfig(
+        intervals=((0.0, 100.0),) * 3, extents=(32,) * 3,
+        t_final=10.0, ic="random_small", scheme="split4", steps=200),
+    ExperimentConfig(
         name="cubic-quintic-3d-periodic", kind="cubic_quintic",
         boundary="periodic", params=_CUBIC_QUINTIC,
-        intervals=((-12.0, 12.0),) * 3, extents=(n,) * 3,
-        t_final=5.0, ic="necklace", scheme="if4", steps=200)
-
-
-def _coupled_2d_periodic(paper_scale):
-    extents = (700, 350) if paper_scale else (128, 64)
+        intervals=((-12.0, 12.0),) * 3, extents=(32,) * 3,
+        t_final=5.0, ic="necklace", scheme="if4", steps=200),
     # the pre-run must resolve the soliton fronts even when the 2D grid
     # is coarse; 512 = 4 * 128 keeps the coarse nodes a subset
-    prerun = 700 if paper_scale else 512
-    return ExperimentConfig(
+    ExperimentConfig(
         name="coupled-2d-periodic", kind="coupled_cubic_quintic",
         boundary="periodic", params=_COUPLED,
-        intervals=((0.0, 70.0), (0.0, 35.0)), extents=extents,
+        intervals=((0.0, 70.0), (0.0, 35.0)), extents=(128, 64),
         t_final=3.0, ic="soliton_pair", scheme="if4", steps=300,
-        prerun_extent=prerun)
-
-
-def _plane_wave_1d(paper_scale):
-    n = 256 if paper_scale else 64
-    return ExperimentConfig(
+        prerun_extent=512),
+    ExperimentConfig(
         name="plane-wave-1d", kind="cubic", boundary="periodic",
-        params=_CUBIC, intervals=((0.0, 50.0),), extents=(n,),
-        t_final=1.0, ic="plane_wave", scheme="if4", steps=40)
+        params=_CUBIC, intervals=((0.0, 50.0),), extents=(64,),
+        t_final=1.0, ic="plane_wave", scheme="if4", steps=40),
+)}
 
-
-PRESETS = {
-    "cubic-2d-dirichlet": _cubic_2d_dirichlet,
-    "cubic-2d-periodic": _cubic_2d_periodic,
-    "cubic-3d-dirichlet-neumann": _cubic_3d_dirichlet_neumann,
-    "cubic-quintic-3d-periodic": _cubic_quintic_3d_periodic,
-    "coupled-2d-periodic": _coupled_2d_periodic,
-    "plane-wave-1d": _plane_wave_1d,
+# the fields each preset changes at the resolutions of the paper's tables
+_PAPER_SCALE = {
+    "cubic-2d-dirichlet": {"extents": (256, 256)},
+    "cubic-2d-periodic": {"extents": (256, 256)},
+    "cubic-3d-dirichlet-neumann": {"extents": (128,) * 3},
+    "cubic-quintic-3d-periodic": {"extents": (128,) * 3},
+    "coupled-2d-periodic": {"extents": (700, 350), "prerun_extent": 700},
+    "plane-wave-1d": {"extents": (256,)},
 }
 
 
@@ -206,8 +189,8 @@ def make_preset(name, paper_scale=False, **overrides):
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; "
                          f"choose from {available_presets()}")
-    config = PRESETS[name](paper_scale)
-    return replace(config, **overrides) if overrides else config
+    paper = _PAPER_SCALE[name] if paper_scale else {}
+    return replace(PRESETS[name], **{**paper, **overrides})
 
 
 # -- problem assembly --------------------------------------------------
@@ -329,20 +312,22 @@ def prepare_coupled_initial(config):
     return u0, v0
 
 
+# initial-condition recipe -> physical-space initial components
+_INITIAL_STATES = {
+    "random_small": lambda c: (
+        (normal_tensor(c.seed, c.extents) / 5000.0).astype(complex),),
+    "smooth_modes": lambda c: (smooth_modes_state(c),),
+    "necklace": lambda c: (necklace_state(c),),
+    "plane_wave": lambda c: (plane_wave_state(c, 0.0),),
+    "soliton_pair": prepare_coupled_initial,
+}
+
+
 def initial_state(config):
     """Physical-space initial components for a config, as a tuple."""
-    if config.ic == "random_small":
-        u0 = normal_tensor(config.seed, config.extents) / 5000.0
-        return (u0.astype(complex),)
-    if config.ic == "smooth_modes":
-        return (smooth_modes_state(config),)
-    if config.ic == "necklace":
-        return (necklace_state(config),)
-    if config.ic == "plane_wave":
-        return (plane_wave_state(config, 0.0),)
-    if config.ic == "soliton_pair":
-        return prepare_coupled_initial(config)
-    raise ValueError(f"unknown initial-condition recipe {config.ic!r}")
+    if config.ic not in _INITIAL_STATES:
+        raise ValueError(f"unknown initial-condition recipe {config.ic!r}")
+    return _INITIAL_STATES[config.ic](config)
 
 
 # -- measurements -------------------------------------------------------
@@ -488,6 +473,9 @@ def run_preset(config, snapshot_steps=(), out_dir=None,
     _check_scalar("frozen_probe_steps", frozen_probe_steps, int)
     if frozen_probe_steps < 0:
         raise ValueError("frozen_probe_steps must be >= 0")
+    snapshot_steps = checked_snapshot_steps(snapshot_steps, config.steps)
+    if snapshot_steps and not out_dir:
+        raise ValueError("snapshot_steps need an out_dir to write to")
     problem = build_problem(config)
     axes = grid_axes(config)
     state0 = problem.from_physical(initial_state(config))
@@ -499,11 +487,9 @@ def run_preset(config, snapshot_steps=(), out_dir=None,
         write_snapshot(path, phys, t, axes)
         written.append(path)
 
-    observer = snap if (out_dir and snapshot_steps) else None
     result = integrate(problem, config.scheme, state0, config.t_final,
-                       config.steps,
-                       snapshot_steps=snapshot_steps if observer else (),
-                       on_snapshot=observer)
+                       config.steps, snapshot_steps=snapshot_steps,
+                       on_snapshot=snap)
     physical = problem.to_physical(result.fields)
     # a diverged run returns the state before its failing step
     reached = result.tau * (result.diverged_at - 1 if result.diverged

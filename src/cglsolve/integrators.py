@@ -52,7 +52,7 @@ from .operators import BlockOperator
 from .spectral import dft_forward, dft_inverse
 
 __all__ = ["Tableau", "Scheme", "SCHEMES", "Problem", "IntegrationResult",
-           "integrate"]
+           "checked_snapshot_steps", "integrate"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -425,6 +425,18 @@ class IntegrationResult:
     reason: str = ""
 
 
+def checked_snapshot_steps(snapshot_steps, steps):
+    """snapshot_steps as a tuple, else ValueError unless every entry is
+    an integer (not a bool) in 1..steps."""
+    snapshot_steps = tuple(snapshot_steps)
+    for k in snapshot_steps:
+        if (not isinstance(k, numbers.Integral) or isinstance(k, bool)
+                or not 1 <= k <= steps):
+            raise ValueError(f"snapshot steps must be integers in "
+                             f"1..{steps}, got {k!r}")
+    return snapshot_steps
+
+
 def integrate(problem, scheme_name, fields, t_final, steps,
               snapshot_steps=(), on_snapshot=None):
     """March `steps` uniform steps of the named scheme to t_final.
@@ -450,9 +462,9 @@ def integrate(problem, scheme_name, fields, t_final, steps,
     fields = tuple(np.asarray(u, dtype=complex) for u in fields)
     if not all_finite(fields):
         raise ValueError("initial fields must be finite")
+    wanted = set(checked_snapshot_steps(snapshot_steps, steps))
     step = _stepper(problem, scheme, tau, problem.prepare(tau, scheme),
                     fields)
-    wanted = set(int(k) for k in snapshot_steps)
 
     start = time.perf_counter()
     for k in range(1, steps + 1):

@@ -12,7 +12,10 @@ Two representations:
 The D2 blocks are the fourth-order finite-difference second derivatives
 with all entries rational multiples of 1/(12 h^2). Boundary closures use
 one-sided stencils; with a Neumann condition at the right endpoint the
-derivative constraint is folded into the last two rows.
+derivative constraint is folded into the last two rows. One table,
+``_FD_BOUNDARIES``, gives each boundary kind's spacing, fewest nodes and
+last two rows to ``fd_second_derivative``, ``fd_nodes`` and
+``build_fd_operator``.
 
 Operators hold no state but their definition. ``prepare(tau, fractions)``
 returns the exponentials of the exact step fractions (fractions.Fraction)
@@ -33,6 +36,7 @@ from .spectral import build_symbol, pointwise_apply, symbol_exponential
 from .tensors import kron_sum_apply, tucker_apply
 
 __all__ = [
+    "fd_second_derivative",
     "fd_second_derivative_dirichlet",
     "fd_second_derivative_dirichlet_neumann",
     "fd_nodes",
@@ -47,58 +51,54 @@ __all__ = [
 _LEFT_EDGE = (-15.0, -4.0, 14.0, -6.0, 1.0)
 _NEXT_TO_LEFT = (16.0, -30.0, 16.0, -1.0)
 _CENTERED = (-1.0, 16.0, -30.0, 16.0, -1.0)
-_NEUMANN_PENULTIMATE = (1.0, -6.0, 14.0, -4.0, -15.0, 10.0)
-_NEUMANN_LAST = (1.0, -8.0 / 3.0, -6.0, 56.0, -145.0 / 3.0)
+
+# boundary kind -> (h = length / (n + extra), fewest nodes n, the last two
+# D2 numerator rows, each ending in the last column). Dirichlet values at
+# both ends are eliminated, so all n nodes are interior; with u'(length)
+# = 0 the endpoint x_n = length carries an unknown and the last two rows
+# absorb the derivative condition (the final row mixes in thirds).
+_FD_BOUNDARIES = {
+    "dirichlet": (1, 6, (_NEXT_TO_LEFT[::-1], _LEFT_EDGE[::-1])),
+    "dirichlet_neumann": (0, 7, ((1.0, -6.0, 14.0, -4.0, -15.0, 10.0),
+                                 (1.0, -8.0 / 3.0, -6.0, 56.0, -145.0 / 3.0))),
+}
+
+
+def _boundary(kind):
+    if kind not in _FD_BOUNDARIES:
+        raise ValueError(f"unknown boundary kind {kind!r}")
+    return _FD_BOUNDARIES[kind]
+
+
+def fd_second_derivative(kind, n, length):
+    """Fourth-order D2 on the n nodes of ``fd_nodes(kind, n, length)``."""
+    extra, fewest, (penultimate, last) = _boundary(kind)
+    if n < fewest:
+        raise ValueError(f"{kind} D2 needs at least {fewest} nodes")
+    h = length / (n + extra)
+    num = np.zeros((n, n))
+    num[0, :5] = _LEFT_EDGE
+    num[1, :4] = _NEXT_TO_LEFT
+    for i in range(2, n - 2):
+        num[i, i - 2:i + 3] = _CENTERED
+    num[n - 2, n - len(penultimate):] = penultimate
+    num[n - 1, n - len(last):] = last
+    return num / (12.0 * h * h)
 
 
 def fd_second_derivative_dirichlet(n, length):
-    """Fourth-order D2 on interior nodes x_i = i h, h = length/(n+1).
-
-    Homogeneous Dirichlet values at both endpoints are eliminated, so the
-    matrix acts on the n interior values only.
-    """
-    if n < 6:
-        raise ValueError("Dirichlet D2 needs at least 6 interior nodes")
-    h = length / (n + 1)
-    num = np.zeros((n, n))
-    num[0, :5] = _LEFT_EDGE
-    num[1, :4] = _NEXT_TO_LEFT
-    for i in range(2, n - 2):
-        num[i, i - 2:i + 3] = _CENTERED
-    num[n - 2, n - 4:] = _NEXT_TO_LEFT[::-1]
-    num[n - 1, n - 5:] = _LEFT_EDGE[::-1]
-    return num / (12.0 * h * h)
+    """Fourth-order D2 with u(0) = u(length) = 0 on the n interior nodes."""
+    return fd_second_derivative("dirichlet", n, length)
 
 
 def fd_second_derivative_dirichlet_neumann(n, length):
-    """Fourth-order D2 with u(0) = 0 and u'(length) = 0.
-
-    Nodes are x_i = i h, i = 1..n, with h = length/n, so the Neumann
-    endpoint x_n = length carries an unknown. The last two rows absorb the
-    derivative condition; the final row mixes in thirds (over 12 h^2).
-    """
-    if n < 7:
-        raise ValueError("Dirichlet-Neumann D2 needs at least 7 nodes")
-    h = length / n
-    num = np.zeros((n, n))
-    num[0, :5] = _LEFT_EDGE
-    num[1, :4] = _NEXT_TO_LEFT
-    for i in range(2, n - 2):
-        num[i, i - 2:i + 3] = _CENTERED
-    num[n - 2, n - 6:] = _NEUMANN_PENULTIMATE
-    num[n - 1, n - 5:] = _NEUMANN_LAST
-    return num / (12.0 * h * h)
+    """Fourth-order D2 with u(0) = 0 and u'(length) = 0 on n nodes."""
+    return fd_second_derivative("dirichlet_neumann", n, length)
 
 
 def fd_nodes(kind, n, length):
     """Grid nodes matching the FD matrices (1-based interior numbering)."""
-    if kind == "dirichlet":
-        h = length / (n + 1)
-    elif kind == "dirichlet_neumann":
-        h = length / n
-    else:
-        raise ValueError(f"unknown boundary kind {kind!r}")
-    return np.arange(1, n + 1) * h
+    return np.arange(1, n + 1) * (length / (n + _boundary(kind)[0]))
 
 
 def _exponentials(tau, fractions, build):
@@ -120,6 +120,8 @@ class KroneckerOperator:
 
     def __init__(self, matrices):
         self.matrices = [np.asarray(m, dtype=complex) for m in matrices]
+        if not self.matrices:
+            raise ValueError("need at least one direction")
         for m in self.matrices:
             if m.ndim != 2 or m.shape[0] != m.shape[1]:
                 raise ValueError("per-direction factors must be square")
@@ -218,14 +220,10 @@ def build_fd_operator(params, extents, lengths, bc):
     """
     if len(extents) != len(lengths):
         raise ValueError("one length per direction required")
-    build = {"dirichlet": fd_second_derivative_dirichlet,
-             "dirichlet_neumann": fd_second_derivative_dirichlet_neumann}
-    if bc not in build:
-        raise ValueError(f"unknown boundary kind {bc!r}")
     d = len(extents)
     mats = []
     for n, length in zip(extents, lengths):
-        d2 = build[bc](n, length)
+        d2 = fd_second_derivative(bc, n, length)
         mats.append(params.diffusion * d2 + (params.alpha2 / d) * np.eye(n))
     return KroneckerOperator(mats)
 

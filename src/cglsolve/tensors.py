@@ -64,6 +64,16 @@ def _checked(u, mats, axes):
     return u, mats
 
 
+def _one_per_direction(u, mats):
+    """_checked for a tensor of order >= 1 and one factor per direction."""
+    u = np.asarray(u)
+    if u.ndim == 0:
+        raise ValueError("need a tensor with at least one direction")
+    if len(mats) != u.ndim:
+        raise ValueError(f"need {u.ndim} factors, got {len(mats)}")
+    return _checked(u, mats, range(u.ndim))
+
+
 def _column_major(u, like=None):
     """u as an F-ordered array, and whether that array is u.T.
 
@@ -122,21 +132,13 @@ def tucker_apply(u, mats, *, out=None):
     that shares no memory with u, the result is written there and ``out``
     is returned.
     """
-    u = np.asarray(u)
-    if len(mats) != u.ndim:
-        raise ValueError(f"need {u.ndim} factors, got {len(mats)}")
-    if u.ndim == 0 and out is None:
-        return u
-    u, mats = _checked(u, mats, range(u.ndim))
+    u, mats = _one_per_direction(u, mats)
     if out is not None:
         check_out(out, tuple(m.shape[0] for m in mats))
         if not (out.flags.c_contiguous or out.flags.f_contiguous):
             raise ValueError("out must be a C- or F-contiguous array")
         if np.shares_memory(out, u):
             raise ValueError("out must not share memory with u")
-        if u.ndim == 0:
-            out[()] = u
-            return out
     x, transposed = _column_major(u, out)
     if not transposed:
         return _tucker_column_major(x, mats, out)
@@ -195,9 +197,7 @@ def kron_sum_apply(u, mats):
     Equivalent to the explicit Kronecker-sum matrix times ``vec(u)``,
     reshaped back, but never forms the big matrix.
     """
-    u = np.asarray(u)
-    if len(mats) != u.ndim:
-        raise ValueError(f"need {u.ndim} factors, got {len(mats)}")
+    u, mats = _one_per_direction(u, mats)
     out = None
     for axis, m in enumerate(mats):
         term = mu_mode_product(u, m, axis)

@@ -183,3 +183,44 @@ def test_snapshots_written_where_asked(tmp_path, capsys):
     assert rc == 0
     summary = json.loads(capsys.readouterr().out)
     assert len(summary["snapshots"]) == 3  # two steps and the final state
+
+
+@pytest.mark.parametrize("text", [None, "{not json", ""])
+def test_unreadable_config_is_a_usage_error(text, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    code, err = _usage_error(["run", "--config", str(path)], capsys)
+    assert code == 2
+    assert f"--config {path}" in err
+
+
+def test_sweep_json_output_is_json_alone(capsys):
+    rc = main(["sweep", "--preset", "plane-wave-1d", "--schemes", "strang",
+               "--steps", "10,20", "--format", "json"])
+    assert rc == 0
+    captured = capsys.readouterr()
+    rows = json.loads(captured.out)
+    assert [r["steps"] for r in rows] == [10, 20]
+    assert "least-squares order strang" in captured.err
+
+
+def test_run_table_output(capsys):
+    rc = main(["run", "--preset", "plane-wave-1d", "--steps", "10"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "preset: plane-wave-1d" in out
+    assert "diverged: False" in out
+
+
+def test_seed_flag_reaches_the_config(monkeypatch):
+    seen = []
+
+    def record(config, **kwargs):
+        seen.append(config)
+        return {"diverged": False}, ()
+
+    monkeypatch.setattr(cli, "run_preset", record)
+    main(["run", "--preset", "cubic-2d-periodic", "--seed", "7",
+          "--format", "json"])
+    assert seen[0].seed == 7

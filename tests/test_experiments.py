@@ -16,6 +16,7 @@ from cglsolve.experiments import (available_presets, build_problem,
                                   smooth_modes_state, stability_sweep)
 from cglsolve.integrators import integrate
 from cglsolve.io import read_snapshot
+from cglsolve.params import CglParameters
 
 
 def test_preset_registry():
@@ -29,6 +30,14 @@ def test_preset_registry():
         assert np.prod(big.extents) >= np.prod(cfg.extents)
     with pytest.raises(ValueError, match="unknown preset"):
         make_preset("nope")
+
+
+def test_paper_scale_table_names_every_preset():
+    assert set(experiments._PAPER_SCALE) == set(experiments.PRESETS)
+    for name, config in experiments.PRESETS.items():
+        assert config.name == name
+        paper = experiments._PAPER_SCALE[name]
+        assert make_preset(name, paper_scale=True) == replace(config, **paper)
 
 
 def test_make_preset_overrides():
@@ -100,6 +109,25 @@ def test_plane_wave_satisfies_dispersion_relation():
            + (p.alpha3 + 1j * p.beta3) * rho ** 2)
     assert abs(-1j * omega - lam) <= 1e-12
     assert rho > 0.0
+
+
+def test_parameters_need_positive_alpha1():
+    for alpha1 in (0.0, -1.0):
+        with pytest.raises(ValueError, match="alpha1 must be positive"):
+            CglParameters(alpha1=alpha1)
+
+
+def test_plane_wave_needs_a_cubic_term():
+    cfg = make_preset("plane-wave-1d")
+    with pytest.raises(ValueError, match="cubic term"):
+        plane_wave_parameters(replace(cfg.params, alpha3=0.0),
+                              cfg.intervals[0], 1)
+
+
+def test_coupled_kind_needs_periodic_boundaries():
+    cfg = replace(make_preset("coupled-2d-periodic"), boundary="dirichlet")
+    with pytest.raises(ValueError, match="periodic"):
+        build_problem(cfg)
 
 
 def test_plane_wave_state_is_exact_orbit():
@@ -302,3 +330,19 @@ def test_run_preset_rejects_bad_frozen_probe_before_any_work(probe,
     monkeypatch.setattr(experiments, "build_problem", no_build)
     with pytest.raises(ValueError, match="frozen_probe_steps"):
         run_preset(make_preset("plane-wave-1d"), frozen_probe_steps=probe)
+
+
+@pytest.mark.parametrize("snapshots,out", [
+    ((0,), True), ((11,), True), ((2.5,), True), ((True,), True),
+    (("3",), True), ((1, 2), False)])
+def test_run_preset_rejects_bad_snapshot_steps_before_any_work(
+        snapshots, out, tmp_path, monkeypatch):
+    def no_build(config):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(experiments, "build_problem", no_build)
+    cfg = replace(make_preset("plane-wave-1d"), steps=10)
+    with pytest.raises(ValueError, match="snapshot"):
+        run_preset(cfg, snapshot_steps=snapshots,
+                   out_dir=str(tmp_path) if out else None)
+    assert not any(tmp_path.iterdir())

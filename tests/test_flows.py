@@ -208,6 +208,16 @@ def test_nonlinear_spec_validation():
         eval_g(spec, (POINTS,))
 
 
+@pytest.mark.parametrize("fields,out,match", [
+    ((POINTS, POINTS[:4]), None, "share a shape"),
+    ((POINTS, POINTS), (POINTS.copy(),), "expected 2 out arrays"),
+], ids=["shapes", "out-count"])
+def test_eval_g_rejects_mismatched_components(fields, out, match):
+    spec = NonlinearSpec("coupled_cubic_quintic", COUPLED)
+    with pytest.raises(ValueError, match=match):
+        eval_g(spec, fields, out=out)
+
+
 # (flow, params, a, b, p, t): y = p a |u|^p t stays below 1 for the
 # standard-normal draws used here, and CQ's positive alpha3 grows them
 FLOWS = [

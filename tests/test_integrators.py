@@ -157,6 +157,18 @@ def test_snapshot_observer_called_at_requested_steps():
     assert seen[-1][1] == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("step", [0, -1, 5, 2.7, 2.0, True, "2"])
+def test_integrate_rejects_bad_snapshot_steps(step):
+    # bools and floats were once mapped to steps, and the rest ignored
+    problem, _ = plane_wave_problem(n=16)
+    u0 = random_complex(np.random.default_rng(74), (16,))
+    seen = []
+    with pytest.raises(ValueError, match="snapshot steps"):
+        integrate(problem, "if4", (u0,), 1.0, 4, snapshot_steps=[1, step],
+                  on_snapshot=lambda k, t, fields: seen.append(k))
+    assert seen == []
+
+
 def test_integrate_is_deterministic():
     problem, exact = plane_wave_problem(n=24)
     u0 = dft_forward(exact(0.0))

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -50,6 +51,15 @@ def test_snapshot_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk.cgls"
     path.write_bytes(b"WAT?" + b"\x00" * 64)
     with pytest.raises(ValueError, match="magic"):
+        read_snapshot(path)
+
+
+def test_snapshot_rejects_an_unknown_version(tmp_path):
+    path = tmp_path / "v.cgls"
+    write_snapshot(path, (_draw((3,), 6),), 0.0, [np.arange(3.0)])
+    data = path.read_bytes()
+    path.write_bytes(data[:4] + struct.pack("<I", 99) + data[8:])
+    with pytest.raises(ValueError, match="unsupported snapshot version 99"):
         read_snapshot(path)
 
 

@@ -219,3 +219,23 @@ def test_build_fd_operator_validation():
         build_fd_operator(PARAMS, (8, 8), (1.0,), "dirichlet")
     with pytest.raises(ValueError):
         build_fd_operator(PARAMS, (8,), (1.0,), "robin")
+
+
+GRID8 = FourierGrid((8,), ((0.0, 1.0),))
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: KroneckerOperator([]), "at least one direction"),
+    (lambda: KroneckerOperator([np.eye(3), np.ones((3, 2))]), "square"),
+    (lambda: FourierOperator(GRID8, np.ones(7)), "symbol shape"),
+    (lambda: BlockOperator([KroneckerOperator([np.eye(3)]),
+                            KroneckerOperator([np.eye(4)])]), "shape"),
+    (lambda: KroneckerOperator([np.eye(3)]).prepare(0.1, [Fraction(0)]),
+     "fractions must be positive"),
+    (lambda: FourierOperator(GRID8, np.ones(8)).prepare(
+        0.1, [Fraction(-1, 2)]), "fractions must be positive"),
+], ids=["no-direction", "non-square", "symbol-shape", "block-shapes",
+        "zero-fraction", "negative-fraction"])
+def test_invalid_operator_input_is_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

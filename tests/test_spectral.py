@@ -45,6 +45,14 @@ def test_wavenumber_table_scaling():
     assert np.allclose(k, np.array([0, 1, 2, -1]) * 2.0 * np.pi / 100.0)
 
 
+@pytest.mark.parametrize("n,interval,match", [
+    (1, (0.0, 1.0), "two grid points"), (8, (1.0, 1.0), "empty interval"),
+    (8, (2.0, 1.0), "empty interval")])
+def test_wavenumber_table_validation(n, interval, match):
+    with pytest.raises(ValueError, match=match):
+        wavenumber_table(n, interval)
+
+
 @pytest.mark.parametrize("shape", [(6,), (10,), (15,), (5, 4), (3, 4, 5)])
 def test_forward_matches_direct_sum(shape):
     rng = np.random.default_rng(41)

@@ -118,6 +118,27 @@ def test_shape_mismatch_rejected():
         kron_sum_apply(u, [np.eye(3), np.eye(3)])
 
 
+U34 = np.zeros((3, 4), dtype=complex)
+
+
+@pytest.mark.parametrize("call,match", [
+    (lambda: tucker_apply(np.array(1.0 + 0j), []), "at least one direction"),
+    (lambda: tucker_apply(np.array(1.0 + 0j), [], out=np.zeros((), complex)),
+     "at least one direction"),
+    (lambda: kron_sum_apply(np.array(1.0 + 0j), []),
+     "at least one direction"),
+    (lambda: tucker_apply(U34, [np.eye(3), np.ones(4)]), "must be a matrix"),
+    (lambda: tucker_apply(U34, [np.eye(3), np.eye(4)],
+                          out=np.zeros((3, 8), complex)[:, ::2]),
+     "contiguous"),
+    (lambda: kron_sum_apply(U34, [np.eye(3)]), "need 2 factors"),
+], ids=["tucker-0d", "tucker-0d-out", "kron-sum-0d", "non-matrix",
+        "strided-out", "kron-sum-count"])
+def test_invalid_tensor_input_is_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_mu_mode_cost_scales_with_tensor_size():
     # 2*16 gemm passes over a 16^3 tensor touch each entry twice; just pin
     # that the result stays exact on a bigger draw (N = 4096).
