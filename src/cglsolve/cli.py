@@ -14,8 +14,8 @@ import json
 import os
 import sys
 
-from .experiments import (available_presets, config_from_dict,
-                          config_to_dict, make_preset,
+from .experiments import (available_presets, checked_snapshot_request,
+                          config_from_dict, config_to_dict, make_preset,
                           run_convergence_study, run_preset, stability_sweep)
 from .integrators import SCHEMES
 from .io import write_csv, write_report
@@ -109,12 +109,11 @@ def _cmd_run(args, parser):
     if args.steps is not None:
         from dataclasses import replace
         config = replace(config, steps=args.steps)
-    snapshots = _ints(args.snapshots) if args.snapshots else []
-    if snapshots and not args.out:
-        parser.error("--snapshots needs --out")
-    for k in snapshots:
-        if not 1 <= k <= config.steps:
-            parser.error(f"--snapshots: step {k} is outside 1..{config.steps}")
+    try:
+        snapshots = checked_snapshot_request(_ints(args.snapshots or ""),
+                                             config.steps, args.out)
+    except ValueError as err:
+        parser.error(f"--snapshots: {err}")
     out_dir = _ensure_out(args)
     summary, _ = run_preset(config, snapshot_steps=snapshots,
                             out_dir=out_dir,

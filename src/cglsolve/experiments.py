@@ -36,7 +36,7 @@ __all__ = [
     "necklace_state", "smooth_modes_state", "gaussian_profile",
     "prepare_coupled_initial", "relative_error", "relative_modulus_drift",
     "ReferenceMismatch", "run_convergence_study", "least_squares_orders",
-    "stability_sweep", "run_preset",
+    "stability_sweep", "checked_snapshot_request", "run_preset",
 ]
 
 
@@ -239,7 +239,7 @@ def necklace_state(config, delta=1.2, radius=6.0, width=2.5,
     """Azimuthally modulated ring around the x3 = 0 plane (3D only)."""
     if len(config.extents) != 3:
         raise ValueError("necklace initial state needs a 3D grid")
-    x1, x2, x3 = np.meshgrid(*grid_axes(config), indexing="ij")
+    x1, x2, x3 = np.meshgrid(*grid_axes(config), indexing="ij", sparse=True)
     rho = np.hypot(x1, x2)
     theta = np.arctan2(x2, x1)
     r = np.sqrt((rho - radius) ** 2 + x3 ** 2) / width
@@ -461,6 +461,14 @@ def stability_sweep(config, schemes, step_counts):
     return table
 
 
+def checked_snapshot_request(snapshot_steps, steps, out_dir):
+    """``checked_snapshot_steps``, which need an out_dir if there are any."""
+    snapshot_steps = checked_snapshot_steps(snapshot_steps, steps)
+    if snapshot_steps and not out_dir:
+        raise ValueError("snapshot_steps need an out_dir to write to")
+    return snapshot_steps
+
+
 def run_preset(config, snapshot_steps=(), out_dir=None,
                frozen_probe_steps=0):
     """One integration of a config; optional snapshots and summary file.
@@ -473,9 +481,8 @@ def run_preset(config, snapshot_steps=(), out_dir=None,
     _check_scalar("frozen_probe_steps", frozen_probe_steps, int)
     if frozen_probe_steps < 0:
         raise ValueError("frozen_probe_steps must be >= 0")
-    snapshot_steps = checked_snapshot_steps(snapshot_steps, config.steps)
-    if snapshot_steps and not out_dir:
-        raise ValueError("snapshot_steps need an out_dir to write to")
+    snapshot_steps = checked_snapshot_request(snapshot_steps, config.steps,
+                                              out_dir)
     problem = build_problem(config)
     axes = grid_axes(config)
     state0 = problem.from_physical(initial_state(config))

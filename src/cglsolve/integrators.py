@@ -426,8 +426,11 @@ class IntegrationResult:
 
 
 def checked_snapshot_steps(snapshot_steps, steps):
-    """snapshot_steps as a tuple, else ValueError unless every entry is
-    an integer (not a bool) in 1..steps."""
+    """snapshot_steps as a tuple, else ValueError unless it is iterable
+    and every entry is an integer (not a bool) in 1..steps."""
+    if not np.iterable(snapshot_steps):
+        raise ValueError(f"snapshot steps must be a collection of step "
+                         f"numbers, got {snapshot_steps!r}")
     snapshot_steps = tuple(snapshot_steps)
     for k in snapshot_steps:
         if (not isinstance(k, numbers.Integral) or isinstance(k, bool)

@@ -6,8 +6,9 @@ Two representations:
   A_mu = (alpha1 + i beta1) D2_mu + (alpha2 / d) I, so the full operator is
   the Kronecker sum of the A_mu. Its exponential acts as a Tucker product
   of the small per-direction exponentials.
-* Fourier form (periodic pseudospectral): a diagonal symbol tensor acting
-  on coefficient space; the exponential is elementwise.
+* Fourier form (periodic pseudospectral): the Kronecker sum of one 1-D
+  diagonal symbol per direction on coefficient space. Its exponential is
+  the outer product of the per-direction ones, applied elementwise.
 
 The D2 blocks are the fourth-order finite-difference second derivatives
 with all entries rational multiples of 1/(12 h^2). Boundary closures use
@@ -20,19 +21,19 @@ last two rows to ``fd_second_derivative``, ``fd_nodes`` and
 Operators hold no state but their definition. ``prepare(tau, fractions)``
 returns the exponentials of the exact step fractions (fractions.Fraction)
 as ``{fraction: exponential}``: per-direction matrices for the Kronecker
-form, a symbol tensor for the Fourier form, one of those per block for a
-``BlockOperator``. ``exp_apply(exponential, u)`` applies one of them. The
-integrator prepares once per run and binds the values into its stepper,
-so a step never recomputes or looks up an exponential.
+form, their full-size outer product for the Fourier form, one of those
+per block for a ``BlockOperator``. ``exp_apply(exponential, u)`` applies
+one of them. The integrator prepares once per run and binds the values
+into its stepper, so a step never recomputes or looks up an exponential.
 """
 
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, reduce
 
 import numpy as np
 
 from .linalg import expm_pade
-from .spectral import build_symbol, pointwise_apply, symbol_exponential
+from .spectral import direction_symbols, pointwise_apply, symbol_exponential
 from .tensors import kron_sum_apply, tucker_apply
 
 __all__ = [
@@ -142,25 +143,31 @@ class KroneckerOperator:
 
 
 class FourierOperator:
-    """Diagonal symbol operator on Fourier coefficient space."""
+    """Kronecker sum of per-direction diagonal symbols on Fourier
+    coefficient space."""
 
     representation = "fourier"
 
-    def __init__(self, grid, symbol):
-        symbol = np.asarray(symbol)
-        if symbol.shape != grid.shape:
+    def __init__(self, grid, symbols):
+        self.symbols = [np.asarray(s) for s in symbols]
+        if [s.shape for s in self.symbols] != [(n,) for n in grid.shape]:
             raise ValueError("symbol shape must match the grid")
-        self.grid = grid
-        self.symbol = symbol
         self.shape = grid.shape
+
+    @cached_property
+    def symbol(self):
+        """The full symbol tensor, built on first use (by ``apply``)."""
+        return reduce(np.add.outer, self.symbols)
 
     def apply(self, u):
         return pointwise_apply(self.symbol, u)
 
     def prepare(self, tau, fractions):
-        """{f: exp(f tau symbol)}."""
-        return _exponentials(tau, fractions,
-                             partial(symbol_exponential, self.symbol))
+        """{f: exp(f tau symbol)}: the outer product of the exp(f tau s_mu),
+        d - 1 broadcast products into one C-ordered array."""
+        return _exponentials(tau, fractions, lambda step: reduce(
+            np.multiply.outer, [symbol_exponential(s, step)
+                                for s in self.symbols]))
 
     def exp_apply(self, exponential, u, *, out=None):
         """A prepared exponential times u, into ``out`` if given (may be
@@ -230,4 +237,5 @@ def build_fd_operator(params, extents, lengths, bc):
 
 def build_periodic_operator(grid, params, advection_sign=0):
     """Fourier-form operator for periodic pseudospectral discretizations."""
-    return FourierOperator(grid, build_symbol(grid, params, advection_sign))
+    return FourierOperator(grid, direction_symbols(grid, params,
+                                                   advection_sign))

@@ -1,4 +1,4 @@
-"""Fourier pseudospectral grids, transforms, and diagonal symbols.
+"""Fourier pseudospectral grids, transforms, and per-direction symbols.
 
 Transforms delegate to numpy's pocketfft, which handles mixed-radix extents
 (e.g. 700 = 2^2 * 5^2 * 7). Conventions pinned here and checked against a
@@ -33,6 +33,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -41,19 +42,25 @@ __all__ = [
     "dft_forward",
     "dft_inverse",
     "wavenumber_table",
+    "direction_symbols",
     "build_symbol",
     "symbol_exponential",
     "pointwise_apply",
 ]
 
 
-def wavenumber_table(n, interval):
-    """Per-direction wavenumbers for a periodic grid of n points on (a, b)."""
+def _check_direction(n, interval):
     a, b = interval
     if n < 2:
         raise ValueError("need at least two grid points per direction")
     if not b > a:
         raise ValueError(f"empty interval ({a}, {b})")
+    return a, b
+
+
+def wavenumber_table(n, interval):
+    """Per-direction wavenumbers for a periodic grid of n points on (a, b)."""
+    a, b = _check_direction(n, interval)
     modes = np.arange(n)
     modes = np.where(modes > n // 2, modes - n, modes)
     return modes * (2.0 * np.pi / (b - a))
@@ -72,11 +79,8 @@ class FourierGrid:
                            tuple((float(a), float(b)) for a, b in self.intervals))
         if len(self.extents) != len(self.intervals):
             raise ValueError("one interval per direction required")
-        for n, (a, b) in zip(self.extents, self.intervals):
-            if n < 2:
-                raise ValueError("need at least two grid points per direction")
-            if not b > a:
-                raise ValueError(f"empty interval ({a}, {b})")
+        for n, interval in zip(self.extents, self.intervals):
+            _check_direction(n, interval)
 
     @property
     def ndim(self):
@@ -248,31 +252,31 @@ def check_out(out, shape):
             f"out must be a complex128 array of shape {tuple(shape)}")
 
 
-def build_symbol(grid, params, advection_sign=0):
-    """Diagonal Fourier symbol of the linear part.
+def direction_symbols(grid, params, advection_sign=0):
+    """The linear part's symbol per direction, one 1-D array each.
 
-    value[j] = (alpha1 + i beta1) * (-sum_mu k_mu[j_mu]^2) + alpha2
-               + advection_sign * alpha0 * (i k_1[j_1])
+    s_mu[j] = (alpha1 + i beta1) * (-k_mu[j]^2); direction 0 also
+    carries alpha2 + advection_sign * alpha0 * (i k_1[j]). The full
+    symbol is their Kronecker sum, value[j] = sum_mu s_mu[j_mu].
 
     advection_sign is +1 for the first coupled component, -1 for the
     second, 0 for scalar problems.
     """
     if advection_sign not in (-1, 0, 1):
         raise ValueError("advection_sign must be -1, 0 or +1")
-    shape = grid.shape
-    ksq = np.zeros(shape)
-    for axis in range(grid.ndim):
-        k = grid.wavenumbers(axis)
-        expand = [None] * grid.ndim
-        expand[axis] = slice(None)
-        ksq = ksq + (k ** 2)[tuple(expand)]
-    symbol = params.diffusion * (-ksq) + params.alpha2
+    ks = [grid.wavenumbers(axis) for axis in range(grid.ndim)]
+    symbols = [params.diffusion * (-(k ** 2)) for k in ks]
+    symbols[0] = symbols[0] + params.alpha2
     if advection_sign != 0:
-        k1 = grid.wavenumbers(0)
-        expand = [None] * grid.ndim
-        expand[0] = slice(None)
-        symbol = symbol + advection_sign * params.alpha0 * (1j * k1[tuple(expand)])
-    return symbol
+        symbols[0] = symbols[0] + advection_sign * params.alpha0 * (1j * ks[0])
+    return symbols
+
+
+def build_symbol(grid, params, advection_sign=0):
+    """Diagonal Fourier symbol of the linear part: the Kronecker sum of
+    ``direction_symbols``, assembled by d - 1 broadcast additions."""
+    return reduce(np.add.outer, direction_symbols(grid, params,
+                                                  advection_sign))
 
 
 def symbol_exponential(symbol, tau):

@@ -133,3 +133,29 @@ def power_flow_ref(u0, t, a, b, p):
 
 def random_complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def dense_symbol(wavenumbers, diffusion, alpha2, advection=0.0):
+    """Full Fourier symbol summed on the whole grid:
+    diffusion * (-sum_mu k_mu^2) + alpha2 + advection * (i k_1)."""
+    shape = tuple(len(k) for k in wavenumbers)
+    ksq = np.zeros(shape)
+    for axis, k in enumerate(wavenumbers):
+        ksq = ksq + np.reshape(k, [-1 if a == axis else 1
+                                   for a in range(len(shape))]) ** 2
+    symbol = diffusion * (-ksq) + alpha2
+    if advection != 0.0:
+        k1 = np.reshape(wavenumbers[0], (-1,) + (1,) * (len(shape) - 1))
+        symbol = symbol + advection * (1j * k1)
+    return symbol
+
+
+def necklace_dense(axes, delta=1.2, radius=6.0, width=2.5, lobes=5,
+                   twist=3):
+    """The necklace ring evaluated on the full 3D mesh of nodes."""
+    x1, x2, x3 = np.meshgrid(*axes, indexing="ij")
+    rho = np.hypot(x1, x2)
+    theta = np.arctan2(x2, x1)
+    r = np.sqrt((rho - radius) ** 2 + x3 ** 2) / width
+    return (delta / np.cosh(r)) * np.cos(lobes * theta) \
+        * np.exp(1j * twist * theta)

@@ -16,7 +16,10 @@ from cglsolve.experiments import (available_presets, build_problem,
                                   smooth_modes_state, stability_sweep)
 from cglsolve.integrators import integrate
 from cglsolve.io import read_snapshot
+from cglsolve.operators import FourierOperator
 from cglsolve.params import CglParameters
+
+from oracles import dense_symbol, necklace_dense
 
 
 def test_preset_registry():
@@ -172,6 +175,15 @@ def test_necklace_matches_pointwise_formula():
     assert np.max(np.abs(u)) <= 1.2 + 1e-12
 
 
+@pytest.mark.parametrize("extents,intervals", [
+    ((12, 12, 8), ((-12.0, 12.0),) * 3),
+    ((20, 14, 9), ((-12.0, 12.0), (-9.0, 10.0), (-5.0, 5.0)))])
+def test_necklace_equals_the_dense_mesh_formula(extents, intervals):
+    cfg = replace(make_preset("cubic-quintic-3d-periodic"), extents=extents,
+                  intervals=intervals)
+    assert np.array_equal(necklace_state(cfg), necklace_dense(grid_axes(cfg)))
+
+
 def test_necklace_needs_three_directions():
     cfg = make_preset("cubic-2d-periodic")
     with pytest.raises(ValueError, match="3D"):
@@ -223,6 +235,24 @@ def test_prepare_coupled_initial_needs_compatible_grids():
     cfg = replace(make_preset("coupled-2d-periodic"), prerun_extent=300)
     with pytest.raises(ValueError, match="multiple"):
         prepare_coupled_initial(cfg)
+
+
+def test_paper_scale_coupled_initial_state_keeps_its_bits(monkeypatch):
+    # the 1D pre-run's symbol is its own Kronecker sum, so its
+    # exponentials, and the state they make, are those of the full
+    # symbol summed on the whole grid
+    cfg = make_preset("coupled-2d-periodic", paper_scale=True)
+    u0, v0 = prepare_coupled_initial(cfg)
+
+    def dense_operator(grid, params, advection_sign=0):
+        return FourierOperator(grid, [dense_symbol(
+            [grid.wavenumbers(0)], params.diffusion, params.alpha2,
+            advection_sign * params.alpha0)])
+
+    monkeypatch.setattr(experiments, "build_periodic_operator",
+                        dense_operator)
+    u1, v1 = prepare_coupled_initial(cfg)
+    assert np.array_equal(u0, u1) and np.array_equal(v0, v1)
 
 
 def test_relative_error_and_drift_helpers():
@@ -334,7 +364,7 @@ def test_run_preset_rejects_bad_frozen_probe_before_any_work(probe,
 
 @pytest.mark.parametrize("snapshots,out", [
     ((0,), True), ((11,), True), ((2.5,), True), ((True,), True),
-    (("3",), True), ((1, 2), False)])
+    (("3",), True), ((1, 2), False), (3, True)])
 def test_run_preset_rejects_bad_snapshot_steps_before_any_work(
         snapshots, out, tmp_path, monkeypatch):
     def no_build(config):

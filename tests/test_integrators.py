@@ -169,6 +169,15 @@ def test_integrate_rejects_bad_snapshot_steps(step):
     assert seen == []
 
 
+@pytest.mark.parametrize("steps", [3, 2.0, None])
+def test_integrate_rejects_snapshot_steps_that_are_not_a_collection(steps):
+    problem, _ = plane_wave_problem(n=16)
+    u0 = random_complex(np.random.default_rng(74), (16,))
+    with pytest.raises(ValueError, match="snapshot steps must be a "
+                                         "collection"):
+        integrate(problem, "if4", (u0,), 1.0, 4, snapshot_steps=steps)
+
+
 def test_integrate_is_deterministic():
     problem, exact = plane_wave_problem(n=24)
     u0 = dft_forward(exact(0.0))

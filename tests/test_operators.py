@@ -1,5 +1,6 @@
 """FD matrices (bit-exact rows, convergence order) and operator classes."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -17,9 +18,9 @@ from cglsolve.operators import (
     fd_second_derivative_dirichlet_neumann,
 )
 from cglsolve.params import CglParameters
-from cglsolve.spectral import FourierGrid
+from cglsolve.spectral import FourierGrid, symbol_exponential
 
-from oracles import kron_sum_matrix, random_complex, vec
+from oracles import dense_symbol, kron_sum_matrix, random_complex, vec
 
 PARAMS = CglParameters(alpha1=1.0, beta1=2.0, alpha2=1.0, alpha3=-1.0,
                        beta3=0.2)
@@ -167,8 +168,33 @@ def test_fourier_operator_exp_is_elementwise():
     rng = np.random.default_rng(53)
     u = random_complex(rng, (8, 6))
     got = op.exp_apply(exps[Fraction(1, 2)], u)
-    want = np.exp(0.5 * tau * op.symbol) * u
+    e0, e1 = (symbol_exponential(s, 0.5 * tau) for s in op.symbols)
+    want = (e0[:, None] * e1[None, :]) * u
     assert np.array_equal(got, want)
+
+
+def test_fourier_exponential_is_close_to_the_full_symbols():
+    g = FourierGrid((16, 12, 10), ((0.0, 10.0), (-3.0, 4.0), (0.0, 7.0)))
+    for sign in (-1, 0, 1):
+        op = build_periodic_operator(g, replace(PARAMS, alpha0=0.7), sign)
+        for f, e in op.prepare(0.3, [Fraction(1, 2), Fraction(1)]).items():
+            want = np.exp(float(f) * 0.3 * op.symbol)
+            assert e.shape == g.shape and e.flags.c_contiguous
+            assert np.allclose(e, want, rtol=1e-14, atol=0)
+
+
+def test_one_dimensional_fourier_exponential_keeps_its_bits():
+    # a 1-D symbol is its own Kronecker sum: the exponential is
+    # np.exp of the full symbol, bit for bit
+    g = FourierGrid((700,), ((0.0, 70.0),))
+    p = replace(PARAMS, alpha0=0.7)
+    for sign in (-1, 0, 1):
+        full = dense_symbol([g.wavenumbers(0)], p.diffusion, p.alpha2,
+                            sign * p.alpha0)
+        op = build_periodic_operator(g, p, sign)
+        assert np.array_equal(op.symbol, full)
+        e = op.prepare(0.0025, [Fraction(1, 2)])[Fraction(1, 2)]
+        assert np.array_equal(e, np.exp(0.5 * 0.0025 * full))
 
 
 def test_fourier_apply_is_pointwise_symbol():
@@ -227,14 +253,17 @@ GRID8 = FourierGrid((8,), ((0.0, 1.0),))
 @pytest.mark.parametrize("call,match", [
     (lambda: KroneckerOperator([]), "at least one direction"),
     (lambda: KroneckerOperator([np.eye(3), np.ones((3, 2))]), "square"),
-    (lambda: FourierOperator(GRID8, np.ones(7)), "symbol shape"),
+    (lambda: FourierOperator(GRID8, [np.ones(7)]), "symbol shape"),
+    (lambda: FourierOperator(FourierGrid((4, 4), ((0.0, 1.0),) * 2),
+                             [np.ones((4, 4))]), "symbol shape"),
     (lambda: BlockOperator([KroneckerOperator([np.eye(3)]),
                             KroneckerOperator([np.eye(4)])]), "shape"),
     (lambda: KroneckerOperator([np.eye(3)]).prepare(0.1, [Fraction(0)]),
      "fractions must be positive"),
-    (lambda: FourierOperator(GRID8, np.ones(8)).prepare(
+    (lambda: FourierOperator(GRID8, [np.ones(8)]).prepare(
         0.1, [Fraction(-1, 2)]), "fractions must be positive"),
-], ids=["no-direction", "non-square", "symbol-shape", "block-shapes",
+], ids=["no-direction", "non-square", "symbol-shape", "full-symbol",
+        "block-shapes",
         "zero-fraction", "negative-fraction"])
 def test_invalid_operator_input_is_rejected(call, match):
     with pytest.raises(ValueError, match=match):

@@ -43,7 +43,7 @@ def kronecker(rng, shape):
 
 def fourier(rng, shape):
     grid = FourierGrid(shape, ((0.0, 1.0),) * len(shape))
-    return FourierOperator(grid, random_complex(rng, shape))
+    return FourierOperator(grid, [random_complex(rng, (n,)) for n in shape])
 
 
 def exp_apply(op):

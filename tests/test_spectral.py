@@ -9,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cglsolve import spectral
 from cglsolve.params import CglParameters
@@ -17,12 +19,13 @@ from cglsolve.spectral import (
     build_symbol,
     dft_forward,
     dft_inverse,
+    direction_symbols,
     pointwise_apply,
     symbol_exponential,
     wavenumber_table,
 )
 
-from oracles import dft_direct, idft_direct, random_complex
+from oracles import dense_symbol, dft_direct, idft_direct, random_complex
 
 L = 100.0
 PARAMS = CglParameters(alpha1=1.0, beta1=2.0, alpha2=1.0, alpha3=-1.0,
@@ -255,6 +258,30 @@ def test_symbol_applied_to_plane_wave_is_laplacian():
     u = np.exp(1j * kappa * x)
     got = dft_inverse(pointwise_apply(s, dft_forward(u)))
     assert np.max(np.abs(got - (-kappa ** 2) * u)) <= 1e-11
+
+
+@settings(max_examples=40, deadline=None)
+@given(directions=st.lists(st.tuples(st.integers(2, 9),
+                                     st.floats(-50.0, 50.0),
+                                     st.floats(0.5, 100.0)),
+                           min_size=1, max_size=3),
+       sign=st.sampled_from([-1, 0, 1]))
+def test_symbol_is_the_kronecker_sum_of_direction_symbols(directions, sign):
+    p = CglParameters(alpha1=0.125, beta1=0.5, alpha2=-0.9, alpha0=-0.4)
+    g = FourierGrid([n for n, _, _ in directions],
+                    [(a, a + length) for _, a, length in directions])
+    got = build_symbol(g, p, sign)
+    parts = direction_symbols(g, p, sign)
+    assert [s.shape for s in parts] == [(n,) for n in g.shape]
+    kron_sum = np.zeros(g.shape, complex)
+    for j in np.ndindex(*g.shape):
+        kron_sum[j] = sum(s[i] for s, i in zip(parts, j))
+    dense = dense_symbol([g.wavenumbers(axis) for axis in range(g.ndim)],
+                         p.diffusion, p.alpha2, sign * p.alpha0)
+    scale = np.max(np.abs(dense))
+    assert got.shape == g.shape
+    assert np.max(np.abs(got - kron_sum)) <= 1e-14 * scale
+    assert np.max(np.abs(got - dense)) <= 1e-14 * scale
 
 
 def test_symbol_exponential_modulus():
