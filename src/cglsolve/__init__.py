@@ -18,7 +18,7 @@ from .operators import (KroneckerOperator, FourierOperator, BlockOperator,
                         build_fd_operator, build_periodic_operator)
 from .integrators import SCHEMES, Problem, IntegrationResult, integrate
 from .experiments import (ExperimentConfig, available_presets, make_preset,
-                          run_convergence_study, run_preset, stability_sweep)
+                          run_convergence_study, run_preset)
 
 __all__ = [
     "__version__", "CglParameters", "NonlinearSpec", "DivergenceError",
@@ -26,5 +26,5 @@ __all__ = [
     "build_fd_operator", "build_periodic_operator", "SCHEMES", "Problem",
     "IntegrationResult", "integrate", "ExperimentConfig",
     "available_presets", "make_preset", "run_convergence_study",
-    "run_preset", "stability_sweep",
+    "run_preset",
 ]

@@ -6,7 +6,9 @@
     cglsolve sweep --preset cubic-2d-dirichlet --stability --steps 10,20,40
 
 A JSON config file (--config) overrides preset fields; individual flags
-override both. Reports are written as CSV plus a JSON mirror.
+override both. Reports are written as CSV plus a JSON mirror. A
+--stability sweep is a convergence study without errors: its rows leave
+rel_err and order empty and record each run's status and diverged_at.
 """
 
 import argparse
@@ -16,7 +18,7 @@ import sys
 
 from .experiments import (available_presets, checked_snapshot_request,
                           config_from_dict, config_to_dict, make_preset,
-                          run_convergence_study, run_preset, stability_sweep)
+                          run_convergence_study, run_preset)
 from .integrators import SCHEMES
 from .io import write_csv, write_report
 
@@ -132,17 +134,9 @@ def _cmd_sweep(args, parser):
     schemes = ([s.strip() for s in args.schemes.split(",")]
                if args.schemes else sorted(SCHEMES))
     ladder = _ints(args.steps)
+    rows, meta = run_convergence_study(config, schemes, ladder,
+                                       errors=not args.stability)
     out_dir = _ensure_out(args)
-    if args.stability:
-        table = stability_sweep(config, schemes, ladder)
-        rows = [{"scheme": s, "steps": o["steps"], "tau":
-                 config.t_final / o["steps"], "seconds": o["seconds"],
-                 "rel_err": None, "observed_order": None,
-                 "status": "x" if o["diverged"] else "ok"}
-                for s in schemes for o in table[s]]
-        meta = {}
-    else:
-        rows, meta = run_convergence_study(config, schemes, ladder)
     _print_rows(rows, args.format, sys.stdout)
     # csv and json keep stdout machine-readable
     notes = sys.stdout if args.format == "table" else sys.stderr
@@ -189,7 +183,8 @@ def main(argv=None):
     p_sweep.add_argument("--steps", default=_DEFAULT_LADDER,
                          metavar="M1,M2,...", help="step-count ladder")
     p_sweep.add_argument("--stability", action="store_true",
-                         help="only record which runs survive")
+                         help="skip the reference and errors; only "
+                         "record which runs survive")
     p_sweep.add_argument("--format", choices=["table", "csv", "json"],
                          default="table")
     p_sweep.set_defaults(func=_cmd_sweep, parser=p_sweep)

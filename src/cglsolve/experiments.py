@@ -8,7 +8,7 @@ resolutions the benchmark tables were produced at, and
 looks its recipe up in ``_INITIAL_STATES``. Convergence studies measure
 against an exact plane-wave solution when one exists, otherwise against
 a fine-step reference cross-checked between two unrelated 4th-order
-schemes.
+schemes; a stability sweep is the same study without a reference.
 """
 
 import json
@@ -36,7 +36,7 @@ __all__ = [
     "necklace_state", "smooth_modes_state", "gaussian_profile",
     "prepare_coupled_initial", "relative_error", "relative_modulus_drift",
     "ReferenceMismatch", "run_convergence_study", "least_squares_orders",
-    "stability_sweep", "checked_snapshot_request", "run_preset",
+    "checked_snapshot_request", "run_preset",
 ]
 
 
@@ -366,7 +366,7 @@ def least_squares_orders(rows):
     return orders
 
 
-def run_convergence_study(config, schemes, step_counts):
+def run_convergence_study(config, schemes, step_counts, errors=True):
     """Error/order table for the given schemes over the step ladder.
 
     Returns (rows, meta): rows carry the report columns; meta records the
@@ -374,21 +374,34 @@ def run_convergence_study(config, schemes, step_counts):
     references) the agreement between the two independent reference
     runs. A reference disagreement above 10x the smallest measured error
     aborts the study.
+
+    With errors=False this is a stability sweep: no reference is
+    computed, every row's rel_err and observed_order are None and meta
+    is {}. Either way a row's status is "x" for a diverged run, with
+    diverged_at its failing step (0 when it did not diverge). Unknown
+    schemes and step counts that are not integers >= 1 are rejected
+    before any run; the ladder is sorted and de-duplicated.
     """
+    if not schemes:
+        raise ValueError("need at least one scheme")
     for scheme in schemes:
         if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}")
+    for m in step_counts:
+        _check_scalar("a step count", m, int)
+        if m < 1:
+            raise ValueError(f"a step count must be >= 1, got {m}")
     step_counts = sorted({int(m) for m in step_counts})
     if not step_counts:
         raise ValueError("need at least one step count")
     problem = build_problem(config)
     state0 = problem.from_physical(initial_state(config))
 
-    if config.ic == "plane_wave":
+    reference, agreement, meta = None, None, {}
+    if errors and config.ic == "plane_wave":
         reference = (plane_wave_state(config, config.t_final),)
         meta = {"reference": "exact plane wave"}
-        agreement = None
-    else:
+    elif errors:
         ref_steps = 8 * max(step_counts)
         first = integrate(problem, "if4", state0, config.t_final, ref_steps)
         second = integrate(problem, "split4", state0, config.t_final,
@@ -411,23 +424,22 @@ def run_convergence_study(config, schemes, step_counts):
     for scheme in schemes:
         previous = None
         for m in step_counts:
-            tau = config.t_final / m
             result = integrate(problem, scheme, state0, config.t_final, m)
-            if result.diverged:
-                rows.append({"scheme": scheme, "steps": m, "tau": tau,
-                             "seconds": result.seconds, "rel_err": None,
-                             "observed_order": None, "status": "x"})
+            row = {"scheme": scheme, "steps": m, "tau": config.t_final / m,
+                   "seconds": result.seconds, "rel_err": None,
+                   "observed_order": None,
+                   "status": "x" if result.diverged else "ok",
+                   "diverged_at": result.diverged_at}
+            rows.append(row)
+            if result.diverged or reference is None:
                 previous = None
                 continue
             err = relative_error(problem.to_physical(result.fields),
                                  reference)
-            order = None
+            row["rel_err"] = err
             if previous is not None and previous[1] > 0.0 and err > 0.0:
-                order = math.log(previous[1] / err) / math.log(
-                    m / previous[0])
-            rows.append({"scheme": scheme, "steps": m, "tau": tau,
-                         "seconds": result.seconds, "rel_err": err,
-                         "observed_order": order, "status": "ok"})
+                row["observed_order"] = math.log(previous[1] / err) \
+                    / math.log(m / previous[0])
             previous = (m, err)
         if previous is not None:
             finest.append(previous[1])
@@ -439,26 +451,9 @@ def run_convergence_study(config, schemes, step_counts):
                 f"independent reference runs differ by {agreement:.3e}, "
                 f"more than 10x the smallest measured error "
                 f"{min(finest):.3e}")
-    meta["orders"] = least_squares_orders(rows)
+    if errors:
+        meta["orders"] = least_squares_orders(rows)
     return rows, meta
-
-
-def stability_sweep(config, schemes, step_counts):
-    """Which schemes survive which step counts; no reference needed."""
-    problem = build_problem(config)
-    state0 = problem.from_physical(initial_state(config))
-    table = {}
-    for scheme in schemes:
-        outcomes = []
-        for m in step_counts:
-            result = integrate(problem, scheme, state0, config.t_final,
-                               int(m))
-            outcomes.append({"steps": int(m),
-                             "diverged": result.diverged,
-                             "diverged_at": result.diverged_at,
-                             "seconds": result.seconds})
-        table[scheme] = outcomes
-    return table
 
 
 def checked_snapshot_request(snapshot_steps, steps, out_dir):

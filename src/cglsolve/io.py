@@ -35,7 +35,7 @@ _MAGIC = b"CGLS"
 _VERSION = 1
 
 REPORT_COLUMNS = ("scheme", "steps", "tau", "seconds", "rel_err",
-                  "observed_order", "status")
+                  "observed_order", "status", "diverged_at")
 
 
 def write_snapshot(path, fields, time, grids):

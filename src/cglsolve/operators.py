@@ -38,8 +38,6 @@ from .tensors import kron_sum_apply, tucker_apply
 
 __all__ = [
     "fd_second_derivative",
-    "fd_second_derivative_dirichlet",
-    "fd_second_derivative_dirichlet_neumann",
     "fd_nodes",
     "KroneckerOperator",
     "FourierOperator",
@@ -85,16 +83,6 @@ def fd_second_derivative(kind, n, length):
     num[n - 2, n - len(penultimate):] = penultimate
     num[n - 1, n - len(last):] = last
     return num / (12.0 * h * h)
-
-
-def fd_second_derivative_dirichlet(n, length):
-    """Fourth-order D2 with u(0) = u(length) = 0 on the n interior nodes."""
-    return fd_second_derivative("dirichlet", n, length)
-
-
-def fd_second_derivative_dirichlet_neumann(n, length):
-    """Fourth-order D2 with u(0) = 0 and u'(length) = 0 on n nodes."""
-    return fd_second_derivative("dirichlet_neumann", n, length)
 
 
 def fd_nodes(kind, n, length):

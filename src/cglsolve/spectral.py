@@ -33,7 +33,6 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -43,7 +42,6 @@ __all__ = [
     "dft_inverse",
     "wavenumber_table",
     "direction_symbols",
-    "build_symbol",
     "symbol_exponential",
     "pointwise_apply",
 ]
@@ -270,13 +268,6 @@ def direction_symbols(grid, params, advection_sign=0):
     if advection_sign != 0:
         symbols[0] = symbols[0] + advection_sign * params.alpha0 * (1j * ks[0])
     return symbols
-
-
-def build_symbol(grid, params, advection_sign=0):
-    """Diagonal Fourier symbol of the linear part: the Kronecker sum of
-    ``direction_symbols``, assembled by d - 1 broadcast additions."""
-    return reduce(np.add.outer, direction_symbols(grid, params,
-                                                  advection_sign))
 
 
 def symbol_exponential(symbol, tau):

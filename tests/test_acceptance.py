@@ -14,16 +14,14 @@ from fractions import Fraction
 import numpy as np
 
 from cglsolve.experiments import (build_problem, initial_state, make_preset,
-                                  run_convergence_study, run_preset,
-                                  stability_sweep)
+                                  run_convergence_study, run_preset)
 from cglsolve.flows import cubic_flow, quintic_flow
 from cglsolve.integrators import integrate
 from cglsolve.io import read_snapshot, write_snapshot
 from cglsolve.linalg import expm_pade
 from cglsolve.operators import (BlockOperator, KroneckerOperator,
                                 build_periodic_operator,
-                                fd_second_derivative_dirichlet,
-                                fd_second_derivative_dirichlet_neumann)
+                                fd_second_derivative)
 from cglsolve.params import CglParameters
 from cglsolve.spectral import FourierGrid
 from cglsolve.tensors import kron_sum_apply, tucker_apply
@@ -118,10 +116,11 @@ def test_criterion_03_exponential_factorization():
 def test_criterion_04_fd_operators():
     t0 = time.perf_counter()
     exact = all(
-        np.array_equal(fd_second_derivative_dirichlet(n, 87.5),
+        np.array_equal(fd_second_derivative("dirichlet", n, 87.5),
                        expected_dirichlet(n, 87.5))
         for n in (6, 7, 10, 33)) and all(
-        np.array_equal(fd_second_derivative_dirichlet_neumann(n, 87.5),
+        np.array_equal(fd_second_derivative("dirichlet_neumann", n,
+                                            87.5),
                        expected_dirichlet_neumann(n, 87.5))
         for n in (7, 8, 11, 40))
     length = 10.0
@@ -193,12 +192,13 @@ def test_criterion_07_stability_pattern():
     cfg = make_preset("cubic-2d-dirichlet")
     survivors = ("strang", "split4", "if2", "if4")
     ladder = [10, 20, 40]
-    table = stability_sweep(cfg, ["rk2", "rk4", *survivors], ladder)
+    rows, _ = run_convergence_study(cfg, ["rk2", "rk4", *survivors], ladder,
+                                    errors=False)
+    diverged = {(r["scheme"], r["steps"]): r["status"] == "x" for r in rows}
     witness = None
-    for i, m in enumerate(ladder):
-        explicit_die = (table["rk2"][i]["diverged"]
-                        and table["rk4"][i]["diverged"])
-        others_live = all(not table[s][i]["diverged"] for s in survivors)
+    for m in ladder:
+        explicit_die = diverged["rk2", m] and diverged["rk4", m]
+        others_live = all(not diverged[s, m] for s in survivors)
         if explicit_die and others_live:
             witness = m
             break

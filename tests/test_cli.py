@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cglsolve import cli
+from cglsolve import cli, experiments
 from cglsolve.cli import main
 from cglsolve.experiments import available_presets, config_to_dict, make_preset
 
@@ -67,6 +67,16 @@ def test_sweep_stability_mode(capsys):
     out = capsys.readouterr().out
     assert "rk4,10" in out and ",x" in out
     assert "strang,10" in out and ",ok" in out
+
+
+def test_sweep_stability_json_rows_carry_diverged_at(capsys):
+    rc = main(["sweep", "--preset", "cubic-2d-dirichlet", "--stability",
+               "--schemes", "rk4,strang", "--steps", "10", "--format",
+               "json"])
+    assert rc == 0
+    rk4, strang = json.loads(capsys.readouterr().out)
+    assert rk4["status"] == "x" and rk4["diverged_at"] >= 1
+    assert strang["status"] == "ok" and strang["diverged_at"] == 0
 
 
 def test_missing_config_is_a_usage_error():
@@ -203,6 +213,34 @@ def test_sweep_json_output_is_json_alone(capsys):
     rows = json.loads(captured.out)
     assert [r["steps"] for r in rows] == [10, 20]
     assert "least-squares order strang" in captured.err
+
+
+def _no_integrate(monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(experiments, "integrate", no_run)
+
+
+def test_sweep_unknown_scheme_is_a_usage_error_before_any_run(capsys,
+                                                              monkeypatch):
+    _no_integrate(monkeypatch)
+    code, err = _usage_error(["sweep", "--preset", "plane-wave-1d",
+                              "--stability", "--schemes", "strang,warp",
+                              "--steps", "10"], capsys)
+    assert code == 2
+    assert "unknown scheme 'warp'" in err
+
+
+def test_sweep_zero_steps_is_a_usage_error_before_any_run(tmp_path, capsys,
+                                                          monkeypatch):
+    _no_integrate(monkeypatch)
+    code, err = _usage_error(["sweep", "--preset", "plane-wave-1d",
+                              "--steps", "0,10", "--out",
+                              str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert "step count" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_table_output(capsys):

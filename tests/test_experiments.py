@@ -13,7 +13,7 @@ from cglsolve.experiments import (available_presets, build_problem,
                                   plane_wave_state, prepare_coupled_initial,
                                   relative_error, relative_modulus_drift,
                                   run_convergence_study, run_preset,
-                                  smooth_modes_state, stability_sweep)
+                                  smooth_modes_state)
 from cglsolve.integrators import integrate
 from cglsolve.io import read_snapshot
 from cglsolve.operators import FourierOperator
@@ -305,14 +305,32 @@ def test_convergence_study_validates_input():
         run_convergence_study(cfg, ["warp"], [10])
     with pytest.raises(ValueError, match="step count"):
         run_convergence_study(cfg, ["strang"], [])
+    with pytest.raises(ValueError, match="at least one scheme"):
+        run_convergence_study(cfg, [], [10])
+
+
+@pytest.mark.parametrize("steps", [0, -4, 10.7, True, "12"])
+def test_convergence_study_rejects_bad_step_counts_before_any_run(
+        steps, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(experiments, "integrate", no_run)
+    cfg = make_preset("cubic-2d-dirichlet")
+    with pytest.raises(ValueError, match="step count"):
+        run_convergence_study(cfg, ["if4"], [steps, 20])
 
 
 def test_stability_sweep_shows_explicit_blowup():
     cfg = make_preset("cubic-2d-dirichlet")
-    table = stability_sweep(cfg, ["rk4", "strang"], [10])
-    assert table["rk4"][0]["diverged"]
-    assert table["rk4"][0]["diverged_at"] >= 1
-    assert not table["strang"][0]["diverged"]
+    rows, meta = run_convergence_study(cfg, ["rk4", "strang"], [10],
+                                       errors=False)
+    rk4, strang = rows
+    assert rk4["scheme"] == "rk4" and rk4["status"] == "x"
+    assert rk4["diverged_at"] >= 1
+    assert strang["status"] == "ok" and strang["diverged_at"] == 0
+    assert strang["rel_err"] is None and strang["observed_order"] is None
+    assert meta == {}
 
 
 def test_run_preset_writes_snapshots_and_summary(tmp_path):

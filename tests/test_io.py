@@ -102,15 +102,18 @@ def test_snapshot_validates_shapes(tmp_path):
 def test_report_csv_and_json_mirror(tmp_path):
     rows = [
         {"scheme": "strang", "steps": 10, "tau": 0.1, "seconds": 0.5,
-         "rel_err": 1.5e-4, "observed_order": None, "status": "ok"},
+         "rel_err": 1.5e-4, "observed_order": None, "status": "ok",
+         "diverged_at": 0},
         {"scheme": "rk4", "steps": 10, "tau": 0.1, "seconds": 0.2,
-         "rel_err": None, "observed_order": None, "status": "x"},
+         "rel_err": None, "observed_order": None, "status": "x",
+         "diverged_at": 3},
     ]
     csv_path, json_path = write_report(tmp_path / "report", rows)
     text = open(csv_path).read().splitlines()
-    assert text[0] == "scheme,steps,tau,seconds,rel_err,observed_order,status"
+    assert text[0] == ("scheme,steps,tau,seconds,rel_err,observed_order,"
+                       "status,diverged_at")
     assert text[1].startswith("strang,10,0.1,0.5,0.00015,")
-    assert text[2] == "rk4,10,0.1,0.2,,,x"
+    assert text[2] == "rk4,10,0.1,0.2,,,x,3"
     mirror = json.load(open(json_path))
     assert mirror == rows
 

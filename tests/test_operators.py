@@ -14,8 +14,7 @@ from cglsolve.operators import (
     build_fd_operator,
     build_periodic_operator,
     fd_nodes,
-    fd_second_derivative_dirichlet,
-    fd_second_derivative_dirichlet_neumann,
+    fd_second_derivative,
 )
 from cglsolve.params import CglParameters
 from cglsolve.spectral import FourierGrid, symbol_exponential
@@ -52,32 +51,32 @@ def expected_dirichlet_neumann(n, length):
 
 @pytest.mark.parametrize("n", [6, 7, 10, 33])
 def test_dirichlet_rows_bit_exact(n):
-    got = fd_second_derivative_dirichlet(n, 10.0)
+    got = fd_second_derivative("dirichlet", n, 10.0)
     assert np.array_equal(got, expected_dirichlet(n, 10.0))
 
 
 @pytest.mark.parametrize("n", [7, 8, 11, 40])
 def test_dirichlet_neumann_rows_bit_exact(n):
-    got = fd_second_derivative_dirichlet_neumann(n, 10.0)
+    got = fd_second_derivative("dirichlet_neumann", n, 10.0)
     assert np.array_equal(got, expected_dirichlet_neumann(n, 10.0))
 
 
 def test_minimum_sizes_enforced():
     with pytest.raises(ValueError):
-        fd_second_derivative_dirichlet(5, 1.0)
+        fd_second_derivative("dirichlet", 5, 1.0)
     with pytest.raises(ValueError):
-        fd_second_derivative_dirichlet_neumann(6, 1.0)
+        fd_second_derivative("dirichlet_neumann", 6, 1.0)
 
 
 def test_dirichlet_row_sums_except_boundary_rows():
     # centered interior rows annihilate constants
-    d2 = fd_second_derivative_dirichlet(12, 3.0)
+    d2 = fd_second_derivative("dirichlet", 12, 3.0)
     sums = d2.sum(axis=1)
     assert np.allclose(sums[2:-2], 0.0, atol=1e-10)
 
 
 def dirichlet_apply_error(n, length):
-    d2 = fd_second_derivative_dirichlet(n, length)
+    d2 = fd_second_derivative("dirichlet", n, length)
     x = fd_nodes("dirichlet", n, length)
     f = np.sin(np.pi * x / length)
     want = -((np.pi / length) ** 2) * f
@@ -85,7 +84,7 @@ def dirichlet_apply_error(n, length):
 
 
 def dirichlet_neumann_apply_error(n, length):
-    d2 = fd_second_derivative_dirichlet_neumann(n, length)
+    d2 = fd_second_derivative("dirichlet_neumann", n, length)
     x = fd_nodes("dirichlet_neumann", n, length)
     # vanishes at 0, derivative vanishes at the right endpoint
     f = np.sin(np.pi * x / (2.0 * length))
@@ -119,7 +118,7 @@ def test_fd_nodes():
 
 def test_build_fd_operator_distributes_alpha2():
     op = build_fd_operator(PARAMS, (8, 8), (10.0, 10.0), "dirichlet")
-    d2 = fd_second_derivative_dirichlet(8, 10.0)
+    d2 = fd_second_derivative("dirichlet", 8, 10.0)
     want = PARAMS.diffusion * d2 + (PARAMS.alpha2 / 2.0) * np.eye(8)
     assert np.allclose(op.matrices[0], want, rtol=0, atol=1e-15)
     # kron sum of the two factors carries alpha2 exactly once

@@ -13,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cglsolve import spectral
+from cglsolve.operators import build_periodic_operator
 from cglsolve.params import CglParameters
 from cglsolve.spectral import (
     FourierGrid,
-    build_symbol,
     dft_forward,
     dft_inverse,
     direction_symbols,
@@ -218,13 +218,13 @@ def test_spectral_derivative_is_exact_on_modes():
 
 def test_symbol_zero_mode_is_alpha2():
     g = FourierGrid((8, 6), ((0.0, L), (0.0, 50.0)))
-    s = build_symbol(g, PARAMS)
+    s = build_periodic_operator(g, PARAMS).symbol
     assert s[0, 0] == PARAMS.alpha2
 
 
 def test_symbol_matches_loop_reference():
     g = FourierGrid((6, 5), ((0.0, L), (-3.0, 4.0)))
-    s = build_symbol(g, PARAMS)
+    s = build_periodic_operator(g, PARAMS).symbol
     k0 = g.wavenumbers(0)
     k1 = g.wavenumbers(1)
     for i in range(6):
@@ -239,20 +239,20 @@ def test_symbol_advection_sign():
                       alpha3=1.0, beta3=0.8, alpha4=-0.1, beta4=-0.6,
                       alpha5=0.5)
     g = FourierGrid((8, 4), ((0.0, 70.0), (0.0, 35.0)))
-    plus = build_symbol(g, p, advection_sign=+1)
-    minus = build_symbol(g, p, advection_sign=-1)
+    plus = build_periodic_operator(g, p, advection_sign=+1).symbol
+    minus = build_periodic_operator(g, p, advection_sign=-1).symbol
     k1 = g.wavenumbers(0)[:, None]
     assert np.allclose(plus - minus, 2j * p.alpha0 * np.broadcast_to(
         k1, g.shape), rtol=0, atol=1e-14)
     with pytest.raises(ValueError):
-        build_symbol(g, p, advection_sign=2)
+        build_periodic_operator(g, p, advection_sign=2)
 
 
 def test_symbol_applied_to_plane_wave_is_laplacian():
     g = FourierGrid((16,), ((0.0, L),))
     x = g.nodes(0)
     p = CglParameters(alpha1=1.0)
-    s = build_symbol(g, p)
+    s = build_periodic_operator(g, p).symbol
     m = 3
     kappa = 2.0 * np.pi * m / L
     u = np.exp(1j * kappa * x)
@@ -270,7 +270,7 @@ def test_symbol_is_the_kronecker_sum_of_direction_symbols(directions, sign):
     p = CglParameters(alpha1=0.125, beta1=0.5, alpha2=-0.9, alpha0=-0.4)
     g = FourierGrid([n for n, _, _ in directions],
                     [(a, a + length) for _, a, length in directions])
-    got = build_symbol(g, p, sign)
+    got = build_periodic_operator(g, p, sign).symbol
     parts = direction_symbols(g, p, sign)
     assert [s.shape for s in parts] == [(n,) for n in g.shape]
     kron_sum = np.zeros(g.shape, complex)
@@ -286,7 +286,7 @@ def test_symbol_is_the_kronecker_sum_of_direction_symbols(directions, sign):
 
 def test_symbol_exponential_modulus():
     g = FourierGrid((8, 8), ((0.0, L), (0.0, L)))
-    s = build_symbol(g, PARAMS)
+    s = build_periodic_operator(g, PARAMS).symbol
     tau = 0.37
     e = symbol_exponential(s, tau)
     assert np.allclose(np.abs(e), np.exp(tau * s.real), rtol=1e-13, atol=0)
