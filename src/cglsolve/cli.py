@@ -16,9 +16,10 @@ import json
 import os
 import sys
 
-from .experiments import (available_presets, checked_snapshot_request,
-                          config_from_dict, config_to_dict, make_preset,
-                          run_convergence_study, run_preset)
+from .experiments import (available_presets, checked_frozen_probe,
+                          checked_snapshot_request, config_from_dict,
+                          config_to_dict, make_preset, run_convergence_study,
+                          run_preset)
 from .integrators import SCHEMES
 from .io import write_csv, write_report
 
@@ -105,8 +106,6 @@ def _cmd_preset(args, parser):
 
 
 def _cmd_run(args, parser):
-    if args.frozen_probe < 0:
-        parser.error(f"--frozen-probe must be >= 0, got {args.frozen_probe}")
     config = _resolve_config(args, parser)
     if args.steps is not None:
         from dataclasses import replace
@@ -116,6 +115,10 @@ def _cmd_run(args, parser):
                                              config.steps, args.out)
     except ValueError as err:
         parser.error(f"--snapshots: {err}")
+    try:
+        checked_frozen_probe(args.frozen_probe)
+    except ValueError as err:
+        parser.error(f"--frozen-probe: {err}")
     out_dir = _ensure_out(args)
     summary, _ = run_preset(config, snapshot_steps=snapshots,
                             out_dir=out_dir,

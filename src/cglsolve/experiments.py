@@ -36,7 +36,7 @@ __all__ = [
     "necklace_state", "smooth_modes_state", "gaussian_profile",
     "prepare_coupled_initial", "relative_error", "relative_modulus_drift",
     "ReferenceMismatch", "run_convergence_study", "least_squares_orders",
-    "checked_snapshot_request", "run_preset",
+    "checked_snapshot_request", "checked_frozen_probe", "run_preset",
 ]
 
 
@@ -464,6 +464,14 @@ def checked_snapshot_request(snapshot_steps, steps, out_dir):
     return snapshot_steps
 
 
+def checked_frozen_probe(steps):
+    """frozen_probe_steps, else ValueError unless it is an integer >= 0."""
+    _check_scalar("frozen_probe_steps", steps, int)
+    if steps < 0:
+        raise ValueError(f"frozen_probe_steps must be >= 0, got {steps}")
+    return steps
+
+
 def run_preset(config, snapshot_steps=(), out_dir=None,
                frozen_probe_steps=0):
     """One integration of a config; optional snapshots and summary file.
@@ -473,9 +481,7 @@ def run_preset(config, snapshot_steps=(), out_dir=None,
     drift over the continuation is reported (a frozen state shows a
     drift near zero).
     """
-    _check_scalar("frozen_probe_steps", frozen_probe_steps, int)
-    if frozen_probe_steps < 0:
-        raise ValueError("frozen_probe_steps must be >= 0")
+    checked_frozen_probe(frozen_probe_steps)
     snapshot_steps = checked_snapshot_request(snapshot_steps, config.steps,
                                               out_dir)
     problem = build_problem(config)
@@ -507,8 +513,7 @@ def run_preset(config, snapshot_steps=(), out_dir=None,
         "diverged_at": result.diverged_at,
         "reason": result.reason,
         "t_reached": reached,
-        "max_modulus": None if result.diverged else
-        max(float(np.max(np.abs(u))) for u in physical),
+        "max_modulus": max(float(np.max(np.abs(u))) for u in physical),
     }
     if frozen_probe_steps and not result.diverged:
         probe = integrate(problem, config.scheme, result.fields,

@@ -93,7 +93,7 @@ class Scheme:
         if self.tableau is None:
             found = {f for term, f in self.maps + self.coarse if term == "K"}
         else:
-            found = {group[0] for groups, _ in _rows(self.tableau, 1.0)
+            found = {group[0] for groups, *_ in _rows(self.tableau, 1.0)
                      for group in groups}
         return tuple(sorted(found - {0, None}))
 
@@ -130,9 +130,11 @@ class Problem:
 
     # -- representation plumbing -------------------------------------
     def to_physical(self, fields):
+        """Grid values, F-ordered like a snapshot's payload."""
         if not self.fourier:
             return fields
-        return tuple(dft_inverse(u) for u in fields)
+        return tuple(dft_inverse(u, out=np.empty(u.shape, complex, order="F"))
+                     for u in fields)
 
     def from_physical(self, fields):
         if not self.fourier:
@@ -303,15 +305,21 @@ def _rhs(p, fields, ws, owned=False):
 
 @lru_cache(maxsize=64)
 def _rows(tableau, h):
-    """Rows 2.. of a tableau for step h as (groups, last reads).
+    """A tableau's step h as a plan: (groups, last reads, stage) entries
+    in the order they run.
 
     Stage i is E(c_i) u + h sum_j a_ij E(c_i - c_j) k_j with E(f) =
     exp(f h K), E = 1 without ``lawson``; b is a last row with c = 1. A
-    group (fraction, c, terms) sums the terms (coefficient, source) under
-    one E (None for 0), stage values k[j] first, u = k[0] last; equal
+    group (fraction, c, terms) sums the terms (coefficient, slot of k)
+    under one E (None for 0), stage values first, u = k[0] last; equal
     coefficients, as of one term, are applied after E as c. u's group,
-    the largest E, is first. A row's last reads are the stage values
-    (j >= 1) that no later row reads.
+    the largest E, is first.
+
+    k holds u, k_1 and each entry's value but the last, the step's: a sum
+    feeds f if ``stage``, else fills a slot. A group of two or more terms
+    whose stages exist before its row's newest is summed as soon as its
+    last stage exists, and its row reads that slot, so those stages are
+    written over early. Last reads: slots (j >= 1) no later entry reads.
     """
     nodes = [sum(row, Fraction(0)) for row in tableau.a] + [_ONE]
     rows = []
@@ -328,29 +336,44 @@ def _rows(tableau, h):
             c = terms[0][0] if len({coef for coef, _ in terms}) == 1 else 1
             terms = tuple((coef / c, source) for coef, source in terms)
             groups.append((fraction or None, c, terms))
-        rows.append(tuple(groups))
-    last = {source: r for r, groups in enumerate(rows)
-            for _, _, terms in groups for _, source in terms if source}
-    return tuple((groups, frozenset(j for j, r in last.items() if r == i))
-                 for i, groups in enumerate(rows))
+        rows.append(groups)
+    # stage i + 1 is the newest when row i runs; slot maps stages and
+    # early sums, keyed (row, group), to their places in k
+    slot, plan = {0: 0, 1: 1}, []
+    for i, groups in enumerate(rows):
+        for r in range(i + 1, len(rows)):
+            for g, (fraction, c, terms) in enumerate(rows[r]):
+                if len(terms) > 1 and max(j for _, j in terms) == i + 1:
+                    plan.append(([(None, 1, terms)], False))
+                    slot[r, g] = len(slot)
+                    rows[r][g] = (fraction, c, ((1, (r, g)),))
+        plan.append((groups, True))
+        slot[i + 2] = len(slot)
+    plan = [(tuple((fraction, c, tuple((coef, slot[j]) for coef, j in terms))
+                   for fraction, c, terms in groups), stage)
+            for groups, stage in plan]
+    last = {j: e for e, (groups, _) in enumerate(plan)
+            for _, _, terms in groups for _, j in terms if j}
+    return tuple((groups, frozenset(j for j, e in last.items() if e == i),
+                  stage) for i, (groups, stage) in enumerate(plan))
 
 
-def _run_tableau(rows, f, expk, ws, u):
+def _run_tableau(plan, f, expk, ws, u):
     """One step from u, which is never written; f(U, ws, owned) is a
     stage's value, computed in U's arrays if the step owns them."""
     k = [u, f(u, ws)]
-    for groups, dead in rows[:-1]:
-        stage, owned = _row_sum(groups, dead, k, expk, ws)
-        k.append(f(stage, ws, owned))
-    return _row_sum(*rows[-1], k, expk, ws)[0]
+    for groups, dead, stage in plan[:-1]:
+        x, owned = _row_sum(groups, dead, k, expk, ws)
+        k.append(f(x, ws, owned) if stage else x)
+    return _row_sum(*plan[-1][:2], k, expk, ws)[0]
 
 
 def _row_sum(groups, dead, k, expk, ws):
-    """A row's sum and whether the step owns its arrays.
+    """An entry's sum and whether the step owns its arrays.
 
-    The stage values in ``dead`` are read by no later row: each is written
-    over by its group's sum or its exponential, or given back once read.
-    A sum is written into its first term's arrays if the step owns them.
+    The slots in ``dead`` are read by no later entry: each is written over
+    by its group's sum or its exponential, or given back once read. A sum
+    is written into its first term's arrays if the step owns them.
     """
     parts = []
     for exponential, c, terms in groups:
@@ -397,11 +420,11 @@ def _stepper(p, scheme, tau, exponentials, like):
     times, so a step looks nothing up."""
     ws = _Workspace(like)
     if scheme.tableau is not None:
-        rows = tuple((tuple((frac and exponentials[frac], c, terms)
-                            for frac, c, terms in groups), dead)
-                     for groups, dead in _rows(scheme.tableau, tau))
+        plan = tuple((tuple((frac and exponentials[frac], c, terms)
+                            for frac, c, terms in groups), dead, stage)
+                     for groups, dead, stage in _rows(scheme.tableau, tau))
         f = p.g if scheme.tableau.lawson else partial(_rhs, p)
-        return partial(_run_tableau, rows, f, p.expk, ws)
+        return partial(_run_tableau, plan, f, p.expk, ws)
 
     def bound(maps):
         return tuple((term, exponentials[f] if term == "K"

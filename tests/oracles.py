@@ -124,6 +124,19 @@ def rk4_ode_ref(f, u0, t, substeps=4096):
     return u
 
 
+def lawson_rk4_ref(expk, g, u, tau):
+    """One Lawson-RK4 step of u' = K u + g(u) in textbook form, with
+    expk(f, v) = exp(f tau K) v: the classical RK4 stages on g, each
+    carried to its node by the exponential, and the weights applied to
+    every stage transported to the step's end."""
+    k1 = g(u)
+    k2 = g(expk(0.5, u + (0.5 * tau) * k1))
+    k3 = g(expk(0.5, u) + (0.5 * tau) * k2)
+    k4 = g(expk(1.0, u) + tau * expk(0.5, k3))
+    return expk(1.0, u) + (tau / 6.0) * (expk(1.0, k1) + 2.0 * expk(0.5, k2)
+                                         + 2.0 * expk(0.5, k3) + k4)
+
+
 def power_flow_ref(u0, t, a, b, p):
     """Exact flow of u' = (a + i b)|u|^p u as one whole-array formula."""
     u0 = np.asarray(u0, dtype=complex)

@@ -359,6 +359,8 @@ def test_run_preset_writes_the_last_finite_state_on_divergence(tmp_path):
     assert t == summary["t_reached"]
     assert all(np.all(np.isfinite(u)) for u in fields)
     assert all(np.array_equal(a, b) for a, b in zip(fields, physical))
+    assert summary["max_modulus"] == max(float(np.max(np.abs(u)))
+                                         for u in fields)
 
 
 def test_run_preset_frozen_probe_on_steady_orbit():

@@ -8,7 +8,7 @@ import pytest
 
 from cglsolve import integrators, operators, spectral
 from cglsolve.experiments import build_problem, initial_state, make_preset
-from cglsolve.flows import NonlinearSpec
+from cglsolve.flows import NonlinearSpec, eval_g
 from cglsolve.integrators import SCHEMES, IntegrationResult, Problem, integrate
 from cglsolve.linalg import expm_pade
 from cglsolve.operators import (
@@ -20,7 +20,8 @@ from cglsolve.operators import (
 from cglsolve.params import CglParameters
 from cglsolve.spectral import FourierGrid, dft_forward
 
-from oracles import kron_sum_matrix, random_complex, unvec, vec
+from oracles import (expm_taylor_ref, kron_sum_matrix, lawson_rk4_ref,
+                     random_complex, unvec, vec)
 
 CUBIC = CglParameters(alpha1=1.0, beta1=2.0, alpha2=1.0, alpha3=-1.0,
                       beta3=0.2)
@@ -470,6 +471,21 @@ def initial_fields(problem, seed):
     return tuple(np.asfortranarray(u) for u in fields)  # as the solver's
 
 
+@pytest.mark.parametrize("name,shape", [("fourier", (8, 7, 6)),
+                                        ("fourier", (32, 32, 32)),
+                                        ("coupled", (12, 10))])
+def test_to_physical_is_an_f_ordered_ifftn(name, shape):
+    # F order is a snapshot's payload order, so writing one copies nothing;
+    # (32, 32, 32) takes the threaded transform
+    problem = problem_of(name, shape)
+    rng = np.random.default_rng(79)
+    coefficients = tuple(random_complex(rng, shape)
+                         for _ in range(problem.nonlinear.components))
+    for u, x in zip(problem.to_physical(coefficients), coefficients):
+        assert u.flags.f_contiguous
+        assert np.array_equal(u, np.fft.ifftn(x))
+
+
 RUNNABLE = sorted(k for k, v in STEP_CALLS.items() if v is not None)
 
 
@@ -515,7 +531,7 @@ def test_states_kept_by_the_caller_are_never_written(name, scheme):
 STEP_PEAK = {
     "fd": {"rk2": 2, "rk4": 4, "if2": 3, "if4": 5, "strang": 2,
            "strang_3t": 2, "split4": 3, "split4_3t": 3},
-    "fourier": {"rk2": 2, "rk4": 4, "if2": 2, "if4": 5, "strang": 5,
+    "fourier": {"rk2": 2, "rk4": 4, "if2": 2, "if4": 4, "strang": 5,
                 "strang_3t": 1, "split4": 6, "split4_3t": 2},
 }
 
@@ -538,3 +554,35 @@ def test_workspace_holds_a_steps_peak(scheme, name, monkeypatch):
     # each step's result leaves the workspace: one new tuple a step after
     # the first step's peak
     assert sum(made) == STEP_PEAK[name][scheme] + 2
+
+
+@pytest.mark.parametrize("name", ["fd", "fourier", "coupled"])
+def test_if4_steps_equal_the_textbook_lawson_rk4(name):
+    # the planned step (sums made early, stages written over) against the
+    # textbook formula with dense exponentials, on stacked components
+    problem = counting_problem(name)
+    u = np.stack(initial_fields(problem, 78))
+    tau, blocks, shape = 0.01, problem.operator.blocks, problem.operator.shape
+    if problem.fourier:
+        def expk(f, v):
+            return np.stack([np.exp(f * tau * b.symbol) * x
+                             for b, x in zip(blocks, v)])
+
+        def g(v):
+            phys = eval_g(problem.nonlinear, [np.fft.ifftn(x) for x in v])
+            return np.stack([np.fft.fftn(x) for x in phys])
+    else:
+        dense = {f: expm_taylor_ref(kron_sum_matrix(blocks[0].matrices),
+                                    f * tau) for f in (0.5, 1.0)}
+
+        def expk(f, v):
+            return unvec(dense[f] @ vec(v[0]), shape)[None]
+
+        def g(v):
+            return np.stack(eval_g(problem.nonlinear, tuple(v)))
+    want = u
+    for _ in range(3):
+        want = lawson_rk4_ref(expk, g, want, tau)
+    res = integrate(problem, "if4", tuple(u), 3 * tau, 3)
+    got = np.stack(res.fields)
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
