@@ -12,8 +12,11 @@ Snapshot layout (all little-endian):
              first-index-fastest as (f64 re, f64 im) pairs
 
 A text sidecar "<path>.grid.txt" holds one whitespace-separated line of
-node coordinates per direction. Reports are written as a CSV table and a
-JSON mirror with identical content.
+node coordinates per direction. Both are written under temporary names
+in the target directory and moved into place with ``os.replace`` once
+both are complete, so a failed write leaves any earlier snapshot at the
+path as it was, and no temporary file behind. Reports are written as a
+CSV table and a JSON mirror with identical content.
 
 Each component is written from its first-index-fastest flattening (a
 view of an F-ordered array, a copy of a C-ordered one) and read straight
@@ -25,6 +28,7 @@ import json
 import math
 import os
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -51,7 +55,7 @@ def write_snapshot(path, fields, time, grids):
         if len(g) != n:
             raise ValueError("coordinate array length must match extent")
     path = str(path)
-    with open(path, "wb") as fh:
+    with _staged(path, "xb") as fh, _staged(path + ".grid.txt", "x") as side:
         fh.write(_MAGIC)
         fh.write(struct.pack("<II", _VERSION, len(shape)))
         fh.write(struct.pack(f"<{len(shape)}Q", *shape))
@@ -59,9 +63,25 @@ def write_snapshot(path, fields, time, grids):
         fh.write(struct.pack("<I", len(fields)))
         for u in fields:
             fh.write(np.ravel(u, order="F"))
-    with open(path + ".grid.txt", "w") as fh:
         for g in grids:
-            fh.write(" ".join(repr(float(x)) for x in g) + "\n")
+            side.write(" ".join(repr(float(x)) for x in g) + "\n")
+
+
+@contextmanager
+def _staged(path, mode):
+    """A file created (``mode`` "x" or "xb") under a temporary name in
+    path's directory and moved onto path by ``os.replace`` when the block
+    ends; removed instead if the block raises."""
+    head, name = os.path.split(path)
+    temp = os.path.join(head, f".{name}.{os.urandom(6).hex()}.tmp")
+    fh = open(temp, mode)
+    try:
+        with fh:
+            yield fh
+        os.replace(temp, path)
+    except BaseException:
+        os.remove(temp)
+        raise
 
 
 def read_snapshot(path):

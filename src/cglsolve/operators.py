@@ -120,9 +120,22 @@ class KroneckerOperator:
         return kron_sum_apply(u, self.matrices)
 
     def prepare(self, tau, fractions):
-        """{f: [exp(f tau A_mu) for each direction mu]}."""
-        return _exponentials(tau, fractions, lambda step: [
-            expm_pade(m, step) for m in self.matrices])
+        """{f: [exp(f tau A_mu) for each direction mu]}.
+
+        One ``expm_pade`` per distinct matrix and fraction: directions
+        whose matrices are equal bit for bit (all three of a cube) share
+        one array.
+        """
+        keys = [m.tobytes() for m in self.matrices]
+
+        def build(step):
+            found = {}
+            for key, m in zip(keys, self.matrices):
+                if key not in found:
+                    found[key] = expm_pade(m, step)
+            return [found[key] for key in keys]
+
+        return _exponentials(tau, fractions, build)
 
     def exp_apply(self, exponential, u, *, out=None):
         """A prepared exponential times u, into ``out`` if given (never u

@@ -6,25 +6,34 @@ value i of the stream is splitmix64 applied to seed + (i+1) * golden gamma,
 mapped to a uniform in (0, 1] by taking the top 53 bits, and consecutive
 uniform pairs feed the Box-Muller transform. Any (seed, index) pair always
 yields the same double, independent of how many values are drawn.
+
+Normals are made _PAIRS pairs at a time: the mix runs in place in small
+uint64 scratch and Box-Muller writes each chunk straight into the result,
+so nothing full-size is made but the result. From
+``spectral._SERIAL_BELOW`` values up the pairs are split across the slab
+pool (``spectral.run_slabs``). Every value goes through the same numpy
+calls on the same memory layouts whichever chunk or slab holds it, so
+the bits do not depend on the split or the thread count.
 """
+
+from functools import partial
 
 import numpy as np
 
+from . import spectral
+
 __all__ = ["uniforms", "standard_normals", "normal_tensor"]
 
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX = ((30, np.uint64(0xBF58476D1CE4E5B9)),
+        (27, np.uint64(0x94D049BB133111EB)))
+_MASK = (1 << 64) - 1
 _TWO53 = float(1 << 53)
-
-
-def _mix(seed, counters):
-    z = np.uint64(seed) + (counters + np.uint64(1)) * _GAMMA
-    z = z ^ (z >> np.uint64(30))
-    z = z * _MIX1
-    z = z ^ (z >> np.uint64(27))
-    z = z * _MIX2
-    return z ^ (z >> np.uint64(31))
+# normal pairs per chunk: a thread's scratch (four 8-byte arrays of
+# 2 _PAIRS values, three of _PAIRS) is 352 KiB, about an exact flow's
+# chunk scratch, so it reuses that freed heap. Larger chunks are faster
+# but their scratch stays resident and raises peak RSS.
+_PAIRS = 1 << 12
 
 
 def _check_seed(seed):
@@ -35,30 +44,84 @@ def _check_seed(seed):
     return int(seed)
 
 
+def _gammas(count):
+    """i * gamma mod 2^64 for i < count."""
+    return np.arange(count, dtype=np.uint64) * np.uint64(_GAMMA)
+
+
+def _uniforms_into(seed, start, gammas, out, z, t):
+    """The uniforms of counters start, start + 1, ... into out.
+
+    gammas is ``_gammas(out.size)``; z and t are uint64 scratch of
+    out's size.
+    """
+    np.add(gammas, np.uint64((seed + (start + 1) * _GAMMA) & _MASK), out=z)
+    for shift, factor in _MIX:
+        np.right_shift(z, shift, out=t)
+        np.bitwise_xor(z, t, out=z)
+        np.multiply(z, factor, out=z)
+    np.right_shift(z, 31, out=t)
+    np.bitwise_xor(z, t, out=z)
+    np.right_shift(z, 11, out=z)
+    np.add(z, 1.0, out=out)
+    np.divide(out, _TWO53, out=out)
+
+
+def _normals_chunks(seed, dst, lo, hi):
+    """Box-Muller pairs lo..hi-1 into dst[2 lo:2 hi], one chunk at a time.
+
+    The sine of the last pair is dropped where dst ends before it.
+    """
+    n = min(_PAIRS, hi - lo)
+    gammas = _gammas(2 * n)
+    z, t = np.empty((2, 2 * n), dtype=np.uint64)
+    uniform = np.empty(2 * n)
+    radius, angle, trig = np.empty((3, n))
+    for start in range(lo, hi, _PAIRS):
+        stop = min(start + _PAIRS, hi)
+        k = stop - start
+        u, r, a, s = uniform[:2 * k], radius[:k], angle[:k], trig[:k]
+        _uniforms_into(seed, 2 * start, gammas[:2 * k], u, z[:2 * k],
+                       t[:2 * k])
+        np.log(u[0::2], out=r)
+        np.multiply(-2.0, r, out=r)
+        np.sqrt(r, out=r)
+        np.multiply(2.0 * np.pi, u[1::2], out=a)
+        even = dst[2 * start:2 * stop:2]
+        odd = dst[2 * start + 1:2 * stop:2]
+        np.cos(a, out=s)
+        np.multiply(r, s, out=even)
+        np.sin(a, out=s)
+        np.multiply(r[:odd.size], s[:odd.size], out=odd)
+
+
+def _fill_normals(seed, dst):
+    """Standard normals 0..dst.size-1 of the stream into the 1-D dst."""
+    kernel = partial(_normals_chunks, _check_seed(seed), dst)
+    pairs = (dst.size + 1) // 2
+    if dst.size < spectral._SERIAL_BELOW:
+        kernel(0, pairs)
+    else:
+        spectral.run_slabs(kernel, pairs)
+    return dst
+
+
 def uniforms(seed, count, start=0):
     """Doubles in (0, 1] from counter positions start..start+count-1."""
     seed = _check_seed(seed)
-    counters = np.arange(start, start + count, dtype=np.uint64)
-    bits = _mix(seed, counters) >> np.uint64(11)
-    return (bits.astype(np.float64) + 1.0) / _TWO53
+    out = np.empty(count)
+    z, t = np.empty((2, count), dtype=np.uint64)
+    _uniforms_into(seed, int(start), _gammas(count), out, z, t)
+    return out
 
 
 def standard_normals(seed, count):
     """Standard normals; value i depends only on (seed, i)."""
-    pairs = (count + 1) // 2
-    u = uniforms(seed, 2 * pairs)
-    u1 = u[0::2]
-    u2 = u[1::2]
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = 2.0 * np.pi * u2
-    out = np.empty(2 * pairs)
-    out[0::2] = radius * np.cos(angle)
-    out[1::2] = radius * np.sin(angle)
-    return out[:count]
+    return _fill_normals(seed, np.empty(count))
 
 
 def normal_tensor(seed, shape):
-    """Standard-normal tensor, filled first-index-fastest."""
-    shape = tuple(int(n) for n in shape)
-    total = int(np.prod(shape))
-    return standard_normals(seed, total).reshape(shape, order="F")
+    """Standard-normal tensor, filled first-index-fastest (F-ordered)."""
+    out = np.empty(tuple(int(n) for n in shape), order="F")
+    _fill_normals(seed, out.reshape(-1, order="F"))
+    return out

@@ -172,3 +172,38 @@ def necklace_dense(axes, delta=1.2, radius=6.0, width=2.5, lobes=5,
     r = np.sqrt((rho - radius) ** 2 + x3 ** 2) / width
     return (delta / np.cosh(r)) * np.cos(lobes * theta) \
         * np.exp(1j * twist * theta)
+
+
+def uniforms_ref(seed, count, start=0):
+    """The counter stream's uniforms, whole-array: splitmix64 of
+    seed + (i+1) * gamma, top 53 bits mapped to (0, 1]."""
+    counters = np.arange(start, start + count, dtype=np.uint64)
+    z = np.uint64(seed) + (counters + np.uint64(1)) * np.uint64(
+        0x9E3779B97F4A7C15)
+    z = z ^ (z >> np.uint64(30))
+    z = z * np.uint64(0xBF58476D1CE4E5B9)
+    z = z ^ (z >> np.uint64(27))
+    z = z * np.uint64(0x94D049BB133111EB)
+    z = z ^ (z >> np.uint64(31))
+    bits = z >> np.uint64(11)
+    return (bits.astype(np.float64) + 1.0) / float(1 << 53)
+
+
+def standard_normals_ref(seed, count):
+    """Box-Muller over consecutive uniform pairs, whole-array."""
+    pairs = (count + 1) // 2
+    u = uniforms_ref(seed, 2 * pairs)
+    u1 = u[0::2]
+    u2 = u[1::2]
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = 2.0 * np.pi * u2
+    out = np.empty(2 * pairs)
+    out[0::2] = radius * np.cos(angle)
+    out[1::2] = radius * np.sin(angle)
+    return out[:count]
+
+
+def normal_tensor_ref(seed, shape):
+    """standard_normals_ref filled first-index-fastest into shape."""
+    total = int(np.prod(shape))
+    return standard_normals_ref(seed, total).reshape(shape, order="F")

@@ -1,9 +1,11 @@
+import builtins
 import json
 import struct
 
 import numpy as np
 import pytest
 
+from cglsolve import io
 from cglsolve.io import read_snapshot, write_report, write_snapshot
 
 from oracles import random_complex
@@ -84,6 +86,63 @@ def test_snapshot_cut_at_any_byte_is_truncated(tmp_path, ncomp):
         cut.write_bytes(whole[:size])
         with pytest.raises(ValueError, match="truncated snapshot"):
             read_snapshot(cut)
+
+
+def _earlier_snapshot(tmp_path):
+    """A snapshot at s.cgls and {file name: bytes} of the directory."""
+    path = tmp_path / "s.cgls"
+    write_snapshot(path, (_draw((4, 3), 21),), 0.5,
+                   [np.arange(4.0), np.arange(3.0)])
+    return path, {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+
+class _DiskFull:
+    """A binary file that takes `budget` bytes, then fails mid-write."""
+
+    def __init__(self, fh, budget):
+        self.fh, self.budget = fh, budget
+
+    def write(self, data):
+        data = memoryview(data).cast("B")
+        self.fh.write(data[:self.budget])
+        if data.nbytes > self.budget:
+            raise OSError(28, "No space left on device")
+        self.budget -= data.nbytes
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+@pytest.mark.parametrize("budget", [0, 30, 100])
+def test_failed_payload_write_keeps_the_earlier_snapshot(tmp_path,
+                                                         monkeypatch,
+                                                         budget):
+    path, before = _earlier_snapshot(tmp_path)
+
+    def failing_open(name, mode="r", *args, **kwargs):
+        fh = builtins.open(name, mode, *args, **kwargs)
+        return _DiskFull(fh, budget) if "b" in mode else fh
+
+    monkeypatch.setattr(io, "open", failing_open, raising=False)
+    with pytest.raises(OSError, match="No space"):
+        write_snapshot(path, (_draw((5, 2), 22),), 1.0,
+                       [np.arange(5.0), np.arange(2.0)])
+    monkeypatch.undo()
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    (back,), t = read_snapshot(path)
+    assert t == 0.5 and back.shape == (4, 3)
+
+
+def test_failed_sidecar_write_keeps_the_earlier_snapshot(tmp_path):
+    path, before = _earlier_snapshot(tmp_path)
+    with pytest.raises(ValueError):
+        # the payload is complete when the last coordinate fails
+        write_snapshot(path, (_draw((3, 2), 23),), 1.0,
+                       [np.arange(3.0), ["0", "1e-3j"]])
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_snapshot_validates_shapes(tmp_path):

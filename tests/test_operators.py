@@ -6,6 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cglsolve import operators
+from cglsolve.experiments import build_problem, make_preset
+from cglsolve.integrators import SCHEMES
 from cglsolve.linalg import expm_pade
 from cglsolve.operators import (
     BlockOperator,
@@ -151,6 +154,46 @@ def test_exp_cache_semigroup():
     half_twice = op.exp_apply(half, op.exp_apply(half, u))
     whole = op.exp_apply(exps[Fraction(1)], u)
     assert np.max(np.abs(half_twice - whole)) <= 1e-11 * np.max(np.abs(whole))
+
+
+@pytest.fixture
+def expm_calls(monkeypatch):
+    """The (matrix, step) of every expm_pade call prepare makes."""
+    calls = []
+
+    def counted(m, step):
+        calls.append((m, step))
+        return expm_pade(m, step)
+
+    monkeypatch.setattr(operators, "expm_pade", counted)
+    return calls
+
+
+def test_prepare_shares_the_exponential_of_a_cube(expm_calls):
+    config = make_preset("cubic-3d-dirichlet-neumann", paper_scale=True)
+    (op,) = build_problem(config).operator.blocks
+    tau = config.t_final / config.steps
+    exps = op.prepare(tau, SCHEMES["split4"].fractions)
+    # split4 has two fractions; the three directions of the cube are equal
+    assert len(expm_calls) == 2
+    for f, per_direction in exps.items():
+        want = expm_pade(op.matrices[0], float(f) * tau)
+        assert all(e is per_direction[0] for e in per_direction)
+        assert np.array_equal(per_direction[0], want)
+
+
+def test_prepare_makes_one_exponential_per_distinct_matrix(expm_calls):
+    # directions 0, 1 and 3 share an extent, 0, 1 and 2 a length
+    op = build_fd_operator(PARAMS, (8, 8, 9, 8), (5.0, 5.0, 5.0, 4.0),
+                           "dirichlet")
+    tau, fractions = 0.05, [Fraction(1), Fraction(1, 2)]
+    exps = op.prepare(tau, fractions)
+    assert len(expm_calls) == 3 * len(fractions)
+    for f in fractions:
+        per_direction = exps[f]
+        assert per_direction[0] is per_direction[1]
+        for m, e in zip(op.matrices, per_direction):
+            assert np.array_equal(e, expm_pade(m, float(f) * tau))
 
 
 def test_prepare_rejects_a_bad_step():
