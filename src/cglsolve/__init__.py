@@ -1,12 +1,7 @@
 """Exponential-type integrators for complex Ginzburg-Landau equations.
 
-Semidiscretizations come in two flavors: fourth-order finite differences,
-whose linear part is a Kronecker sum advanced by per-direction small matrix
-exponentials (Tucker products), and Fourier pseudospectral grids, whose
-linear part is diagonal in coefficient space. Time integrators cover
-classical explicit Runge-Kutta, Strang and fourth-order splitting with
-exact or RK4-approximated nonlinear flows, and Lawson (integrating factor)
-schemes of orders two and four.
+``__all__`` is the public interface; the README describes the method and
+how the modules fit.
 """
 
 __version__ = "0.1.0"

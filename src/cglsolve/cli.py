@@ -1,14 +1,9 @@
-"""Command-line front end for the benchmark presets.
+"""Command line: ``cglsolve preset|run|sweep``; the README shows each.
 
-    cglsolve preset list
-    cglsolve run --preset cubic-2d-periodic --steps 200 --out results/
-    cglsolve sweep --preset plane-wave-1d --steps 14,20,28,40,56
-    cglsolve sweep --preset cubic-2d-dirichlet --stability --steps 10,20,40
-
-A JSON config file (--config) overrides preset fields; individual flags
-override both. Reports are written as CSV plus a JSON mirror. A
---stability sweep is a convergence study without errors: its rows leave
-rel_err and order empty and record each run's status and diverged_at.
+Flags override a --config file, which overrides the preset. Exit codes:
+0 on success, 1 for a run that diverged, 2 for a usage error, which
+includes every ValueError the library raises on invalid input. Output
+directories are made only when a file is written.
 """
 
 import argparse
@@ -71,12 +66,6 @@ def _resolve_config(args, parser):
     return config_from_dict(base)
 
 
-def _ensure_out(args):
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-    return args.out
-
-
 def _print_rows(rows, fmt, stream):
     if fmt == "json":
         json.dump(rows, stream, indent=2)
@@ -119,9 +108,8 @@ def _cmd_run(args, parser):
         checked_frozen_probe(args.frozen_probe)
     except ValueError as err:
         parser.error(f"--frozen-probe: {err}")
-    out_dir = _ensure_out(args)
     summary, _ = run_preset(config, snapshot_steps=snapshots,
-                            out_dir=out_dir,
+                            out_dir=args.out,
                             frozen_probe_steps=args.frozen_probe)
     if args.format == "json":
         json.dump(summary, sys.stdout, indent=2)
@@ -139,7 +127,6 @@ def _cmd_sweep(args, parser):
     ladder = _ints(args.steps)
     rows, meta = run_convergence_study(config, schemes, ladder,
                                        errors=not args.stability)
-    out_dir = _ensure_out(args)
     _print_rows(rows, args.format, sys.stdout)
     # csv and json keep stdout machine-readable
     notes = sys.stdout if args.format == "table" else sys.stderr
@@ -148,8 +135,8 @@ def _cmd_sweep(args, parser):
         for scheme, order in sorted(meta["orders"].items()):
             print("  least-squares order %-11s %.3f" % (scheme, order),
                   file=notes)
-    if out_dir:
-        base = os.path.join(out_dir, f"{config.name}-sweep")
+    if args.out:
+        base = os.path.join(args.out, f"{config.name}-sweep")
         csv_path, json_path = write_report(base, rows)
         print("wrote", csv_path, "and", json_path, file=notes)
     return 0

@@ -1,14 +1,10 @@
 """Benchmark presets, initial states, and measurement harnesses.
 
-Set-up is data. ``PRESETS`` maps each name to its desk-scale config,
-which keeps every study under a couple of minutes on one core;
-``_PAPER_SCALE`` holds the fields each preset changes at the full
-resolutions the benchmark tables were produced at, and
-``make_preset(name, paper_scale=True)`` applies them. ``initial_state``
-looks its recipe up in ``_INITIAL_STATES``. Convergence studies measure
-against an exact plane-wave solution when one exists, otherwise against
-a fine-step reference cross-checked between two unrelated 4th-order
-schemes; a stability sweep is the same study without a reference.
+``PRESETS`` maps each name to its desk-scale config and ``_PAPER_SCALE``
+to the fields the paper's resolutions change; ``_INITIAL_STATES`` maps
+each initial-condition recipe to its builder. Invalid configs, schemes,
+step counts and snapshot or probe requests are a ValueError before any
+run.
 """
 
 import json
@@ -22,7 +18,7 @@ import numpy as np
 from .flows import NonlinearSpec
 from .integrators import (SCHEMES, Problem, checked_snapshot_steps,
                           integrate)
-from .io import write_snapshot
+from .io import _staged, write_snapshot
 from .operators import (BlockOperator, build_fd_operator,
                         build_periodic_operator, fd_nodes)
 from .params import CglParameters
@@ -277,15 +273,11 @@ def plane_wave_state(config, t):
 def prepare_coupled_initial(config):
     """Two reflected quasi-1D solitons from a saturated 1D pre-run.
 
-    A scalar cubic-quintic run on the first direction is marched until
-    its modulus freezes; the resulting line w becomes u0(x1, x2) = w(x1)
-    and v0(x1, x2) = w(b - x1), so the components start as mirror images
-    approaching each other under the opposite-sign advection.
-
-    The pre-run grid may be finer than the target grid (prerun_extent a
-    multiple of extents[0]): the soliton fronts need more resolution
-    than the coupled benchmark grid provides, and on a periodic grid an
-    integer stride picks exact node values.
+    A scalar cubic-quintic ``if4`` run on the first direction gives the
+    line w, and u0(x1, x2) = w(x1), v0(x1, x2) = w(b - x1). The pre-run
+    grid, ``prerun_extent``, must be a multiple of extents[0] (ValueError)
+    so that an integer stride picks exact node values; RuntimeError if
+    the pre-run diverges.
     """
     # the scalar equation: no advection, no cross term
     scalar = replace(config.params, alpha0=0.0, alpha5=0.0)
@@ -369,18 +361,15 @@ def least_squares_orders(rows):
 def run_convergence_study(config, schemes, step_counts, errors=True):
     """Error/order table for the given schemes over the step ladder.
 
-    Returns (rows, meta): rows carry the report columns; meta records the
-    reference used, the least-squares orders, and (for computed
-    references) the agreement between the two independent reference
-    runs. A reference disagreement above 10x the smallest measured error
-    aborts the study.
-
-    With errors=False this is a stability sweep: no reference is
-    computed, every row's rel_err and observed_order are None and meta
-    is {}. Either way a row's status is "x" for a diverged run, with
-    diverged_at its failing step (0 when it did not diverge). Unknown
-    schemes and step counts that are not integers >= 1 are rejected
-    before any run; the ladder is sorted and de-duplicated.
+    Returns (rows, meta): rows carry ``io.REPORT_COLUMNS``; meta gives the
+    reference, the least-squares orders and, for a computed reference,
+    the agreement of its two independent runs, which raises
+    ReferenceMismatch above 10x the smallest measured error. With
+    errors=False no reference runs, rel_err and observed_order are None
+    and meta is {}. Status "x" marks a diverged run, diverged_at its step
+    (0 if none). Unknown schemes and step counts that are not integers
+    >= 1 are a ValueError before any run; the ladder is sorted and
+    de-duplicated.
     """
     if not schemes:
         raise ValueError("need at least one scheme")
@@ -476,10 +465,10 @@ def run_preset(config, snapshot_steps=(), out_dir=None,
                frozen_probe_steps=0):
     """One integration of a config; optional snapshots and summary file.
 
-    Returns (summary, physical_fields). With frozen_probe_steps > 0 the
-    run is continued that many extra steps and the relative modulus
-    drift over the continuation is reported (a frozen state shows a
-    drift near zero).
+    Returns (summary, physical_fields). out_dir is made at the first
+    write. With frozen_probe_steps > 0 the run continues that many steps
+    and reports the relative modulus drift over them (near zero for a
+    frozen state).
     """
     checked_frozen_probe(frozen_probe_steps)
     snapshot_steps = checked_snapshot_request(snapshot_steps, config.steps,
@@ -489,9 +478,13 @@ def run_preset(config, snapshot_steps=(), out_dir=None,
     state0 = problem.from_physical(initial_state(config))
     written = []
 
+    def output(suffix):
+        os.makedirs(out_dir, exist_ok=True)
+        return os.path.join(out_dir, f"{config.name}-{suffix}")
+
     def snap(step, t, fields):
         phys = problem.to_physical(fields)
-        path = os.path.join(out_dir, f"{config.name}-step{step:06d}.cgls")
+        path = output(f"step{step:06d}.cgls")
         write_snapshot(path, phys, t, axes)
         written.append(path)
 
@@ -523,11 +516,10 @@ def run_preset(config, snapshot_steps=(), out_dir=None,
             summary["frozen_modulus_drift"] = relative_modulus_drift(
                 physical[0], problem.to_physical(probe.fields)[0])
     if out_dir:
-        final_path = os.path.join(out_dir, f"{config.name}-final.cgls")
+        final_path = output("final.cgls")
         write_snapshot(final_path, physical, reached, axes)
         written.append(final_path)
-        with open(os.path.join(out_dir, f"{config.name}-summary.json"),
-                  "w") as fh:
+        with _staged(output("summary.json"), "x") as fh:
             json.dump(summary, fh, indent=2)
             fh.write("\n")
     summary["snapshots"] = written

@@ -1,41 +1,15 @@
-"""Nonlinear part of the CGL equations: pointwise evaluation and flows.
+"""The nonlinearity g and its exact flows, pointwise in physical space.
 
-The nonlinearity acts pointwise in physical space, so its exact flow is a
-scalar ODE solved per grid value. The cubic flow
+``eval_g`` evaluates g per component. ``cubic_flow``/``quintic_flow``
+solve u' = (a + i b) |u|^p u exactly per grid value (p = 2, 4); for
+|a| < 1e-14 the flow is a pure rotation. Finite-time blow-up and
+non-finite output raise DivergenceError, blow-up anywhere before
+non-finite output anywhere. Where a kind has no exact flow,
+``integrators.Problem.flow`` runs one ``rk4`` step on ``eval_g``.
 
-    u(t) = exp(-(alpha3 + i beta3)/(2 alpha3) * log|1 - 2 alpha3 |u0|^2 t|) u0
-
-and the quintic analog (with 4 alpha4 |u0|^4 t and denominator 4 alpha4)
-degenerate to pure phase rotations as the real coefficient vanishes; the
-branch switch sits at |alpha| < 1e-14. A vanishing argument of the log is
-finite-time blow-up and raises DivergenceError, as does any non-finite
-flow output; blow-up anywhere in the array is reported before non-finite
-output anywhere. Where there is no exact flow, ``integrators.Problem.flow``
-runs one step of the ``rk4`` tableau on ``eval_g``.
-
-The nonlinearity ``eval_g`` and both flows run as chunked kernels in real
-arithmetic. Both flows are one power-law kernel (p = 2, 4): with
-y = p alpha |u0|^p t and L = log1p(-y), the factor is the amplitude
-exp(-L/p) times the rotation by -beta L/(p alpha), which is the complex
-exponential above. ``eval_g`` forms (fr + i fi) u from m = re^2 + im^2
-per component and multiplies once. The kernels walk the arrays' own
-memory, C- or F-ordered (``spectral.memory_order``; other strides are
-copied once), in fixed chunks of ``spectral._CHUNK`` entries through
-per-thread scratch, so no full-size temporary is made. Arrays of at
-least 2^15 entries are split into one slab per usable CPU on the worker
-pool of ``spectral``, whose workers run in the caller's numpy error
-state; every entry is computed the same way whatever the split, so the
-result does not depend on the thread count. Smaller ``eval_g`` inputs
-take the same arithmetic as whole-array expressions. ``eval_g`` and both
-flows take a keyword-only ``out`` that may be their input: each chunk is
-read before it is written, so the steppers run them in place in arrays
-the step owns. The finite check ``all_finite`` is serial: it reads each
-array in 2^16-value chunks through one 64 KiB boolean buffer instead of
-making a full-size boolean array (2 MiB at 128^3). Timed on single
-arrays (medians of 30), it took 2.0-2.3 against 5.7-7.0 ms at 128^3 in
-C and F order, 0.28 against 0.40-0.44 ms at 64^3 and 0.22 against
-0.35-0.43 ms at 700x350; a slab-threaded check with 8,192-entry chunks
-had lost on 128^3 FD states and on 64^3 and 700x350 ones.
+``eval_g`` and both flows take a keyword-only ``out`` that may be their
+input, and return it. Their bits do not depend on the thread count.
+``all_finite`` makes no full-size temporary.
 """
 
 from functools import partial
@@ -56,7 +30,8 @@ __all__ = [
 
 _KINDS = ("cubic", "cubic_quintic", "coupled_cubic_quintic")
 _REAL_COEFF_FLOOR = 1e-14
-# real values per pass of all_finite: a 64 KiB boolean buffer
+# real values per pass of all_finite, through one 64 KiB boolean buffer
+# (CHANGES.md, "One workspace per integrate call")
 _FINITE_CHUNK = 1 << 16
 
 
@@ -89,17 +64,11 @@ class NonlinearSpec:
 
 
 def eval_g(spec, fields, *, out=None):
-    """Pointwise nonlinearity per component, in physical space.
-
-    Component i is (fr + i fi) u_i with m_i = |u_i|^2,
+    """g per component: (fr + i fi) u_i with m_i = |u_i|^2,
     fr = m_i (alpha3 + alpha4 m_i) + alpha5 m_j and fi = m_i (beta3 +
     beta4 m_i), the quintic and cross terms only for the kinds that have
-    them. From 2^15 entries one kernel walks the components' shared memory
-    order chunk by chunk, one slab per usable CPU, and makes one output
-    each. Smaller arrays take the same arithmetic as whole-array complex
-    expressions, which cost fewer numpy calls there. With ``out``, one
-    complex array per component (which may be ``fields`` itself), the
-    values are written there and ``out`` is returned.
+    them. ``out`` holds one complex array per component; ValueError for a
+    wrong component count or shape.
     """
     if len(fields) != spec.components:
         raise ValueError(f"expected {spec.components} components, "
@@ -126,12 +95,11 @@ def eval_g(spec, fields, *, out=None):
 
 
 def _g_whole(kind, p, fields, out):
-    """eval_g's arithmetic on whole arrays, in complex form.
-
-    (c4 m + c3) m with a real m has the kernel's real and imaginary parts,
-    so the bits match the kernel's for finite values. Every modulus is
-    taken before any output is written, so ``out`` may be ``fields``.
-    """
+    """eval_g's arithmetic on whole arrays, in complex form: fewer numpy
+    calls below _SERIAL_BELOW entries, and the kernel's bits for finite
+    values, since (c4 m + c3) m with a real m has its real and imaginary
+    parts. Every modulus is taken before any output is written, so
+    ``out`` may be ``fields``."""
     mods = [np.square(u.real) + np.square(u.imag) for u in fields]
     result = []
     for i, u in enumerate(fields):
@@ -180,12 +148,8 @@ def _g_chunks(src, dst, kind, p, lo, hi):
 
 
 def all_finite(fields):
-    """Whether every entry of every array is finite.
-
-    Each array is read as real values in its own memory order (other
-    strides are copied once), _FINITE_CHUNK at a time through one small
-    boolean buffer, so no full-size temporary is made.
-    """
+    """Whether every entry of every array is finite; each array is read
+    in its own memory order, _FINITE_CHUNK real values at a time."""
     for u in fields:
         flat = np.ravel(u, order="K")
         values = flat.view(flat.real.dtype)
@@ -198,27 +162,25 @@ def all_finite(fields):
 
 
 def cubic_flow(u0, t, params, *, out=None):
-    """Exact flow of u' = (alpha3 + i beta3) |u|^2 u over time t.
-
-    With ``out`` (a complex array of u0's shape, which may be u0 itself)
-    the result is written there and ``out`` is returned; after a
-    DivergenceError its contents are undefined.
-    """
+    """Exact flow of u' = (alpha3 + i beta3) |u|^2 u over time t. ``out``
+    has u0's shape; after a DivergenceError its contents are undefined."""
     return _power_law_flow(u0, t, params.alpha3, params.beta3, 2, "cubic",
                            out)
 
 
 def quintic_flow(u0, t, params, *, out=None):
-    """Exact flow of u' = (alpha4 + i beta4) |u|^4 u over time t.
-
-    ``out`` as for ``cubic_flow``.
-    """
+    """Exact flow of u' = (alpha4 + i beta4) |u|^4 u over time t;
+    ``out`` as for ``cubic_flow``."""
     return _power_law_flow(u0, t, params.alpha4, params.beta4, 4, "quintic",
                            out)
 
 
 def _power_law_flow(u0, t, a, b, p, name, out):
-    """Exact flow of u' = (a + i b) |u|^p u, chunk by chunk on slabs."""
+    """Exact flow of u' = (a + i b) |u|^p u, chunk by chunk on slabs.
+
+    With y = p a |u0|^p t and L = log1p(-y), the factor is the amplitude
+    exp(-L/p) times the rotation by -b L/(p a); y >= 1 is blow-up.
+    """
     u0 = np.asarray(u0, dtype=complex)
     spectral.check_out(out, u0.shape)
     if abs(a) < _REAL_COEFF_FLOOR:
@@ -243,12 +205,9 @@ def _power_law_flow(u0, t, a, b, p, name, out):
 
 
 def _flow_chunks(src, dst, p, pa, t, amp_coeff, phase_coeff, lo, hi):
-    """The power-law flow of src[lo:hi] into dst[lo:hi], chunk by chunk.
-
-    Returns (blow-up seen, non-finite output seen). A chunk with blow-up
-    (y >= 1) is left unwritten; NaN input is not blow-up but gives NaN
-    output.
-    """
+    """The power-law flow of src[lo:hi] into dst[lo:hi], chunk by chunk;
+    returns (blow-up seen, non-finite output seen). A chunk with blow-up
+    is left unwritten; NaN input is not blow-up but gives NaN output."""
     w, amp, trig = np.empty((3, spectral._CHUNK))
     rot = np.empty(spectral._CHUNK, dtype=complex)
     finite = np.empty(2 * spectral._CHUNK, dtype=bool)

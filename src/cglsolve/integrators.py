@@ -1,40 +1,16 @@
-"""Time integrators for the semidiscrete CGL systems.
+"""Time integrators: schemes as data, two steppers, and ``integrate``.
 
-All schemes advance the split form du/dt = K u + g(u). State is always a
-tuple of component tensors (length 1 for scalar problems, 2 for the
-coupled system), in the operator's own representation: grid values for
-Kronecker-form operators, Fourier coefficients for symbol operators. The
-Problem wrapper holds K as a ``BlockOperator`` with one block per
-component (a plain operator is one block) and moves the pointwise
-nonlinearity through the transform pair when needed.
+Every scheme advances du/dt = K u + g(u). A state is a tuple with one
+array per component, in the operator's representation: grid values for
+Kronecker operators, Fourier coefficients for symbol operators.
+``SCHEMES`` maps each name to its ``Scheme``: a ``Tableau``, or map
+lists with an optional coarse list for a Richardson step.
 
-Schemes are data (``SCHEMES``), run by two steppers. ``rk2``/``rk4`` are
-Butcher tableaux on K u + g(u), and ``if2``/``if4`` the same tableaux in
-Lawson form on g. ``strang``/``strang_3t`` are lists of (term, fraction
-of tau) maps; ``split4``/``split4_3t`` add a coarse list for the
-Richardson step (4/3) fine - (1/3) coarse.
-
-Every linear combination of stages is one ``_lincomb`` call, which keeps
-the bits of the chained whole-array expression. ``integrate`` rejects
-non-finite initial fields and checks every step's state with
-``all_finite``; on divergence it returns the failing step's input, the
-last finite state.
-
-``integrate`` prepares the scheme's exponentials once and ``_stepper``
-binds them into the tableau rows and map lists, so a step looks nothing
-up. Operators hold no run state, so runs on one problem may nest (say,
-from ``on_snapshot``).
-
-Each ``integrate`` call has one workspace (``_Workspace``): a free list
-of full-size tuples, one array per component. The steppers take every
-full-size array they write from it, through the layers' ``out=``, and
-give each back once no later stage reads it, so a step pages in no new
-memory but its result. ``Problem.g`` runs the inverse transform,
-``eval_g`` and the forward transform in one tuple; symbol products and
-exact flows write into their input when the step owns it; a Tucker
-product writes into another tuple. Nothing the caller holds is written:
-the initial state, the prepared exponentials, and every state a step
-returns, which leaves the workspace.
+``integrate`` never writes an array the caller holds: the initial state,
+the prepared exponentials, or a state a step returned. It reports
+divergence (a DivergenceError or a non-finite state) with the failing
+step and the last finite state. Runs on one problem may nest, and their
+bits do not depend on the thread count.
 """
 
 import numbers
@@ -205,11 +181,8 @@ class Problem:
 class _Workspace:
     """The full-size arrays of one integrate call: a free list of tuples
     with one array per component, shaped and ordered like the state.
-
-    ``take`` pops a free tuple or makes one; ``give`` returns a tuple that
-    no later stage reads. A step's result is never given back: it leaves
-    the workspace, so the state the caller holds is never written.
-    """
+    ``take`` pops a free tuple or makes one; ``give`` returns one that no
+    later stage reads. A step's result is never given back."""
 
     def __init__(self, like):
         self._layout = [(u.shape, "F" if u.flags.f_contiguous
@@ -241,11 +214,7 @@ def _lincomb(*terms, out=None):
     Terms fold left to right, acc = c * x + acc from the first term, and a
     coefficient of 1 adds its term as it is, so the bits are those of the
     chained whole-array expressions. ``out`` (default: new arrays) may be
-    the first term's arrays, never another term's. Arrays under
-    _SERIAL_BELOW entries fold whole, through temporaries for the scaled
-    terms; larger ones run a kernel over the components' memory order,
-    _CHUNK entries at a time with per-thread scratch, one slab per usable
-    CPU, like the other elementwise kernels.
+    the first term's arrays, never another term's.
     """
     result = []
     for i in range(len(terms[0][1])):
@@ -369,12 +338,10 @@ def _run_tableau(plan, f, expk, ws, u):
 
 
 def _row_sum(groups, dead, k, expk, ws):
-    """An entry's sum and whether the step owns its arrays.
-
-    The slots in ``dead`` are read by no later entry: each is written over
-    by its group's sum or its exponential, or given back once read. A sum
-    is written into its first term's arrays if the step owns them.
-    """
+    """An entry's sum and whether the step owns its arrays. The slots in
+    ``dead`` are read by no later entry: each is written over by its
+    group's sum or its exponential, or given back once read. A sum is
+    written into its first term's arrays if the step owns them."""
     parts = []
     for exponential, c, terms in groups:
         x, owned = k[terms[0][1]], terms[0][1] in dead
@@ -467,13 +434,11 @@ def integrate(problem, scheme_name, fields, t_final, steps,
               snapshot_steps=(), on_snapshot=None):
     """March `steps` uniform steps of the named scheme to t_final.
 
-    The exponentials are prepared before the loop and held by this
-    call's stepper alone; the reported seconds cover the stepping loop
-    only. A NaN/Inf state or a flow blow-up stops the run and is reported
-    through the result, with the offending step index (1-based) and the
-    fields before that step, the last finite state. ``on_snapshot(k, t,
-    fields)`` gets each requested step's state; later steps never write
-    it.
+    ValueError for an unknown scheme, steps that are not an integer >= 1,
+    a t_final that is not positive and finite, or non-finite fields. The
+    reported seconds cover the stepping loop only; ``diverged_at`` is
+    1-based. ``on_snapshot(k, t, fields)`` gets each requested step's
+    state, which later steps never write.
     """
     if scheme_name not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme_name!r}; "
@@ -489,8 +454,10 @@ def integrate(problem, scheme_name, fields, t_final, steps,
     if not all_finite(fields):
         raise ValueError("initial fields must be finite")
     wanted = set(checked_snapshot_steps(snapshot_steps, steps))
-    step = _stepper(problem, scheme, tau, problem.prepare(tau, scheme),
-                    fields)
+    # an exponential that overflows shows as divergence at step 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        exponentials = problem.prepare(tau, scheme)
+    step = _stepper(problem, scheme, tau, exponentials, fields)
 
     start = time.perf_counter()
     for k in range(1, steps + 1):

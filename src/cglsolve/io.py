@@ -1,6 +1,7 @@
-"""Binary state snapshots and sweep reports.
+"""Snapshots and sweep reports, each file written atomically.
 
-Snapshot layout (all little-endian):
+Snapshot layout (all little-endian), with a text sidecar
+"<path>.grid.txt" of one line of node coordinates per direction:
 
     magic    4 bytes  b"CGLS"
     version  u32      currently 1
@@ -11,16 +12,7 @@ Snapshot layout (all little-endian):
     payload  per component, extents-shaped complex values written
              first-index-fastest as (f64 re, f64 im) pairs
 
-A text sidecar "<path>.grid.txt" holds one whitespace-separated line of
-node coordinates per direction. Both are written under temporary names
-in the target directory and moved into place with ``os.replace`` once
-both are complete, so a failed write leaves any earlier snapshot at the
-path as it was, and no temporary file behind. Reports are written as a
-CSV table and a JSON mirror with identical content.
-
-Each component is written from its first-index-fastest flattening (a
-view of an F-ordered array, a copy of a C-ordered one) and read straight
-into a new F-ordered array, with no staging buffer.
+A failed write leaves the earlier files at its paths and no temporary.
 """
 
 import csv
@@ -29,6 +21,7 @@ import math
 import os
 import struct
 from contextlib import contextmanager
+from io import StringIO
 
 import numpy as np
 
@@ -85,10 +78,8 @@ def _staged(path, mode):
 
 
 def read_snapshot(path):
-    """Read a snapshot back; returns (fields, time).
-
-    A file cut short at any byte raises ValueError("truncated snapshot ...").
-    """
+    """(fields, time) of a snapshot, each field a new F-ordered array; a
+    file cut short at any byte raises ValueError("truncated snapshot ...")."""
     with open(str(path), "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(_MAGIC))
@@ -142,16 +133,20 @@ def write_csv(stream, rows):
 
 
 def write_report(base_path, rows):
-    """Write rows to <base>.csv and the JSON mirror <base>.json."""
+    """Write rows to <base>.csv and the JSON mirror <base>.json, making
+    base's directory if it is missing; ValueError for an unknown column."""
     base = str(base_path)
     for row in rows:
         extra = set(row) - set(REPORT_COLUMNS)
         if extra:
             raise ValueError(f"unknown report columns: {sorted(extra)}")
-    with open(base + ".csv", "w", newline="") as fh:
-        write_csv(fh, rows)
-    with open(base + ".json", "w") as fh:
+    table = StringIO()
+    write_csv(table, rows)
+    os.makedirs(os.path.dirname(base) or ".", exist_ok=True)
+    with _staged(base + ".csv", "xb") as fh, \
+            _staged(base + ".json", "x") as mirror:
+        fh.write(table.getvalue().encode())
         json.dump([{c: row.get(c) for c in REPORT_COLUMNS} for row in rows],
-                  fh, indent=2)
-        fh.write("\n")
+                  mirror, indent=2)
+        mirror.write("\n")
     return base + ".csv", base + ".json"

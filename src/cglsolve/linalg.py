@@ -44,7 +44,12 @@ def _as_square_finite(a, scale):
         raise ValueError("matrix contains non-finite entries")
     if not np.isfinite(scale):
         raise ValueError("scale must be finite")
-    return np.asarray(a, dtype=complex) * scale
+    with np.errstate(over="ignore"):
+        b = np.asarray(a, dtype=complex) * scale
+        norm = np.linalg.norm(b, 1) if b.size else 0.0
+    if not np.isfinite(norm):
+        raise ValueError("scale * a is too large: its 1-norm is not finite")
+    return b, norm
 
 
 def _pade_approximant(b, degree):
@@ -73,9 +78,10 @@ def _pade_approximant(b, degree):
 
 
 def expm_pade(a, scale=1.0):
-    """Matrix exponential ``exp(scale * a)`` by Pade scaling-and-squaring."""
-    b = _as_square_finite(a, scale)
-    norm = np.linalg.norm(b, 1) if b.size else 0.0
+    """Matrix exponential ``exp(scale * a)`` by Pade scaling-and-squaring;
+    ValueError for a non-square or non-finite ``a``, a non-finite
+    ``scale``, or a ``scale * a`` whose 1-norm is not finite."""
+    b, norm = _as_square_finite(a, scale)
     for degree, theta in _THETA[:-1]:
         if norm <= theta:
             return _pade_approximant(b, degree)

@@ -1,30 +1,17 @@
-"""Semidiscrete linear operators for CGL problems.
+"""Linear operators of the CGL problems behind one interface.
 
-Two representations:
+``KroneckerOperator`` (finite differences) is a Kronecker sum of one
+dense matrix per direction, ``FourierOperator`` (periodic) one of 1-D
+diagonal symbols on coefficient space, and ``BlockOperator`` one
+operator per component, on tuples. Each has ``representation`` ("grid"
+or "fourier"), ``shape``, ``apply(u)``, ``prepare(tau, fractions)`` and
+``exp_apply(exponential, u, *, out=None)``. They hold nothing but their
+definition: ``prepare`` returns ``{fraction: exponential}`` for exact
+positive step fractions and a positive, finite tau (else ValueError).
 
-* Kronecker form (finite differences): one dense matrix per direction,
-  A_mu = (alpha1 + i beta1) D2_mu + (alpha2 / d) I, so the full operator is
-  the Kronecker sum of the A_mu. Its exponential acts as a Tucker product
-  of the small per-direction exponentials.
-* Fourier form (periodic pseudospectral): the Kronecker sum of one 1-D
-  diagonal symbol per direction on coefficient space. Its exponential is
-  the outer product of the per-direction ones, applied elementwise.
-
-The D2 blocks are the fourth-order finite-difference second derivatives
-with all entries rational multiples of 1/(12 h^2). Boundary closures use
-one-sided stencils; with a Neumann condition at the right endpoint the
-derivative constraint is folded into the last two rows. One table,
-``_FD_BOUNDARIES``, gives each boundary kind's spacing, fewest nodes and
-last two rows to ``fd_second_derivative``, ``fd_nodes`` and
-``build_fd_operator``.
-
-Operators hold no state but their definition. ``prepare(tau, fractions)``
-returns the exponentials of the exact step fractions (fractions.Fraction)
-as ``{fraction: exponential}``: per-direction matrices for the Kronecker
-form, their full-size outer product for the Fourier form, one of those
-per block for a ``BlockOperator``. ``exp_apply(exponential, u)`` applies
-one of them. The integrator prepares once per run and binds the values
-into its stepper, so a step never recomputes or looks up an exponential.
+The fourth-order D2 matrices have entries in multiples of 1/(12 h^2)
+with one-sided closures; ``_FD_BOUNDARIES`` holds each boundary kind's
+spacing, fewest nodes and last two rows.
 """
 
 from fractions import Fraction
@@ -120,12 +107,9 @@ class KroneckerOperator:
         return kron_sum_apply(u, self.matrices)
 
     def prepare(self, tau, fractions):
-        """{f: [exp(f tau A_mu) for each direction mu]}.
-
-        One ``expm_pade`` per distinct matrix and fraction: directions
-        whose matrices are equal bit for bit (all three of a cube) share
-        one array.
-        """
+        """{f: [exp(f tau A_mu) for each direction mu]}; directions whose
+        matrices are equal bit for bit (all three of a cube) share one
+        array, one ``expm_pade`` per distinct matrix and fraction."""
         keys = [m.tobytes() for m in self.matrices]
 
         def build(step):
@@ -220,12 +204,9 @@ class BlockOperator:
 
 
 def build_fd_operator(params, extents, lengths, bc):
-    """Kronecker-form operator for FD discretizations.
-
-    bc is "dirichlet" or "dirichlet_neumann"; the alpha2 shift is spread
-    evenly over the d per-direction factors so their Kronecker sum carries
-    it exactly once.
-    """
+    """Kronecker-form operator for FD discretizations with bc "dirichlet"
+    or "dirichlet_neumann"; each of the d per-direction factors carries
+    alpha2 / d, so their Kronecker sum carries alpha2 once."""
     if len(extents) != len(lengths):
         raise ValueError("one length per direction required")
     d = len(extents)

@@ -1,19 +1,11 @@
 """Deterministic counter-based random numbers for initial data.
 
-Reproducibility across platforms and library versions matters more than
-statistical sophistication here, so the generator is pinned down exactly:
-value i of the stream is splitmix64 applied to seed + (i+1) * golden gamma,
-mapped to a uniform in (0, 1] by taking the top 53 bits, and consecutive
-uniform pairs feed the Box-Muller transform. Any (seed, index) pair always
-yields the same double, independent of how many values are drawn.
-
-Normals are made _PAIRS pairs at a time: the mix runs in place in small
-uint64 scratch and Box-Muller writes each chunk straight into the result,
-so nothing full-size is made but the result. From
-``spectral._SERIAL_BELOW`` values up the pairs are split across the slab
-pool (``spectral.run_slabs``). Every value goes through the same numpy
-calls on the same memory layouts whichever chunk or slab holds it, so
-the bits do not depend on the split or the thread count.
+Value i of the stream is splitmix64 of seed + (i+1) * golden gamma (mod
+2^64); its top 53 bits map to a uniform in (0, 1], and consecutive
+uniform pairs feed the Box-Muller transform. Any (seed, index) pair
+gives the same double on every platform, however many values are drawn,
+and the bits do not depend on the chunk, the slab split or the thread
+count. A seed that is not an integer in 0..2^64-1 is a ValueError.
 """
 
 from functools import partial
@@ -29,10 +21,8 @@ _MIX = ((30, np.uint64(0xBF58476D1CE4E5B9)),
         (27, np.uint64(0x94D049BB133111EB)))
 _MASK = (1 << 64) - 1
 _TWO53 = float(1 << 53)
-# normal pairs per chunk: a thread's scratch (four 8-byte arrays of
-# 2 _PAIRS values, three of _PAIRS) is 352 KiB, about an exact flow's
-# chunk scratch, so it reuses that freed heap. Larger chunks are faster
-# but their scratch stays resident and raises peak RSS.
+# normal pairs per chunk: larger chunks are faster, but their scratch
+# stays resident (CHANGES.md, "a streamed, slab-threaded generator")
 _PAIRS = 1 << 12
 
 
@@ -50,11 +40,8 @@ def _gammas(count):
 
 
 def _uniforms_into(seed, start, gammas, out, z, t):
-    """The uniforms of counters start, start + 1, ... into out.
-
-    gammas is ``_gammas(out.size)``; z and t are uint64 scratch of
-    out's size.
-    """
+    """The uniforms of counters start, start + 1, ... into out; gammas is
+    ``_gammas(out.size)``, z and t uint64 scratch of out's size."""
     np.add(gammas, np.uint64((seed + (start + 1) * _GAMMA) & _MASK), out=z)
     for shift, factor in _MIX:
         np.right_shift(z, shift, out=t)
@@ -68,10 +55,8 @@ def _uniforms_into(seed, start, gammas, out, z, t):
 
 
 def _normals_chunks(seed, dst, lo, hi):
-    """Box-Muller pairs lo..hi-1 into dst[2 lo:2 hi], one chunk at a time.
-
-    The sine of the last pair is dropped where dst ends before it.
-    """
+    """Box-Muller pairs lo..hi-1 into dst[2 lo:2 hi], one chunk at a time;
+    the sine of the last pair is dropped where dst ends before it."""
     n = min(_PAIRS, hi - lo)
     gammas = _gammas(2 * n)
     z, t = np.empty((2, 2 * n), dtype=np.uint64)

@@ -1,31 +1,16 @@
-"""Fourier pseudospectral grids, transforms, and per-direction symbols.
+"""Periodic grids, the FFT pair, per-direction symbols, and the slab pool.
 
-Transforms delegate to numpy's pocketfft, which handles mixed-radix extents
-(e.g. 700 = 2^2 * 5^2 * 7). Conventions pinned here and checked against a
-direct-summation oracle in the tests: the forward transform is unnormalized,
-the inverse carries the 1/N factor, and the integer wavenumber table per
-direction is 0, 1, ..., floor(n/2), -ceil(n/2)+1, ..., -1 scaled by
-2*pi/(b-a). Note the positive sign at the Nyquist slot for even n.
+Conventions: the forward transform is unnormalized, the inverse carries
+1/N, and direction mu's wavenumbers are 0, 1, ..., floor(n/2),
+-ceil(n/2)+1, ..., -1 times 2*pi/(b-a), so an even n has +n/2 at the
+Nyquist slot. Extents may be mixed-radix (700 = 2^2 * 5^2 * 7).
 
-Multi-dimensional transforms run on threads, one per usable CPU. They make
-the axis passes of ``np.fft.fftn`` in its order, last axis first; each pass
-splits the array into contiguous slabs along another axis and transforms
-one slab per thread into a shared output buffer. numpy's 1-D transforms
-release the GIL and every line goes through the same pocketfft call as in
-``np.fft.fftn``/``ifftn``, so the results equal theirs bit for bit. The
-worker pool and ``run_slabs``, which splits an index range across it, are
-shared with the elementwise kernels: ``pointwise_apply`` here, the exact
-flows and ``eval_g`` (``flows.py``) and the step combinations
-(``integrators.py``). Each kernel walks its operands' shared
-memory order (``memory_order``) from arrays of _SERIAL_BELOW entries on,
-in _CHUNK-entry chunks with per-thread scratch, computing every entry
-the same way whatever the split.
-
-The transforms and ``pointwise_apply`` take a keyword-only ``out``, a
-complex array of the result's shape (``check_out``) that may be the input
-itself; the result is written there, with the bits of a new result, and
-``out`` is returned. The steppers pass arrays of their workspace, so a
-step makes no new full-size arrays.
+``dft_forward``/``dft_inverse`` equal ``np.fft.fftn``/``ifftn`` and
+``pointwise_apply`` equals ``factor * u``, bit for bit, whatever the
+thread count. Each takes a keyword-only ``out``, a complex128 array of
+the result's shape (``check_out``) that may be the input; the result is
+written there and ``out`` is returned. ``run_slabs`` and
+``memory_order`` serve every elementwise kernel of the package.
 """
 
 import contextvars
@@ -99,19 +84,12 @@ class FourierGrid:
 
 
 def dft_forward(u, *, out=None):
-    """Unnormalized forward DFT over all axes; equals ``np.fft.fftn``.
-
-    With ``out`` (a complex array of u's shape, which may be u itself) the
-    result is written there and ``out`` is returned.
-    """
+    """Unnormalized forward DFT over all axes; equals ``np.fft.fftn``."""
     return _transform_all_axes(np.asarray(u), np.fft.fft, np.fft.fftn, out)
 
 
 def dft_inverse(uhat, *, out=None):
-    """Inverse DFT carrying the 1/N normalization; equals ``np.fft.ifftn``.
-
-    ``out`` as for ``dft_forward``.
-    """
+    """Inverse DFT carrying the 1/N normalization; equals ``np.fft.ifftn``."""
     return _transform_all_axes(np.asarray(uhat), np.fft.ifft, np.fft.ifftn,
                                out)
 
@@ -123,11 +101,11 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
+# arrays under this many entries run serially: below it two slab threads
+# lose to one serial FFT (CHANGES.md, "the FFT serial floor")
 _SERIAL_BELOW = 2 ** 15
-# entries per pass of the chunked elementwise kernels (flows, eval_g, step
-# combinations): a chunk's operands and scratch (under
-# 1 MiB) stay in cache, and numpy's per-call cost is small against the
-# work of a chunk
+# entries per pass of the chunked elementwise kernels: operands and scratch
+# stay in cache (CHANGES.md, "Column-major mu-mode products")
 _CHUNK = 1 << 13
 _THREADS = _usable_cpus()
 _pool = None
@@ -135,11 +113,8 @@ _pool_lock = threading.Lock()
 
 
 def _executor():
-    """The shared worker pool, created on the first threaded call.
-
-    The calling thread runs one slab itself, so the pool has one thread
-    fewer than there are slabs.
-    """
+    """The shared worker pool, created on the first threaded call, with
+    one thread fewer than there are slabs (the caller runs one)."""
     global _pool
     with _pool_lock:
         if _pool is None:
@@ -160,18 +135,9 @@ if hasattr(os, "register_at_fork"):
 
 
 def _transform_all_axes(x, line_fn, nd_fn, out):
-    """line_fn over every axis of x, last axis first, as nd_fn does.
-
-    Serial paths: 1-D arrays call line_fn directly (the same bits as
-    nd_fn, 3.5 vs 4.5 us for 256 points); arrays under _SERIAL_BELOW
-    entries and machines with one usable CPU call nd_fn. The floor comes
-    from the median of 15 calls, serial fftn vs two slab threads, two runs
-    on a 2-CPU AMD EPYC VM with numpy 2.4.6: 24^3 (13,824 entries) 83 vs
-    112-125 us loses, 128^2 (16,384) 164 vs 102-136 us is close, and from
-    32^3 (32,768; 400 vs 220-320 us) up threads win: 256^2 0.75 vs
-    0.31-0.53 ms, 700x350 1.3-1.5 vs 0.7 ms, 64^3 4.2-5.7 vs 1.3-2.8 ms,
-    128^3 34-35 vs 15 ms.
-    """
+    """line_fn over every axis of x, last axis first, as nd_fn does; 1-D
+    arrays call line_fn, and arrays under _SERIAL_BELOW entries (or with
+    one usable CPU) nd_fn, with the same bits."""
     check_out(out, x.shape)
     if x.ndim == 1:
         return line_fn(x, out=out)
@@ -189,10 +155,8 @@ def _transform_all_axes(x, line_fn, nd_fn, out):
 
 
 def _slab_pass(line_fn, src, out, axis):
-    """line_fn along `axis` from src into out, one slab per thread.
-
-    Slabs are index ranges of axis 0 (axis 1 for the axis-0 pass).
-    """
+    """line_fn along `axis` from src into out, one slab per thread: index
+    ranges of axis 0 (axis 1 for the axis-0 pass)."""
     split = 1 if axis == 0 else 0
 
     def transform(lo, hi):
@@ -203,13 +167,10 @@ def _slab_pass(line_fn, src, out, axis):
 
 
 def run_slabs(fn, n):
-    """``[fn(lo, hi), ...]`` over contiguous ranges covering ``range(n)``.
-
-    One range per usable CPU; the calling thread runs the first and the
-    shared pool the rest. Each worker runs in a copy of the caller's
-    context, so the caller's numpy floating-point error state applies
-    there too. Every future is waited for and read, so an error in any
-    range reaches the caller. Results come back in range order.
+    """``[fn(lo, hi), ...]`` over contiguous ranges covering ``range(n)``,
+    one per usable CPU, in range order. The caller runs the first range,
+    the pool the rest, each in a copy of the caller's context (so its
+    numpy error state applies); an error in any range reaches the caller.
     """
     cuts = [n * i // _THREADS for i in range(_THREADS + 1)]
     ranges = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
@@ -226,13 +187,10 @@ def run_slabs(fn, n):
 
 
 def memory_order(arrays, out=()):
-    """"C" or "F": the memory order the elementwise kernels walk.
-
-    The order the ``out`` arrays (None entries left out) and all of
-    ``arrays`` share; else the order of the ``out`` arrays, which must
-    have one (ValueError); else C. Arrays stored otherwise are copied
-    once by ``np.ravel``.
-    """
+    """"C" or "F": the order the ``out`` arrays (None entries left out)
+    and all of ``arrays`` share; else the order of the ``out`` arrays,
+    which must have one (ValueError); else C. The elementwise kernels
+    walk it, copying arrays stored otherwise once (``np.ravel``)."""
     out = tuple(a for a in out if a is not None)
     for group in (out + tuple(arrays), out):
         for order in ("C", "F"):
@@ -254,11 +212,9 @@ def direction_symbols(grid, params, advection_sign=0):
     """The linear part's symbol per direction, one 1-D array each.
 
     s_mu[j] = (alpha1 + i beta1) * (-k_mu[j]^2); direction 0 also
-    carries alpha2 + advection_sign * alpha0 * (i k_1[j]). The full
-    symbol is their Kronecker sum, value[j] = sum_mu s_mu[j_mu].
-
-    advection_sign is +1 for the first coupled component, -1 for the
-    second, 0 for scalar problems.
+    carries alpha2 + advection_sign * alpha0 * (i k_1[j]), with
+    advection_sign +1 or -1 for the two coupled components and 0 for
+    scalar problems. The full symbol is their Kronecker sum.
     """
     if advection_sign not in (-1, 0, 1):
         raise ValueError("advection_sign must be -1, 0 or +1")
@@ -278,19 +234,10 @@ def symbol_exponential(symbol, tau):
 
 
 def pointwise_apply(factor, u, *, out=None):
-    """Elementwise product with shape validation.
-
-    With ``out`` (a complex array of u's shape, which may be u itself) the
-    product is written there and ``out`` is returned. Below
-    _SERIAL_BELOW entries this is ``factor * u``; larger products
-    run one slab per usable CPU over the operands' shared memory order,
-    with the same bits. The floor is the transforms'. Timed both ways on
-    the arrays of real solves (2-vCPU VM, medians), the threaded product
-    took 0.72 against 1.02 ms at 64^3 and 10.2 against 16.6 ms at 128^3,
-    but 1.27 against 1.10 ms at 700x350. Size alone does not separate
-    these (245,000 entries against 64^3's 262,144), so no other floor is
-    set. Timed alone, on one array reused, it lost at every size.
-    """
+    """factor * u for two arrays of one shape, else ValueError. It keeps
+    the transforms' floor: in solves, slab threads win at 64^3 and 128^3
+    but lose at 700x350, and size alone does not separate these
+    (CHANGES.md, "Fused elementwise layer, second round")."""
     factor = np.asarray(factor)
     u = np.asarray(u)
     if factor.shape != u.shape:

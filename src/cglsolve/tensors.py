@@ -1,32 +1,16 @@
-"""Dense tensor kernels for Kronecker-form operators.
+"""Mu-mode and Tucker products for Kronecker-form operators.
 
-A state tensor ``u`` has shape ``(n_1, ..., n_d)``, and ``vec(u)`` stacks
-its entries first-index-fastest (column-major). Under that convention the mode
-products implemented here satisfy, for d = 2,
+With ``vec(u)`` stacking the entries of u, shape (n_1, ..., n_d),
+first-index-fastest (column-major), for d = 2
 
     vec(mu_mode_product(u, m, 0)) == kron(eye(n_2), m) @ vec(u)
     vec(tucker_apply(u, [m1, m2])) == kron(m2, m1) @ vec(u)
 
-and ``kron_sum_apply`` realizes the action of the Kronecker sum
-``sum_mu I (x) ... (x) a_mu (x) ... (x) I`` without forming it. The cost of
-every routine is one dense matrix product per direction, i.e.
-O((n_1 + ... + n_d) * N) for N tensor entries.
-
-Layout follows the column-major mu-mode (KronPACK) scheme of Caliari,
-Cassini & Zivcovich, Numer. Algorithms (2023). Reshaped without a copy,
-an F-ordered tensor is an F-ordered ``(a, n_mu, b)`` array for every
-direction mu (a and b multiply the extents before and after mu), so each
-mode product is a GEMM on a view, never a ``moveaxis`` copy: ``m @ X`` for
-the first direction, ``X @ m.T`` for the last, and a batch of
-``X_k @ m.T`` over b for the others. Products read F-ordered input as it
-is, C-ordered input as its F-ordered transpose, and copy any other
-strides once; the output is C-ordered for C-ordered input and F-ordered
-otherwise. ``tucker_apply`` makes one full-size output
-buffer: the last direction is one GEMM into it, and the other directions
-are applied in place, block by block along the last axis, through
-block-sized scratch, so each block stays in cache while its products run.
-The solver's states stay F-ordered from the initial data through every
-step and snapshot.
+and ``kron_sum_apply`` applies the Kronecker sum of its factors without
+forming it. Each costs one matrix product per direction. F-ordered input
+is read as it is, C-ordered input as its F-ordered transpose, and other
+strides are copied once; a result is C-ordered for C-ordered input and
+F-ordered otherwise.
 """
 
 import math
@@ -41,9 +25,8 @@ __all__ = [
     "kron_sum_apply",
 ]
 
-# tucker_apply's in-place blocks hold at least this many entries (256 KiB
-# of complex data), so that a 2-D tensor's first direction is applied to
-# many columns per GEMM instead of one matrix-vector product per column
+# tucker_apply's in-place blocks hold at least this many entries, so a 2-D
+# first direction is one GEMM (CHANGES.md, "Column-major mu-mode products")
 _BLOCK = 1 << 14
 
 
@@ -75,12 +58,9 @@ def _one_per_direction(u, mats):
 
 
 def _column_major(u, like=None):
-    """u as an F-ordered array, and whether that array is u.T.
-
-    If ``like`` (default u) is C-ordered and not also F-ordered, u is used
-    through its transpose, whose directions are u's reversed; u is copied
-    where its strides do not fit.
-    """
+    """u as an F-ordered array, and whether that array is u.T: it is if
+    ``like`` (default u) is C-ordered and not also F-ordered. u is copied
+    where its strides do not fit."""
     like = u if like is None else like
     if like.flags.c_contiguous and not like.flags.f_contiguous:
         return np.asfortranarray(u.T), True
@@ -106,15 +86,8 @@ def _mode_shape(shape, mat, axis):
 
 
 def mu_mode_product(u, mat, axis):
-    """Apply ``mat`` along direction ``axis`` of tensor ``u``.
-
-    Parameters
-    ----------
-    u : array_like, shape (n_1, ..., n_d)
-    mat : array_like, shape (m, n_axis)
-    axis : int
-        Zero-based direction index.
-    """
+    """Apply the (m, n_axis) matrix ``mat`` along the zero-based direction
+    ``axis`` of the tensor ``u``."""
     u, (mat,) = _checked(u, [mat], [axis])
     x, transposed = _column_major(u)
     if transposed:
@@ -126,12 +99,9 @@ def mu_mode_product(u, mat, axis):
 
 
 def tucker_apply(u, mats, *, out=None):
-    """Apply one matrix per direction: ``u x_1 m_1 x_2 m_2 ...``.
-
-    With ``out``, a C- or F-contiguous complex array of the result's shape
-    that shares no memory with u, the result is written there and ``out``
-    is returned.
-    """
+    """Apply one matrix per direction: ``u x_1 m_1 x_2 m_2 ...``. ``out``,
+    if given, is a C- or F-contiguous complex128 array of the result's
+    shape that shares no memory with u; it is written and returned."""
     u, mats = _one_per_direction(u, mats)
     if out is not None:
         check_out(out, tuple(m.shape[0] for m in mats))
@@ -149,7 +119,8 @@ def tucker_apply(u, mats, *, out=None):
 
 def _tucker_column_major(x, mats, out):
     """tucker_apply for an F-ordered x into the F-ordered out (or a new
-    array)."""
+    array): the last direction is one GEMM into it, and the others run in
+    place on cache-sized blocks of the last axis."""
     lead, last = mats[:-1], mats[-1]
     dtype = np.result_type(x.dtype, *mats)
     shape = _mode_shape(x.shape, last, x.ndim - 1)
@@ -175,12 +146,9 @@ def _tucker_column_major(x, mats, out):
 
 
 def _leading_passes(src, mats, shapes, dst, scratch):
-    """Every mats[k] along axis k of the F-ordered block src, into dst.
-
-    Products alternate between the scratch buffers and the last one
-    writes dst. dst may be src: numpy gives an overlapping matmul the
-    result it would have without overlap.
-    """
+    """Every mats[k] along axis k of the F-ordered block src, into dst,
+    through alternating scratch buffers. dst may be src: numpy gives an
+    overlapping matmul the result it would have without overlap."""
     width = src.shape[-1]
     cur = src
     for axis, m in enumerate(mats[:-1]):
@@ -192,11 +160,8 @@ def _leading_passes(src, mats, shapes, dst, scratch):
 
 
 def kron_sum_apply(u, mats):
-    """Action of the Kronecker sum of ``mats`` on ``u``.
-
-    Equivalent to the explicit Kronecker-sum matrix times ``vec(u)``,
-    reshaped back, but never forms the big matrix.
-    """
+    """Action of the Kronecker sum of ``mats`` on ``u``, without forming
+    the Kronecker-sum matrix."""
     u, mats = _one_per_direction(u, mats)
     out = None
     for axis, m in enumerate(mats):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -184,6 +187,32 @@ def test_bad_snapshot_request_is_a_usage_error(snapshots, with_out,
     assert code == 2
     assert "--snapshots" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags", [["--steps", "0"], ["--tfinal", "-1"],
+                                   ["--grid", "3,3"], ["--seed", "-1"]])
+def test_a_run_rejected_by_the_library_makes_no_out_dir(flags, tmp_path,
+                                                        capsys):
+    out = tmp_path / "D"
+    code, _ = _usage_error(["run", "--preset", "cubic-2d-dirichlet", "--out",
+                            str(out)] + flags, capsys)
+    assert code == 2
+    assert not out.exists()
+
+
+def test_a_step_too_large_for_the_exponential_is_a_usage_error(tmp_path):
+    # -W error: no warning on the way to the usage error
+    src = os.path.join(os.path.dirname(cli.__file__), os.pardir)
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "cglsolve.cli", "run",
+         "--preset", "cubic-2d-dirichlet", "--tfinal", "1e308", "--steps",
+         "1", "--out", str(tmp_path / "D")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "not finite" in proc.stderr
+    assert not (tmp_path / "D").exists()
 
 
 def test_snapshots_written_where_asked(tmp_path, capsys):

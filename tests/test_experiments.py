@@ -349,6 +349,36 @@ def test_run_preset_writes_snapshots_and_summary(tmp_path):
     assert fields[0].tobytes() == physical[0].tobytes()
 
 
+def test_run_preset_makes_a_missing_out_dir(tmp_path):
+    cfg = replace(make_preset("plane-wave-1d"), steps=4)
+    out = tmp_path / "missing" / "sub"
+    summary, _ = run_preset(cfg, snapshot_steps=(2,), out_dir=str(out))
+    assert {p.name for p in out.iterdir()} == {
+        f"plane-wave-1d-{name}" for name in (
+            "step000002.cgls", "step000002.cgls.grid.txt", "final.cgls",
+            "final.cgls.grid.txt", "summary.json")}
+    assert summary["snapshots"] == [str(out / "plane-wave-1d-step000002.cgls"),
+                                    str(out / "plane-wave-1d-final.cgls")]
+
+
+def test_failed_summary_write_keeps_the_earlier_summary(tmp_path,
+                                                       monkeypatch):
+    cfg = replace(make_preset("plane-wave-1d"), steps=4)
+    run_preset(cfg, out_dir=str(tmp_path))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+    def half_dump(obj, fh, **kwargs):
+        fh.write("{\n")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(experiments.json, "dump", half_dump)
+    with pytest.raises(OSError, match="No space"):
+        run_preset(cfg, out_dir=str(tmp_path))
+    monkeypatch.undo()
+    # the final snapshot is rewritten with the same bytes; no temporary stays
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_run_preset_writes_the_last_finite_state_on_divergence(tmp_path):
     cfg = replace(make_preset("cubic-2d-dirichlet"), scheme="rk4", steps=10)
     summary, physical = run_preset(cfg, out_dir=str(tmp_path))

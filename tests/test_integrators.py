@@ -1,5 +1,6 @@
 """Scheme reductions, frozen one-step values, orders, divergence handling."""
 
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -133,6 +134,19 @@ def test_divergence_reported_with_step_index():
     assert res.diverged
     assert 1 <= res.diverged_at <= 10
     assert res.reason
+
+
+@pytest.mark.parametrize("name", ["cubic-2d-periodic", "cubic-2d-dirichlet"])
+@pytest.mark.parametrize("scheme", ["if4", "split4", "strang"])
+def test_an_exponential_that_overflows_is_divergence_at_step_1(name, scheme):
+    config = make_preset(name)
+    problem = build_problem(config)
+    state0 = problem.from_physical(initial_state(config))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = integrate(problem, scheme, state0, 1e4, 1)
+    assert result.diverged and result.diverged_at == 1
+    assert all(np.array_equal(u, v) for u, v in zip(result.fields, state0))
 
 
 def test_exponential_schemes_survive_large_steps():

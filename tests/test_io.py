@@ -180,3 +180,44 @@ def test_report_csv_and_json_mirror(tmp_path):
 def test_report_rejects_unknown_columns(tmp_path):
     with pytest.raises(ValueError, match="unknown report columns"):
         write_report(tmp_path / "r", [{"scheme": "s", "oops": 1}])
+
+
+def _earlier_report(tmp_path, rows):
+    write_report(tmp_path / "r", rows)
+    return {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+
+_ROWS = [{"scheme": "if4", "steps": 10, "tau": 0.1, "seconds": 0.5,
+          "rel_err": 1e-6, "observed_order": None, "status": "ok",
+          "diverged_at": 0}]
+
+
+@pytest.mark.parametrize("budget", [0, 20])
+def test_failed_report_csv_write_keeps_the_earlier_report(tmp_path,
+                                                         monkeypatch,
+                                                         budget):
+    before = _earlier_report(tmp_path, _ROWS)
+
+    def failing_open(name, mode="r", *args, **kwargs):
+        fh = builtins.open(name, mode, *args, **kwargs)
+        return _DiskFull(fh, budget) if "b" in mode else fh
+
+    monkeypatch.setattr(io, "open", failing_open, raising=False)
+    with pytest.raises(OSError, match="No space"):
+        write_report(tmp_path / "r", _ROWS * 2)
+    monkeypatch.undo()
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_failed_report_json_write_keeps_the_earlier_report(tmp_path):
+    before = _earlier_report(tmp_path, _ROWS)
+    with pytest.raises(TypeError):
+        # the csv is complete when the mirror meets a value json cannot hold
+        write_report(tmp_path / "r", [{**_ROWS[0], "seconds": object()}])
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+def test_report_makes_its_directory(tmp_path):
+    csv_path, json_path = write_report(tmp_path / "a" / "b" / "r", _ROWS)
+    assert json.load(open(json_path)) == _ROWS
+    assert open(csv_path, newline="").read().endswith("ok,0\r\n")

@@ -1,5 +1,7 @@
 """Matrix exponential against an independent Taylor-series reference."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -71,3 +73,13 @@ def test_rejects_bad_input():
         expm_pade(np.array([[np.nan, 0.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         expm_pade(np.zeros((2, 2)), scale=np.inf)
+
+
+@pytest.mark.parametrize("a,scale", [(np.ones((2, 2)), 1e308),
+                                     (np.full((3, 3), 1e200), 1e200),
+                                     (np.ones((2, 2)), -1e308)])
+def test_a_scaled_norm_that_overflows_is_a_value_error(a, scale):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="1-norm is not finite"):
+            expm_pade(a, scale)
