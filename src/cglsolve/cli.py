@@ -8,7 +8,6 @@ directories are made only when a file is written.
 
 import argparse
 import json
-import os
 import sys
 
 from .experiments import (available_presets, checked_frozen_probe,
@@ -16,7 +15,7 @@ from .experiments import (available_presets, checked_frozen_probe,
                           config_to_dict, make_preset, run_convergence_study,
                           run_preset)
 from .integrators import SCHEMES
-from .io import write_csv, write_report
+from .io import write_csv
 
 _DEFAULT_LADDER = "12,17,24,34,48"
 
@@ -126,7 +125,8 @@ def _cmd_sweep(args, parser):
                if args.schemes else sorted(SCHEMES))
     ladder = _ints(args.steps)
     rows, meta = run_convergence_study(config, schemes, ladder,
-                                       errors=not args.stability)
+                                       errors=not args.stability,
+                                       out_dir=args.out)
     _print_rows(rows, args.format, sys.stdout)
     # csv and json keep stdout machine-readable
     notes = sys.stdout if args.format == "table" else sys.stderr
@@ -136,8 +136,7 @@ def _cmd_sweep(args, parser):
             print("  least-squares order %-11s %.3f" % (scheme, order),
                   file=notes)
     if args.out:
-        base = os.path.join(args.out, f"{config.name}-sweep")
-        csv_path, json_path = write_report(base, rows)
+        csv_path, json_path = meta["report"]
         print("wrote", csv_path, "and", json_path, file=notes)
     return 0
 

@@ -3,8 +3,8 @@
 ``PRESETS`` maps each name to its desk-scale config and ``_PAPER_SCALE``
 to the fields the paper's resolutions change; ``_INITIAL_STATES`` maps
 each initial-condition recipe to its builder. Invalid configs, schemes,
-step counts and snapshot or probe requests are a ValueError before any
-run.
+step counts, output directories and snapshot or probe requests are a
+ValueError before any run.
 """
 
 import json
@@ -18,7 +18,7 @@ import numpy as np
 from .flows import NonlinearSpec
 from .integrators import (SCHEMES, Problem, checked_snapshot_steps,
                           integrate)
-from .io import _staged, write_snapshot
+from .io import _staged, write_report, write_snapshot
 from .operators import (BlockOperator, build_fd_operator,
                         build_periodic_operator, fd_nodes)
 from .params import CglParameters
@@ -358,7 +358,8 @@ def least_squares_orders(rows):
     return orders
 
 
-def run_convergence_study(config, schemes, step_counts, errors=True):
+def run_convergence_study(config, schemes, step_counts, errors=True,
+                          out_dir=None):
     """Error/order table for the given schemes over the step ladder.
 
     Returns (rows, meta): rows carry ``io.REPORT_COLUMNS``; meta gives the
@@ -367,10 +368,13 @@ def run_convergence_study(config, schemes, step_counts, errors=True):
     ReferenceMismatch above 10x the smallest measured error. With
     errors=False no reference runs, rel_err and observed_order are None
     and meta is {}. Status "x" marks a diverged run, diverged_at its step
-    (0 if none). Unknown schemes and step counts that are not integers
-    >= 1 are a ValueError before any run; the ladder is sorted and
-    de-duplicated.
+    (0 if none). With out_dir, ``io.write_report`` writes the rows to
+    ``<out_dir>/<name>-sweep.csv`` and ``.json``, whose paths are
+    meta["report"]. Unknown schemes, step counts that are not integers
+    >= 1 and an out_dir that is not a directory are a ValueError before
+    any run; the ladder is sorted and de-duplicated.
     """
+    _check_out_dir(out_dir)
     if not schemes:
         raise ValueError("need at least one scheme")
     for scheme in schemes:
@@ -442,7 +446,22 @@ def run_convergence_study(config, schemes, step_counts, errors=True):
                 f"{min(finest):.3e}")
     if errors:
         meta["orders"] = least_squares_orders(rows)
+    if out_dir:
+        meta["report"] = write_report(
+            os.path.join(out_dir, f"{config.name}-sweep"), rows)
     return rows, meta
+
+
+def _check_out_dir(out_dir):
+    """ValueError if out_dir, or its nearest parent that exists, is not a
+    directory: no file could be written there."""
+    if out_dir:
+        path = os.path.abspath(out_dir)
+        while not os.path.lexists(path):
+            path = os.path.dirname(path)
+        if not os.path.isdir(path):
+            raise ValueError(f"out_dir {out_dir!r}: {path} exists and is "
+                             f"not a directory")
 
 
 def checked_snapshot_request(snapshot_steps, steps, out_dir):
@@ -466,10 +485,11 @@ def run_preset(config, snapshot_steps=(), out_dir=None,
     """One integration of a config; optional snapshots and summary file.
 
     Returns (summary, physical_fields). out_dir is made at the first
-    write. With frozen_probe_steps > 0 the run continues that many steps
-    and reports the relative modulus drift over them (near zero for a
-    frozen state).
+    write, and rejected before any work if it is not a directory. With
+    frozen_probe_steps > 0 the run continues that many steps and reports
+    the relative modulus drift over them (near zero for a frozen state).
     """
+    _check_out_dir(out_dir)
     checked_frozen_probe(frozen_probe_steps)
     snapshot_steps = checked_snapshot_request(snapshot_steps, config.steps,
                                               out_dir)

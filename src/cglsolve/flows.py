@@ -33,6 +33,9 @@ _REAL_COEFF_FLOOR = 1e-14
 # real values per pass of all_finite, through one 64 KiB boolean buffer
 # (CHANGES.md, "One workspace per integrate call")
 _FINITE_CHUNK = 1 << 16
+# entries per pass of the exact flows: fewer, longer numpy calls than at
+# 2^13, while 2^15 costs RSS (CHANGES.md, "Exact flows that use both cores")
+_FLOW_CHUNK = 1 << 14
 
 
 class DivergenceError(RuntimeError):
@@ -179,7 +182,7 @@ def _power_law_flow(u0, t, a, b, p, name, out):
     """Exact flow of u' = (a + i b) |u|^p u, chunk by chunk on slabs.
 
     With y = p a |u0|^p t and L = log1p(-y), the factor is the amplitude
-    exp(-L/p) times the rotation by -b L/(p a); y >= 1 is blow-up.
+    exp(-L/p) times the rotation by phi = -b L/(p a); y >= 1 is blow-up.
     """
     u0 = np.asarray(u0, dtype=complex)
     spectral.check_out(out, u0.shape)
@@ -192,7 +195,7 @@ def _power_law_flow(u0, t, a, b, p, name, out):
     if out is None:
         out = np.empty(u0.shape, complex, order=order)
     kernel = partial(_flow_chunks, np.ravel(u0, order), out.ravel(order),
-                     p, p * a, t, -1.0 / p, -(b / (p * a)))
+                     p, -(p * a * t), -1.0 / p, -b / (2.0 * p * a))
     if u0.size < spectral._SERIAL_BELOW:
         flags = [kernel(0, u0.size)]
     else:
@@ -204,40 +207,49 @@ def _power_law_flow(u0, t, a, b, p, name, out):
     return out
 
 
-def _flow_chunks(src, dst, p, pa, t, amp_coeff, phase_coeff, lo, hi):
-    """The power-law flow of src[lo:hi] into dst[lo:hi], chunk by chunk;
-    returns (blow-up seen, non-finite output seen). A chunk with blow-up
-    is left unwritten; NaN input is not blow-up but gives NaN output."""
-    w, amp, trig = np.empty((3, spectral._CHUNK))
-    rot = np.empty(spectral._CHUNK, dtype=complex)
-    finite = np.empty(2 * spectral._CHUNK, dtype=bool)
+def _flow_chunks(src, dst, p, neg_pat, amp_coeff, half_phase_coeff, lo, hi):
+    """The power-law flow of src[lo:hi] into dst[lo:hi], _FLOW_CHUNK
+    entries at a time; returns (blow-up seen, non-finite output seen). A
+    chunk with blow-up is left unwritten; NaN input is not blow-up but
+    gives NaN output. The factor is c ((1 - T^2) + 2iT) with T =
+    tan(phi/2) and c = amp/(1 + T^2); dst takes u c, then the rotation,
+    which is built in scratch, since dst may be src. Two scratch arrays
+    per call, 384 KiB at 2^14 entries."""
+    n = min(_FLOW_CHUNK, hi - lo)
+    rot = np.empty(n, dtype=complex)
+    # rot's bytes as floats: amp and den, its two halves, until rot is built
+    halves = rot.view(np.float64)
+    w = np.empty(n)
     blow_up = non_finite = False
-    for start in range(lo, hi, spectral._CHUNK):
-        stop = min(start + spectral._CHUNK, hi)
+    for start in range(lo, hi, _FLOW_CHUNK):
+        stop = min(start + _FLOW_CHUNK, hi)
         k = stop - start
-        u, y, a, s, r = src[start:stop], w[:k], amp[:k], trig[:k], rot[:k]
-        # y = p a |u|^p t, with |u|^p as np.abs(u) ** p
+        u, y, r = src[start:stop], w[:k], rot[:k]
+        amp, den = halves[:k], halves[k:2 * k]
+        # y = -p a t |u|^p, with |u|^p as np.abs(u) ** p
         np.abs(u, out=y)
         for _ in range(p // 2):
             np.square(y, out=y)
-        np.multiply(y, pa, out=y)
-        np.multiply(y, t, out=y)
-        if (y >= 1.0).any():
+        np.multiply(y, neg_pat, out=y)
+        if np.less_equal(y, -1.0, out=amp.view(bool)[:k]).any():
             blow_up = True
             continue
-        np.negative(y, out=y)
         log = np.log1p(y, out=y)
-        np.multiply(log, amp_coeff, out=a)
-        np.exp(a, out=a)
-        phase = np.multiply(log, phase_coeff, out=y)
-        np.sin(phase, out=s)
-        np.multiply(s, a, out=r.imag)
-        np.cos(phase, out=s)
-        np.multiply(s, a, out=r.real)
+        np.multiply(log, amp_coeff, out=amp)
+        np.exp(amp, out=amp)
+        tan = np.multiply(log, half_phase_coeff, out=y)
+        np.tan(tan, out=tan)
+        np.square(tan, out=den)
+        np.add(den, 1.0, out=den)
+        c = np.divide(amp, den, out=amp)
         v = dst[start:stop]
-        np.multiply(u, r, out=v)
-        ok = finite[:2 * k]
+        np.multiply(u.real, c, out=v.real)
+        np.multiply(u.imag, c, out=v.imag)
+        np.square(tan, out=r.real)
+        np.subtract(1.0, r.real, out=r.real)
+        np.add(tan, tan, out=r.imag)
+        np.multiply(v, r, out=v)
+        ok = w.view(bool)[:2 * k]
         np.isfinite(v.view(np.float64), out=ok)
         non_finite = non_finite or not ok.all()
     return blow_up, non_finite
-

@@ -272,6 +272,24 @@ def test_sweep_zero_steps_is_a_usage_error_before_any_run(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command,under", [
+    (["run", "--steps", "2"], False), (["run", "--steps", "2"], True),
+    (["sweep", "--schemes", "strang", "--steps", "10"], False),
+    (["sweep", "--stability", "--schemes", "strang", "--steps", "10"], True),
+], ids=["run-file", "run-under-file", "sweep-file", "sweep-under-file"])
+def test_out_that_is_a_file_is_a_usage_error_before_any_run(
+        command, under, tmp_path, capsys, monkeypatch):
+    _no_integrate(monkeypatch)
+    afile = tmp_path / "afile"
+    afile.write_text("keep\n")
+    out = afile / "sub" if under else afile
+    code, err = _usage_error([command[0], "--preset", "plane-wave-1d",
+                              *command[1:], "--out", str(out)], capsys)
+    assert code == 2
+    assert f"{afile} exists and is not a directory" in err
+    assert afile.read_text() == "keep\n"
+
+
 def test_run_table_output(capsys):
     rc = main(["run", "--preset", "plane-wave-1d", "--steps", "10"])
     assert rc == 0

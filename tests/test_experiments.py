@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -321,6 +322,41 @@ def test_convergence_study_rejects_bad_step_counts_before_any_run(
         run_convergence_study(cfg, ["if4"], [steps, 20])
 
 
+def test_convergence_study_writes_its_report(tmp_path):
+    cfg = make_preset("plane-wave-1d")
+    out = tmp_path / "missing" / "sub"
+    rows, meta = run_convergence_study(cfg, ["strang"], [10, 20],
+                                       out_dir=str(out))
+    base = str(out / "plane-wave-1d-sweep")
+    assert meta["report"] == (base + ".csv", base + ".json")
+    with open(base + ".json") as fh:
+        written = json.load(fh)
+    assert [r["steps"] for r in written] == [10, 20]
+    assert [r["rel_err"] for r in written] == [r["rel_err"] for r in rows]
+
+
+def _a_file(tmp_path, under):
+    """A regular file, and an out_dir that is it or a directory under it."""
+    afile = tmp_path / "afile"
+    afile.write_text("keep\n")
+    return afile, str(afile / "sub" if under else afile)
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("errors", [True, False], ids=["errors", "stability"])
+def test_convergence_study_rejects_a_non_directory_out_dir_before_any_run(
+        errors, under, tmp_path, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(experiments, "integrate", no_run)
+    afile, out_dir = _a_file(tmp_path, under)
+    with pytest.raises(ValueError, match="exists and is not a directory"):
+        run_convergence_study(make_preset("plane-wave-1d"), ["strang"], [10],
+                              errors=errors, out_dir=out_dir)
+    assert afile.read_text() == "keep\n"
+
+
 def test_stability_sweep_shows_explicit_blowup():
     cfg = make_preset("cubic-2d-dirichlet")
     rows, meta = run_convergence_study(cfg, ["rk4", "strang"], [10],
@@ -426,3 +462,16 @@ def test_run_preset_rejects_bad_snapshot_steps_before_any_work(
         run_preset(cfg, snapshot_steps=snapshots,
                    out_dir=str(tmp_path) if out else None)
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_run_preset_rejects_a_non_directory_out_dir_before_any_work(
+        under, tmp_path, monkeypatch):
+    def no_build(config):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(experiments, "build_problem", no_build)
+    afile, out_dir = _a_file(tmp_path, under)
+    with pytest.raises(ValueError, match="exists and is not a directory"):
+        run_preset(make_preset("plane-wave-1d"), out_dir=out_dir)
+    assert afile.read_text() == "keep\n"

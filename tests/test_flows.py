@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cglsolve import spectral
+from cglsolve import flows, spectral
 from cglsolve.flows import (
     DivergenceError,
     NonlinearSpec,
@@ -342,3 +342,72 @@ def test_exact_flows_compose(quintic, shape, alpha, beta, total, split,
     composed = flow(flow(u, s, params), t, params)
     direct = flow(u, s + t, params)
     assert np.max(np.abs(composed - direct)) <= 2e-14 * np.max(np.abs(direct))
+
+
+def _state_with_phases(phi, p, a, b, t, rng):
+    """u0 whose flow rotates entry j by phi[j]: L = log1p(-y) = -phi p a / b
+    (phi must have the sign of b), y = p a |u0|^p t."""
+    log = -phi * p * a / b
+    modulus = (-np.expm1(log) / (p * a * t)) ** (1.0 / p)
+    return modulus * np.exp(2j * np.pi * rng.random(phi.size))
+
+
+@pytest.mark.parametrize("p", [2, 4])
+@pytest.mark.parametrize("a", [-1.0, 0.5], ids=["decaying", "growing"])
+@pytest.mark.parametrize("turns", [0.5, 3.5], ids=["half-turn", "beyond"])
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["positive", "negative"])
+def test_flow_phases_match_the_oracle(p, a, turns, sign):
+    # |phi| up to `turns` full turns (half a turn ends at pi), reached at
+    # L = 2 (decaying) or -1/2 (growing, y = 0.39); nearer blow-up, y's
+    # rounding dominates the error
+    rng = np.random.default_rng(65)
+    top = 2.0 * np.pi * turns
+    b = sign * top * p * abs(a) / (2.0 if a < 0 else 0.5)
+    phi = sign * np.linspace(top / 40001, top, 40001)
+    t = 0.3
+    u0 = _state_with_phases(phi, p, a, b, t, rng)
+    flow = cubic_flow if p == 2 else quintic_flow
+    coeffs = ({"alpha3": a, "beta3": b} if p == 2
+              else {"alpha4": a, "beta4": b})
+    got = flow(u0, t, CglParameters(alpha1=1.0, **coeffs))
+    want = power_flow_ref(u0, t, a, b, p)
+    reached = -b * np.log1p(-p * a * np.abs(u0) ** p * t) / (p * a)
+    assert np.max(np.abs(reached)) >= top * (1 - 1e-9)
+    bound = 1e-15 * (1.0 + np.abs(reached)) * np.max(np.abs(want))
+    assert np.all(np.abs(got - want) <= bound)
+
+
+@pytest.mark.parametrize("per_slab", [-1, 1], ids=["chunk-1", "chunk+1"])
+@pytest.mark.parametrize("threads", [1, 2, 5])
+def test_flow_chunk_edges_on_slabs(per_slab, threads, monkeypatch):
+    # each slab is one chunk +- 1 entries, so the last slab ends in a partial
+    # chunk; a bad entry there alone decides the reason
+    monkeypatch.setattr(spectral, "_THREADS", threads)
+    n = threads * (flows._FLOW_CHUNK + per_slab)
+    par = CglParameters(alpha1=1.0, alpha3=2.0, beta3=0.5)
+    u0 = 0.1 * random_complex(np.random.default_rng(66), (n,))
+    want = power_flow_ref(u0, 0.01, par.alpha3, par.beta3, 2)
+    assert np.max(np.abs(cubic_flow(u0, 0.01, par) - want)) <= (
+        1e-15 * np.max(np.abs(want)))
+    for bad, reason in ((10.0, "finite-time blow-up in cubic flow"),
+                        (np.nan, "non-finite cubic flow output")):
+        u = u0.copy()
+        u[-1] = bad
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(DivergenceError) as err:
+                cubic_flow(u, 0.01, par)
+        assert err.value.reason == reason
+
+
+@pytest.mark.parametrize("name", ["33x41x29-C", "33x41x29-F",
+                                  "128x64x8-C", "128x64x8-F",
+                                  "1d-below-floor"])
+@pytest.mark.parametrize("flow,par,a,b,p,t", FLOWS + [
+    (cubic_flow, CglParameters(alpha1=1.0, beta3=0.7), 0.0, 0.7, 2, 0.4)],
+    ids=FLOW_IDS + ["rotation"])
+def test_flow_in_place_equals_out_of_place(name, flow, par, a, b, p, t):
+    u0 = _flow_inputs()[name]
+    want = flow(u0, t, par)
+    out = u0.copy(order="K")
+    assert flow(out, t, par, out=out) is out
+    assert np.array_equal(out, want)
