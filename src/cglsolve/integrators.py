@@ -24,6 +24,7 @@ import numpy as np
 from . import spectral
 from .flows import (DivergenceError, all_finite, cubic_flow, eval_g,
                     quintic_flow)
+from .linalg import ExponentialOverflowError
 from .operators import BlockOperator
 from .spectral import dft_forward, dft_inverse
 
@@ -285,10 +286,11 @@ def _rows(tableau, h):
     the largest E, is first.
 
     k holds u, k_1 and each entry's value but the last, the step's: a sum
-    feeds f if ``stage``, else fills a slot. A group of two or more terms
-    whose stages exist before its row's newest is summed as soon as its
-    last stage exists, and its row reads that slot, so those stages are
-    written over early. Last reads: slots (j >= 1) no later entry reads.
+    feeds f if ``stage``, else fills a slot. Early sums: as soon as the
+    leading groups of a later row have all their stages, hold two or more
+    terms and include the newest stage, their sum (each group under its E,
+    in fold order) fills a slot, keyed (row, i), that the row then reads
+    as its first term. Last reads: slots (j >= 1) no later entry reads.
     """
     nodes = [sum(row, Fraction(0)) for row in tableau.a] + [_ONE]
     rows = []
@@ -306,16 +308,20 @@ def _rows(tableau, h):
             terms = tuple((coef / c, source) for coef, source in terms)
             groups.append((fraction or None, c, terms))
         rows.append(groups)
-    # stage i + 1 is the newest when row i runs; slot maps stages and
-    # early sums, keyed (row, group), to their places in k
+    # stage i + 1 is the newest when row i runs; slot maps the stages that
+    # exist and early sums, keyed (row, i), to their places in k
     slot, plan = {0: 0, 1: 1}, []
     for i, groups in enumerate(rows):
         for r in range(i + 1, len(rows)):
-            for g, (fraction, c, terms) in enumerate(rows[r]):
-                if len(terms) > 1 and max(j for _, j in terms) == i + 1:
-                    plan.append(([(None, 1, terms)], False))
-                    slot[r, g] = len(slot)
-                    rows[r][g] = (fraction, c, ((1, (r, g)),))
+            n = 0
+            while n < len(rows[r]) and all(j in slot
+                                           for _, j in rows[r][n][2]):
+                n += 1
+            lead = [j for _, _, terms in rows[r][:n] for _, j in terms]
+            if len(lead) > 1 and i + 1 in lead:
+                plan.append((rows[r][:n], False))
+                slot[r, i] = len(slot)
+                rows[r][:n] = [(None, 1, ((1, (r, i)),))]
         plan.append((groups, True))
         slot[i + 2] = len(slot)
     plan = [(tuple((fraction, c, tuple((coef, slot[j]) for coef, j in terms))
@@ -455,8 +461,12 @@ def integrate(problem, scheme_name, fields, t_final, steps,
         raise ValueError("initial fields must be finite")
     wanted = set(checked_snapshot_steps(snapshot_steps, steps))
     # an exponential that overflows shows as divergence at step 1
-    with np.errstate(over="ignore", invalid="ignore"):
-        exponentials = problem.prepare(tau, scheme)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            exponentials = problem.prepare(tau, scheme)
+    except ExponentialOverflowError as err:
+        return IntegrationResult(fields, steps, tau, 0.0, diverged=True,
+                                 diverged_at=1, reason=str(err))
     step = _stepper(problem, scheme, tau, exponentials, fields)
 
     start = time.perf_counter()

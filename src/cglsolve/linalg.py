@@ -11,7 +11,11 @@ import math
 
 import numpy as np
 
-__all__ = ["expm_pade"]
+__all__ = ["ExponentialOverflowError", "expm_pade"]
+
+
+class ExponentialOverflowError(ValueError):
+    """exp(scale * a) is not finite in double precision."""
 
 # 1-norm thresholds for the double-precision Pade degree ladder.
 _THETA = (
@@ -80,7 +84,8 @@ def _pade_approximant(b, degree):
 def expm_pade(a, scale=1.0):
     """Matrix exponential ``exp(scale * a)`` by Pade scaling-and-squaring;
     ValueError for a non-square or non-finite ``a``, a non-finite
-    ``scale``, or a ``scale * a`` whose 1-norm is not finite."""
+    ``scale``, or a ``scale * a`` whose 1-norm is not finite, and
+    ExponentialOverflowError at the first squaring that is not finite."""
     b, norm = _as_square_finite(a, scale)
     for degree, theta in _THETA[:-1]:
         if norm <= theta:
@@ -88,6 +93,11 @@ def expm_pade(a, scale=1.0):
     theta13 = _THETA[-1][1]
     squarings = max(0, math.ceil(math.log2(norm / theta13))) if norm > theta13 else 0
     f = _pade_approximant(b / (2.0 ** squarings), 13)
-    for _ in range(squarings):
-        f = f @ f
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, squarings + 1):
+            f = f @ f
+            if not np.all(np.isfinite(f)):
+                raise ExponentialOverflowError(
+                    f"matrix exponential overflows at squaring {k} of "
+                    f"{squarings}")
     return f

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import spectral
 
-__all__ = ["uniforms", "standard_normals", "normal_tensor"]
+__all__ = ["uniforms", "normal_tensor"]
 
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX = ((30, np.uint64(0xBF58476D1CE4E5B9)),
@@ -80,17 +80,6 @@ def _normals_chunks(seed, dst, lo, hi):
         np.multiply(r[:odd.size], s[:odd.size], out=odd)
 
 
-def _fill_normals(seed, dst):
-    """Standard normals 0..dst.size-1 of the stream into the 1-D dst."""
-    kernel = partial(_normals_chunks, _check_seed(seed), dst)
-    pairs = (dst.size + 1) // 2
-    if dst.size < spectral._SERIAL_BELOW:
-        kernel(0, pairs)
-    else:
-        spectral.run_slabs(kernel, pairs)
-    return dst
-
-
 def uniforms(seed, count, start=0):
     """Doubles in (0, 1] from counter positions start..start+count-1."""
     seed = _check_seed(seed)
@@ -100,13 +89,15 @@ def uniforms(seed, count, start=0):
     return out
 
 
-def standard_normals(seed, count):
-    """Standard normals; value i depends only on (seed, i)."""
-    return _fill_normals(seed, np.empty(count))
-
-
 def normal_tensor(seed, shape):
-    """Standard-normal tensor, filled first-index-fastest (F-ordered)."""
+    """Standard-normal tensor, filled first-index-fastest (F-ordered);
+    value i of the stream depends only on (seed, i)."""
     out = np.empty(tuple(int(n) for n in shape), order="F")
-    _fill_normals(seed, out.reshape(-1, order="F"))
+    kernel = partial(_normals_chunks, _check_seed(seed),
+                     out.reshape(-1, order="F"))
+    pairs = (out.size + 1) // 2
+    if out.size < spectral._SERIAL_BELOW:
+        kernel(0, pairs)
+    else:
+        spectral.run_slabs(kernel, pairs)
     return out

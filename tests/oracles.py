@@ -137,6 +137,34 @@ def lawson_rk4_ref(expk, g, u, tau):
                                          + 2.0 * expk(0.5, k3) + k4)
 
 
+def lawson_kutta38_ref(expk, g, u, tau):
+    """One Lawson step of Kutta's 3/8 rule (nodes 0, 1/3, 2/3, 1) in
+    textbook form, with expk(f, v) = exp(f tau K) v."""
+    third = 1.0 / 3.0
+    k1 = g(u)
+    k2 = g(expk(third, u + (tau / 3.0) * k1))
+    k3 = g(expk(2 * third, u) - (tau / 3.0) * expk(2 * third, k1)
+           + tau * expk(third, k2))
+    k4 = g(expk(1.0, u) + tau * (expk(1.0, k1) - expk(2 * third, k2)
+                                 + expk(third, k3)))
+    return expk(1.0, u) + (tau / 8.0) * (expk(1.0, k1)
+                                         + 3.0 * expk(2 * third, k2)
+                                         + 3.0 * expk(third, k3) + k4)
+
+
+def lawson_rk4_fold_ref(expk, g, u, tau):
+    """One Lawson-RK4 step with the sums of a plan that folds each row
+    left to right and sums the last row only once k4 exists:
+    E(1)(tau/6 k1 + u) + tau/3 E(1/2)(k2 + k3) + tau/6 k4 in one fold.
+    Given the same expk and g, a reordered plan must keep these bits."""
+    k1 = g(u)
+    k2 = g(expk(0.5, (tau / 2) * k1 + u))
+    k3 = g(expk(0.5, u) + (tau / 2) * k2)
+    k4 = g(expk(1.0, u) + tau * expk(0.5, k3))
+    return (expk(1.0, (tau / 6) * k1 + u) + (tau / 3) * expk(0.5, k2 + k3)
+            + (tau / 6) * k4)
+
+
 def power_flow_ref(u0, t, a, b, p):
     """Exact flow of u' = (a + i b)|u|^p u as one whole-array formula."""
     u0 = np.asarray(u0, dtype=complex)

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cglsolve import integrators, operators, spectral
 from cglsolve.experiments import build_problem, initial_state, make_preset
@@ -21,8 +23,9 @@ from cglsolve.operators import (
 from cglsolve.params import CglParameters
 from cglsolve.spectral import FourierGrid, dft_forward
 
-from oracles import (expm_taylor_ref, kron_sum_matrix, lawson_rk4_ref,
-                     random_complex, unvec, vec)
+from oracles import (expm_taylor_ref, kron_sum_matrix, lawson_kutta38_ref,
+                     lawson_rk4_fold_ref, lawson_rk4_ref, random_complex,
+                     unvec, vec)
 
 CUBIC = CglParameters(alpha1=1.0, beta1=2.0, alpha2=1.0, alpha3=-1.0,
                       beta3=0.2)
@@ -47,6 +50,35 @@ def test_zero_nonlinearity_reduces_to_exponential(scheme):
     want = unvec(expm_pade(k, tau) @ vec(u0), (7, 6))
     err = np.max(np.abs(res.fields[0] - want)) / np.max(np.abs(want))
     assert err <= 1e-11
+
+
+@settings(max_examples=30, deadline=None)
+@given(fourier=st.booleans(), kind=st.sampled_from(["cubic", "cubic_quintic"]),
+       steps=st.integers(1, 6), t_final=st.floats(0.01, 1.0),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_linear_problems_step_exactly_by_the_exponential(fourier, kind, steps,
+                                                         t_final, seed, data):
+    # alpha3 = beta3 = alpha4 = beta4 = 0 make every flow and g vanish; an
+    # FD direction needs 6 nodes, and its dense exponential stays small
+    if fourier:
+        shape = data.draw(st.lists(st.integers(2, 6), min_size=1, max_size=3))
+        grid = FourierGrid(shape, ((0.0, 10.0),) * len(shape))
+        op = build_periodic_operator(grid, LINEAR_ONLY)
+    else:
+        shape = data.draw(st.lists(st.integers(6, 9), min_size=1, max_size=2))
+        op = build_fd_operator(LINEAR_ONLY, shape, (10.0,) * len(shape),
+                               "dirichlet")
+    problem = Problem(op, NonlinearSpec(kind, LINEAR_ONLY))
+    u0 = random_complex(np.random.default_rng(seed), tuple(shape))
+    if fourier:
+        want = np.exp(t_final * op.symbol) * u0
+    else:
+        dense = expm_taylor_ref(kron_sum_matrix(op.matrices), t_final)
+        want = unvec(dense @ vec(u0), shape)
+    for scheme in EXP_SCHEMES:
+        res = integrate(problem, scheme, (u0,), t_final, steps)
+        err = np.max(np.abs(res.fields[0] - want)) / np.max(np.abs(want))
+        assert err <= 1e-13, scheme
 
 
 @pytest.mark.parametrize("pair", [("if2", "rk2"), ("if4", "rk4")])
@@ -147,6 +179,21 @@ def test_an_exponential_that_overflows_is_divergence_at_step_1(name, scheme):
         result = integrate(problem, scheme, state0, 1e4, 1)
     assert result.diverged and result.diverged_at == 1
     assert all(np.array_equal(u, v) for u, v in zip(result.fields, state0))
+
+
+@pytest.mark.parametrize("scheme", ["if4", "split4", "strang"])
+def test_a_matrix_exponential_that_overflows_is_reported_with_its_reason(
+        scheme):
+    # the FD exponential stops squaring at the first non-finite power;
+    # integrate takes no step
+    config = make_preset("cubic-2d-dirichlet")
+    problem = build_problem(config)
+    state0 = problem.from_physical(initial_state(config))
+    result = integrate(problem, scheme, state0, 1e4, 3)
+    assert result.diverged and result.diverged_at == 1
+    assert result.reason.startswith("matrix exponential overflows at "
+                                    "squaring ")
+    assert result.seconds == 0.0 and result.fields[0] is state0[0]
 
 
 def test_exponential_schemes_survive_large_steps():
@@ -536,23 +583,8 @@ def test_states_kept_by_the_caller_are_never_written(name, scheme):
         assert all(np.array_equal(a, b) for a, b in zip(fields, copies))
 
 
-# the most workspace tuples a step holds at once: each stage value, a
-# stage's exponential while its input is still read, and the coarse map of
-# split4 while the fine one runs. No more than the step arrays that were
-# live at once before the workspace, when every layer returned new arrays.
-# An exponential writes into its own input only in Fourier space, and the
-# "g" subflow of a non-cubic kind holds its four RK4 stages.
-STEP_PEAK = {
-    "fd": {"rk2": 2, "rk4": 4, "if2": 3, "if4": 5, "strang": 2,
-           "strang_3t": 2, "split4": 3, "split4_3t": 3},
-    "fourier": {"rk2": 2, "rk4": 4, "if2": 2, "if4": 4, "strang": 5,
-                "strang_3t": 1, "split4": 6, "split4_3t": 2},
-}
-
-
-@pytest.mark.parametrize("scheme", sorted(SCHEMES))
-@pytest.mark.parametrize("name", sorted(STEP_PEAK))
-def test_workspace_holds_a_steps_peak(scheme, name, monkeypatch):
+def made_tuples(name, scheme, steps, monkeypatch):
+    """The workspace tuples an integrate call makes."""
     made = []
     take = integrators._Workspace.take
 
@@ -560,23 +592,42 @@ def test_workspace_holds_a_steps_peak(scheme, name, monkeypatch):
         made.append(not ws._free)
         return take(ws)
 
-    monkeypatch.setattr(integrators._Workspace, "take", counted)
     problem = counting_problem(name)
     fields = tuple(np.full(problem.operator.shape, 0.1 + 0.05j)
                    for _ in range(problem.nonlinear.components))
-    integrate(problem, scheme, fields, 0.03, 3)
+    with monkeypatch.context() as patch:
+        patch.setattr(integrators._Workspace, "take", counted)
+        integrate(problem, scheme, fields, 0.01 * steps, steps)
+    return sum(made)
+
+
+# the most workspace tuples a step holds at once: each stage value, a
+# stage's exponential while its input is still read, and the coarse map of
+# split4 while the fine one runs. No more than the step arrays that were
+# live at once before the workspace, when every layer returned new arrays.
+# An exponential writes into its own input only in Fourier space, and the
+# "g" subflow of a non-cubic kind holds its four RK4 stages.
+STEP_PEAK = {
+    "fd": {"rk2": 2, "rk4": 4, "if2": 3, "if4": 4, "strang": 2,
+           "strang_3t": 2, "split4": 3, "split4_3t": 3},
+    "fourier": {"rk2": 2, "rk4": 4, "if2": 2, "if4": 3, "strang": 5,
+                "strang_3t": 1, "split4": 6, "split4_3t": 2},
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(SCHEMES))
+@pytest.mark.parametrize("name", sorted(STEP_PEAK))
+def test_workspace_holds_a_steps_peak(scheme, name, monkeypatch):
     # each step's result leaves the workspace: one new tuple a step after
     # the first step's peak
-    assert sum(made) == STEP_PEAK[name][scheme] + 2
+    peak = STEP_PEAK[name][scheme]
+    assert made_tuples(name, scheme, 3, monkeypatch) == peak + 2
 
 
-@pytest.mark.parametrize("name", ["fd", "fourier", "coupled"])
-def test_if4_steps_equal_the_textbook_lawson_rk4(name):
-    # the planned step (sums made early, stages written over) against the
-    # textbook formula with dense exponentials, on stacked components
-    problem = counting_problem(name)
-    u = np.stack(initial_fields(problem, 78))
-    tau, blocks, shape = 0.01, problem.operator.blocks, problem.operator.shape
+def textbook_pieces(problem, tau):
+    """expk(f, v) = exp(f tau K) v with dense or symbol exponentials, and
+    g, on components stacked along axis 0."""
+    blocks, shape = problem.operator.blocks, problem.operator.shape
     if problem.fourier:
         def expk(f, v):
             return np.stack([np.exp(f * tau * b.symbol) * x
@@ -585,18 +636,120 @@ def test_if4_steps_equal_the_textbook_lawson_rk4(name):
         def g(v):
             phys = eval_g(problem.nonlinear, [np.fft.ifftn(x) for x in v])
             return np.stack([np.fft.fftn(x) for x in phys])
-    else:
-        dense = {f: expm_taylor_ref(kron_sum_matrix(blocks[0].matrices),
-                                    f * tau) for f in (0.5, 1.0)}
+        return expk, g
+    dense = {}
 
-        def expk(f, v):
-            return unvec(dense[f] @ vec(v[0]), shape)[None]
+    def expk(f, v):
+        if f not in dense:
+            dense[f] = expm_taylor_ref(kron_sum_matrix(blocks[0].matrices),
+                                       f * tau)
+        return unvec(dense[f] @ vec(v[0]), shape)[None]
 
-        def g(v):
-            return np.stack(eval_g(problem.nonlinear, tuple(v)))
+    def g(v):
+        return np.stack(eval_g(problem.nonlinear, tuple(v)))
+    return expk, g
+
+
+@pytest.mark.parametrize("name", ["fd", "fourier", "coupled"])
+def test_if4_steps_equal_the_textbook_lawson_rk4(name):
+    # the planned step (sums made early, stages written over) against the
+    # textbook formula with dense exponentials, on stacked components
+    problem = counting_problem(name)
+    u = np.stack(initial_fields(problem, 78))
+    tau = 0.01
+    expk, g = textbook_pieces(problem, tau)
     want = u
     for _ in range(3):
         want = lawson_rk4_ref(expk, g, want, tau)
     res = integrate(problem, "if4", tuple(u), 3 * tau, 3)
     got = np.stack(res.fields)
     assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+# Kutta's 3/8 rule in Lawson form. Every row after the first starts with
+# a sum made early, and the final row takes three in turn: E(1)(tau/8 k1 +
+# u), then + 3 tau/8 E(2/3) k2, then + 3 tau/8 E(1/3) k3, before tau/8 k4
+KUTTA38 = integrators.Scheme("if38", 4, tableau=integrators.Tableau(
+    a=((), (Fraction(1, 3),), (Fraction(-1, 3), 1), (1, -1, 1)),
+    b=(Fraction(1, 8), Fraction(3, 8), Fraction(3, 8), Fraction(1, 8)),
+    lawson=True))
+
+
+@pytest.mark.parametrize("scheme,chain", [
+    (KUTTA38, 3), (SCHEMES["if4"], 2), (SCHEMES["if2"], 1),
+    (SCHEMES["rk4"], 0)], ids=["kutta38", "if4", "if2", "rk4"])
+def test_the_final_row_takes_its_early_sums_in_turn(scheme, chain):
+    # follow the final row's first term back through the early sums that
+    # each read the one before; entry e of the plan fills slot e + 2 of k
+    plan = integrators._rows(scheme.tableau, 1.0)
+    found, slot = 0, plan[-1][0][0][2][0][1]
+    while slot >= 2 and not plan[slot - 2][2]:
+        found, slot = found + 1, plan[slot - 2][0][0][2][0][1]
+    assert found == chain
+    if chain:
+        # the final row is that sum plus its newest stage, in the last slot
+        first, last = plan[-1][0]
+        assert first[:2] == (None, 1) and len(first[2]) == 1
+        assert last[0] is None and last[2] == ((1, len(plan)),)
+
+
+@pytest.mark.parametrize("name", ["fd", "fourier", "coupled"])
+def test_kutta38_lawson_steps_equal_the_textbook_step(name, monkeypatch):
+    monkeypatch.setitem(SCHEMES, "if38", KUTTA38)
+    problem = counting_problem(name)
+    u = np.stack(initial_fields(problem, 80))
+    tau = 0.01
+    expk, g = textbook_pieces(problem, tau)
+    want = u
+    for _ in range(3):
+        want = lawson_kutta38_ref(expk, g, want, tau)
+    res = integrate(problem, "if38", tuple(u), 3 * tau, 3)
+    got = np.stack(res.fields)
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("name,peak", [("fd", 5), ("fourier", 5)])
+def test_kutta38_workspace_holds_a_steps_peak(name, peak, monkeypatch):
+    # k1 starts an early sum in each of the three later rows, and each
+    # later early sum is written into the slot it reads
+    monkeypatch.setitem(SCHEMES, "if38", KUTTA38)
+    assert made_tuples(name, "if38", 3, monkeypatch) == peak + 2
+    assert made_tuples(name, "if38", 5, monkeypatch) == peak + 4
+
+
+class Fields(tuple):
+    """Components that add and scale like one array."""
+
+    def __add__(self, other):
+        return Fields(x + y for x, y in zip(self, other))
+
+    def __rmul__(self, c):
+        return Fields(c * x for x in self)
+
+
+@pytest.mark.parametrize("name,shape", [("fd", (8, 7, 6)),
+                                        ("fourier", (8, 7, 6)),
+                                        ("coupled", (12, 10)),
+                                        ("fourier", (32, 32, 32))])
+def test_if4_steps_keep_the_bits_of_the_unreordered_fold(name, shape):
+    # the same exponentials and g, driven by the fold the plan had before
+    # it summed the final row's groups early; (32, 32, 32) runs the
+    # threaded kernels
+    problem = problem_of(name, shape)
+    u = initial_fields(problem, 81)
+    res = integrate(problem, "if4", u, 3e-3, 3)
+    exps = problem.prepare(res.tau, SCHEMES["if4"])
+    ws = integrators._Workspace(u)
+
+    def expk(f, v):
+        return Fields(problem.operator.exp_apply(exps[f], v))
+
+    def g(v):
+        return Fields(problem.g(v, ws))
+
+    want = Fields(u)
+    for _ in range(3):
+        want = lawson_rk4_fold_ref(expk, g, want, res.tau)
+    assert not res.diverged
+    for a, b in zip(res.fields, want):
+        assert a.tobytes() == b.tobytes()

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cglsolve.linalg import expm_pade
+from cglsolve.linalg import ExponentialOverflowError, expm_pade
 
 from oracles import expm_taylor_ref, random_complex
 
@@ -83,3 +83,24 @@ def test_a_scaled_norm_that_overflows_is_a_value_error(a, scale):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="1-norm is not finite"):
             expm_pade(a, scale)
+
+
+
+@pytest.mark.parametrize("a,scale,where", [
+    (np.ones((2, 2)), 1e300, "8 of 996"), (np.eye(3), 800.0, "8 of 8")])
+def test_an_exponential_that_overflows_stops_at_the_first_bad_square(
+        a, scale, where):
+    # exp(1e300 * ones) would take 996 squarings, and returned all-NaN; the
+    # first square that is not finite ends them, without a matmul warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ExponentialOverflowError) as err:
+            expm_pade(a, scale)
+    assert isinstance(err.value, ValueError)
+    assert str(err.value) == ("matrix exponential overflows at squaring "
+                              + where)
+
+
+def test_an_exponential_near_the_overflow_is_finite():
+    got = expm_pade(np.eye(3), 700.0)
+    assert rel_max(got, np.exp(700.0) * np.eye(3)) <= 1e-12

@@ -5,27 +5,27 @@ import numpy as np
 import pytest
 
 from cglsolve import rng, spectral
-from cglsolve.rng import normal_tensor, standard_normals, uniforms
+from cglsolve.rng import normal_tensor, uniforms
 
 from oracles import normal_tensor_ref, standard_normals_ref, uniforms_ref
 
 
 def test_same_seed_bit_identical():
-    a = standard_normals(2024, 1000)
-    b = standard_normals(2024, 1000)
+    a = normal_tensor(2024, (1000,))
+    b = normal_tensor(2024, (1000,))
     assert np.array_equal(a, b)
 
 
 def test_different_seeds_differ():
-    a = standard_normals(1, 100)
-    b = standard_normals(2, 100)
+    a = normal_tensor(1, (100,))
+    b = normal_tensor(2, (100,))
     assert np.max(np.abs(a - b)) > 1e-3
 
 
 def test_stream_is_counter_addressed():
     # a prefix never depends on how much is drawn in total
-    long = standard_normals(7, 1001)
-    short = standard_normals(7, 17)
+    long = normal_tensor(7, (1001,))
+    short = normal_tensor(7, (17,))
     assert np.array_equal(long[:17], short)
     # uniform blocks can be requested by offset
     block = uniforms(7, 10, start=5)
@@ -39,7 +39,7 @@ def test_uniforms_in_half_open_unit_interval():
 
 
 def test_moments():
-    z = standard_normals(31415, 1 << 16)
+    z = normal_tensor(31415, (1 << 16,))
     n = z.size
     assert abs(z.mean()) <= 5.0 / np.sqrt(n)
     assert abs(z.std() - 1.0) <= 0.02
@@ -50,7 +50,7 @@ def test_moments():
 
 def test_normal_tensor_column_major_fill():
     t = normal_tensor(5, (3, 4))
-    flat = standard_normals(5, 12)
+    flat = normal_tensor(5, (12,))
     assert np.array_equal(t.reshape(-1, order="F"), flat)
     assert t.shape == (3, 4)
 
@@ -60,13 +60,13 @@ def test_frozen_first_values():
     head = [float.fromhex(x) for x in (
         "-0x1.cf9fb99cfab90p-2", "0x1.a9813db388d6fp-3",
         "0x1.53470d1ebc1f2p+1", "-0x1.f63166b13249ep-2")]
-    assert standard_normals(0, 4).tolist() == head
+    assert normal_tensor(0, (4,)).tolist() == head
     # across value 8192, with the top seed and an odd count
     tail = [float.fromhex(x) for x in (
         "-0x1.43f611cee742fp-1", "-0x1.3d6f1a5e3a50dp-2",
         "-0x1.37db3fbf5775ep+0", "-0x1.bcaa495400c4cp-1",
         "0x1.2d359c8ddea64p+1")]
-    assert standard_normals(2 ** 64 - 1, 8195)[8190:].tolist() == tail
+    assert normal_tensor(2 ** 64 - 1, (8195,))[8190:].tolist() == tail
     u = uniforms(0, 2)
     # splitmix64(0 + 1*gamma) top bits, checked against an int-arithmetic
     # reimplementation
@@ -87,7 +87,7 @@ def test_frozen_first_values():
 def test_seed_validation():
     for seed in (-1, 2 ** 64, 1.5, "3", np.float64(2.0)):
         for draw in (lambda: uniforms(seed, 3),
-                     lambda: standard_normals(seed, 3),
+                     lambda: normal_tensor(seed, (3,)),
                      lambda: normal_tensor(seed, (2, 0))):
             with pytest.raises(ValueError, match="seed"):
                 draw()
@@ -125,7 +125,7 @@ def test_normal_tensor_matches_the_oracle(threads, seed, shape):
 def test_counts_match_the_oracle(threads, seed):
     for count in (0, 1, 2, 3, 2 * rng._PAIRS + 1,
                   spectral._SERIAL_BELOW + 3):
-        got = standard_normals(seed, count)
+        got = normal_tensor(seed, (count,))
         assert got.tobytes() == standard_normals_ref(int(seed),
                                                      count).tobytes()
     for start, count in ((0, 1001), (1, 9), (2 ** 64 - 9, 9)):
