@@ -36,8 +36,15 @@ REPORT_COLUMNS = ("scheme", "steps", "tau", "seconds", "rel_err",
 
 
 def write_snapshot(path, fields, time, grids):
-    """Write component tensors plus the grid sidecar; bitwise reproducible."""
+    """Write component tensors plus the grid sidecar; bitwise reproducible.
+    ValueError, before any file is made, for no components or a time that
+    is not finite."""
     fields = [np.asarray(u, dtype="<c16") for u in fields]
+    if not fields:
+        raise ValueError("need at least one component")
+    time = float(time)
+    if not math.isfinite(time):
+        raise ValueError(f"snapshot time must be finite, got {time}")
     shape = fields[0].shape
     for u in fields:
         if u.shape != shape:
@@ -52,7 +59,7 @@ def write_snapshot(path, fields, time, grids):
         fh.write(_MAGIC)
         fh.write(struct.pack("<II", _VERSION, len(shape)))
         fh.write(struct.pack(f"<{len(shape)}Q", *shape))
-        fh.write(struct.pack("<d", float(time)))
+        fh.write(struct.pack("<d", time))
         fh.write(struct.pack("<I", len(fields)))
         for u in fields:
             fh.write(np.ravel(u, order="F"))

@@ -89,6 +89,25 @@ def _exponentials(tau, fractions, build):
     return found
 
 
+def _numerical_band(e):
+    """e with zeros outside its numerical band, the narrowest |i - j| <= b
+    such that in every row the moduli outside it sum to at most 2^-53 of
+    the row's modulus sum; e itself if that band is the whole matrix."""
+    n = e.shape[0]
+    mod = np.abs(e)
+    rows, cols = np.indices(e.shape)
+    dist = np.abs(rows - cols)
+    # mass[i, d]: the moduli of row i at distance d from the diagonal
+    mass = np.bincount((rows * n + dist).ravel(), mod.ravel(), n * n)
+    # outside[i, b]: row i's mass beyond distance b, smallest terms first
+    outside = np.cumsum(mass.reshape(n, n)[:, :0:-1], axis=1)[:, ::-1]
+    fits = np.all(outside <= 2.0**-53 * mod.sum(axis=1, keepdims=True),
+                  axis=0)
+    if not fits.any():
+        return e
+    return np.where(dist <= np.argmax(fits), e, 0)
+
+
 class KroneckerOperator:
     """Kronecker sum of per-direction matrices."""
 
@@ -107,16 +126,17 @@ class KroneckerOperator:
         return kron_sum_apply(u, self.matrices)
 
     def prepare(self, tau, fractions):
-        """{f: [exp(f tau A_mu) for each direction mu]}; directions whose
-        matrices are equal bit for bit (all three of a cube) share one
-        array, one ``expm_pade`` per distinct matrix and fraction."""
+        """{f: [exp(f tau A_mu) for each direction mu]}, each cut to its
+        numerical band (``_numerical_band``); directions whose matrices
+        are equal bit for bit (all three of a cube) share one array, one
+        ``expm_pade`` per distinct matrix and fraction."""
         keys = [m.tobytes() for m in self.matrices]
 
         def build(step):
             found = {}
             for key, m in zip(keys, self.matrices):
                 if key not in found:
-                    found[key] = expm_pade(m, step)
+                    found[key] = _numerical_band(expm_pade(m, step))
             return [found[key] for key in keys]
 
         return _exponentials(tau, fractions, build)

@@ -7,8 +7,10 @@ first-index-fastest (column-major), for d = 2
     vec(tucker_apply(u, [m1, m2])) == kron(m2, m1) @ vec(u)
 
 and ``kron_sum_apply`` applies the Kronecker sum of its factors without
-forming it. Each costs one matrix product per direction. F-ordered input
-is read as it is, C-ordered input as its F-ordered transpose, and other
+forming it. Each costs one matrix product per direction, or, for a factor
+mostly of exact zeros, one per block of rows over the columns it touches;
+a dense factor keeps its one product and its bits. F-ordered input is
+read as it is, C-ordered input as its F-ordered transpose, and other
 strides are copied once; a result is C-ordered for C-ordered input and
 F-ordered otherwise.
 """
@@ -25,9 +27,13 @@ __all__ = [
     "kron_sum_apply",
 ]
 
-# tucker_apply's in-place blocks hold at least this many entries, so a 2-D
-# first direction is one GEMM (CHANGES.md, "Column-major mu-mode products")
-_BLOCK = 1 << 14
+# tucker_apply's in-place blocks hold at least this many entries, enough
+# columns for each row block's GEMM (CHANGES.md, "Banded mu-mode products")
+_BLOCK = 1 << 16
+# rows per GEMM of a factor with zero entries (_row_blocks)
+_ROWS = 32
+# one GEMM over the whole factor
+_WHOLE = ((slice(None), slice(None)),)
 
 
 def _checked(u, mats, axes):
@@ -67,18 +73,38 @@ def _column_major(u, like=None):
     return np.asfortranarray(u), False
 
 
-def _mode_pass(x, mat, axis, out):
-    """out = x x_axis mat, with x and out F-ordered of matching shapes."""
+def _row_blocks(mat):
+    """(rows, cols) slices of mat, one per block of _ROWS rows, cols the
+    span of that block's nonzero columns; None, for one GEMM, when there
+    are fewer than two blocks or they cover more than 3/4 of mat."""
+    m, n = mat.shape
+    if m <= _ROWS:
+        return None
+    blocks, cover = [], 0
+    for lo in range(0, m, _ROWS):
+        cols = np.flatnonzero(mat[lo:lo + _ROWS].any(axis=0))
+        c0, c1 = (int(cols[0]), int(cols[-1]) + 1) if cols.size else (0, 0)
+        blocks.append((slice(lo, lo + _ROWS), slice(c0, c1)))
+        cover += (min(m, lo + _ROWS) - lo) * (c1 - c0)
+    return None if cover > 0.75 * m * n else blocks
+
+
+def _mode_pass(x, mat, axis, out, blocks):
+    """out = x x_axis mat, with x and out F-ordered of matching shapes: one
+    GEMM per (rows, cols) block of mat, or one in all if blocks is None."""
     n, r = x.shape[axis], mat.shape[0]
     a = math.prod(x.shape[:axis])
     b = math.prod(x.shape[axis + 1:])
     if a == 1:
-        np.matmul(mat, x.reshape(n, b, order="F"),
-                  out=out.reshape(r, b, order="F"))
+        src, dst = x.reshape(n, b, order="F"), out.reshape(r, b, order="F")
+        for rows, cols in blocks or _WHOLE:
+            np.matmul(mat[rows, cols], src[cols], out=dst[rows])
     else:
         # a batch over b of (a, n) @ mat.T, each entry F-ordered
-        np.matmul(x.reshape(a, n, b, order="F").transpose(2, 0, 1), mat.T,
-                  out=out.reshape(a, r, b, order="F").transpose(2, 0, 1))
+        src = x.reshape(a, n, b, order="F").transpose(2, 0, 1)
+        dst = out.reshape(a, r, b, order="F").transpose(2, 0, 1)
+        for rows, cols in blocks or _WHOLE:
+            np.matmul(src[..., cols], mat[rows, cols].T, out=dst[..., rows])
 
 
 def _mode_shape(shape, mat, axis):
@@ -94,7 +120,7 @@ def mu_mode_product(u, mat, axis):
         axis = u.ndim - 1 - axis
     out = np.empty(_mode_shape(x.shape, mat, axis),
                    np.result_type(x.dtype, mat.dtype), order="F")
-    _mode_pass(x, mat, axis, out)
+    _mode_pass(x, mat, axis, out, _row_blocks(mat))
     return out.T if transposed else out
 
 
@@ -119,9 +145,10 @@ def tucker_apply(u, mats, *, out=None):
 
 def _tucker_column_major(x, mats, out):
     """tucker_apply for an F-ordered x into the F-ordered out (or a new
-    array): the last direction is one GEMM into it, and the others run in
+    array): the last direction is one pass into it, and the others run in
     place on cache-sized blocks of the last axis."""
     lead, last = mats[:-1], mats[-1]
+    plans = [_row_blocks(m) for m in mats]
     dtype = np.result_type(x.dtype, *mats)
     shape = _mode_shape(x.shape, last, x.ndim - 1)
     # shapes of one last-axis slice before and after each leading product
@@ -133,38 +160,46 @@ def _tucker_column_major(x, mats, out):
     buf = out
     if shapes[-1] != shapes[0]:  # a rectangular factor resizes the slices
         buf = np.empty(shape, dtype, order="F")
-    _mode_pass(x, last, x.ndim - 1, buf)
+    _mode_pass(x, last, x.ndim - 1, buf, plans[-1])
     if not lead:
         return buf
+    # a lone leading pass reads the rows it writes, which a blocked pass
+    # must not do, so it writes scratch too
+    through = len(lead) == 1 and buf is out and plans[0] is not None
     width = -(-_BLOCK // max(1, math.prod(shapes[0])))
-    size = max(map(math.prod, shapes[1:-1]), default=0) * width
-    scratch = [np.empty(size, dtype) for _ in range(min(len(lead) - 1, 2))]
+    written = shapes[1:len(lead) + through]
+    size = max(map(math.prod, written), default=0) * width
+    scratch = [np.empty(size, dtype) for _ in range(min(len(written), 2))]
     for lo in range(0, buf.shape[-1], width):
-        _leading_passes(buf[..., lo:lo + width], lead, shapes,
-                        out[..., lo:lo + width], scratch)
+        _leading_passes(buf[..., lo:lo + width], lead, plans, shapes,
+                        out[..., lo:lo + width], scratch, through)
     return out
 
 
-def _leading_passes(src, mats, shapes, dst, scratch):
+def _leading_passes(src, mats, plans, shapes, dst, scratch, through):
     """Every mats[k] along axis k of the F-ordered block src, into dst,
-    through alternating scratch buffers. dst may be src: numpy gives an
+    through alternating scratch buffers; with ``through`` the last pass
+    writes scratch too, copied into dst. dst may be src: numpy gives an
     overlapping matmul the result it would have without overlap."""
     width = src.shape[-1]
     cur = src
-    for axis, m in enumerate(mats[:-1]):
-        shape = shapes[axis + 1] + (width,)
-        nxt = scratch[axis % 2][:math.prod(shape)].reshape(shape, order="F")
-        _mode_pass(cur, m, axis, nxt)
+    for axis, m in enumerate(mats):
+        nxt = dst
+        if axis < len(mats) - 1 or through:
+            shape = shapes[axis + 1] + (width,)
+            nxt = scratch[axis % 2][:math.prod(shape)].reshape(shape,
+                                                               order="F")
+        _mode_pass(cur, m, axis, nxt, plans[axis])
         cur = nxt
-    _mode_pass(cur, mats[-1], len(mats) - 1, dst)
+    if through:
+        dst[...] = cur
 
 
 def kron_sum_apply(u, mats):
     """Action of the Kronecker sum of ``mats`` on ``u``, without forming
     the Kronecker-sum matrix."""
     u, mats = _one_per_direction(u, mats)
-    out = None
-    for axis, m in enumerate(mats):
-        term = mu_mode_product(u, m, axis)
-        out = term if out is None else out + term
+    out = mu_mode_product(u, mats[0], 0)
+    for axis, m in enumerate(mats[1:], 1):
+        np.add(out, mu_mode_product(u, m, axis), out=out)
     return out

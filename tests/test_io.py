@@ -1,9 +1,14 @@
 import builtins
 import json
+import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cglsolve import io
 from cglsolve.io import read_snapshot, write_report, write_snapshot
@@ -156,6 +161,42 @@ def test_snapshot_validates_shapes(tmp_path):
     with pytest.raises(ValueError):
         write_snapshot(tmp_path / "z.cgls", (u,), 0.0,
                        [np.arange(3.0), np.arange(4.0)])
+
+
+@pytest.mark.parametrize("fields,time,match", [
+    ((), 0.0, "at least one component"),
+    ((np.zeros(3, complex),), float("nan"), "finite"),
+    ((np.zeros(3, complex),), float("inf"), "finite"),
+], ids=["no-components", "nan-time", "inf-time"])
+def test_snapshot_rejects_bad_input_before_any_file(tmp_path, fields, time,
+                                                    match):
+    grids = [np.arange(3.0)] if fields else []
+    with pytest.raises(ValueError, match=match):
+        write_snapshot(tmp_path / "x.cgls", fields, time, grids)
+    assert list(tmp_path.iterdir()) == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(),
+       shape=st.lists(st.integers(1, 5), min_size=1, max_size=3).map(tuple),
+       ncomp=st.integers(1, 3),
+       time=st.floats(allow_nan=False, allow_infinity=False),
+       fortran=st.booleans())
+def test_snapshots_round_trip_bit_for_bit(data, shape, ncomp, time, fortran):
+    fields = [data.draw(hnp.arrays(np.complex128, shape))
+              for _ in range(ncomp)]
+    if fortran:
+        fields = [np.asfortranarray(u) for u in fields]
+    grids = [np.linspace(0.0, 1.0, n) for n in shape]
+    with tempfile.TemporaryDirectory() as where:
+        path = os.path.join(where, "state.cgls")
+        write_snapshot(path, fields, time, grids)
+        back, t = read_snapshot(path)
+    assert struct.pack("<d", t) == struct.pack("<d", time)
+    assert len(back) == ncomp
+    for got, want in zip(back, fields):
+        assert got.shape == shape
+        assert got.tobytes("F") == want.tobytes("F")
 
 
 def test_report_csv_and_json_mirror(tmp_path):

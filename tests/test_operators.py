@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cglsolve import operators
+from cglsolve import operators, tensors
 from cglsolve.experiments import build_problem, make_preset
 from cglsolve.integrators import SCHEMES
 from cglsolve.linalg import expm_pade
@@ -169,17 +169,51 @@ def expm_calls(monkeypatch):
     return calls
 
 
-def test_prepare_shares_the_exponential_of_a_cube(expm_calls):
+UNIT_ROUNDOFF = 2.0**-53
+
+
+def _paper_fd3d_exponentials():
     config = make_preset("cubic-3d-dirichlet-neumann", paper_scale=True)
     (op,) = build_problem(config).operator.blocks
     tau = config.t_final / config.steps
-    exps = op.prepare(tau, SCHEMES["split4"].fractions)
+    return op, tau, op.prepare(tau, SCHEMES["split4"].fractions)
+
+
+def test_prepare_shares_the_exponential_of_a_cube(expm_calls):
+    op, tau, exps = _paper_fd3d_exponentials()
     # split4 has two fractions; the three directions of the cube are equal
     assert len(expm_calls) == 2
     for f, per_direction in exps.items():
+        got = per_direction[0]
+        assert all(e is got for e in per_direction)
         want = expm_pade(op.matrices[0], float(f) * tau)
-        assert all(e is per_direction[0] for e in per_direction)
-        assert np.array_equal(per_direction[0], want)
+        rows, cols = np.indices(want.shape)
+        dist = np.abs(rows - cols)
+        band = dist[got != 0].max()
+        inside = dist <= band
+        # expm_pade's bits inside the band, zeros outside it
+        assert np.array_equal(got[inside], want[inside])
+        assert not got[~inside].any()
+        mod = np.abs(want)
+        bound = UNIT_ROUNDOFF * mod.sum(axis=1)
+        assert np.all(np.where(inside, 0.0, mod).sum(axis=1) <= bound)
+        # and it is the narrowest such band
+        assert np.any(np.where(dist < band, 0.0, mod).sum(axis=1) > bound)
+
+
+def test_the_row_blocks_of_the_fd3d_exponentials_cover_half_of_each():
+    _, _, exps = _paper_fd3d_exponentials()
+    for f, (e, _, _) in exps.items():
+        blocks = tensors._row_blocks(e)
+        kept = np.zeros_like(e)
+        for rows, cols in blocks:
+            kept[rows, cols] = e[rows, cols]
+        # every nonzero entry is multiplied, in at most half the matrix
+        assert np.array_equal(kept, e)
+        cover = sum(kept[rows, cols].size for rows, cols in blocks)
+        assert cover <= e.size / 2, f
+    dense = random_complex(np.random.default_rng(54), (128, 128))
+    assert tensors._row_blocks(dense) is None
 
 
 def test_prepare_makes_one_exponential_per_distinct_matrix(expm_calls):

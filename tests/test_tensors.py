@@ -1,7 +1,11 @@
 """Tensor kernels against index-loop and explicit-Kronecker references."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cglsolve import tensors
 from cglsolve.tensors import kron_sum_apply, mu_mode_product, tucker_apply
@@ -200,3 +204,95 @@ def test_f_ordered_input_gives_f_ordered_output(shape, tucker_blocks):
     assert tucker_apply(u, mats).flags.f_contiguous
     for axis, m in enumerate(mats):
         assert mu_mode_product(u, m, axis).flags.f_contiguous
+
+
+def _banded(rng, rows, cols, band):
+    """A random (rows, cols) factor, zero where |i - j| > band if given."""
+    m = random_complex(rng, (rows, cols))
+    if band is not None:
+        i, j = np.indices(m.shape)
+        m[np.abs(i - j) > band] = 0
+    return m
+
+
+@st.composite
+def _factor_shapes(draw):
+    """1-3 (rows, cols) pairs of 2-80 nodes, square or not, with at most
+    1024 entries in the input and in the output, so the assembled
+    Kronecker oracle stays small while one direction can reach 80."""
+    ndim = draw(st.integers(1, 3))
+    pairs, budget = [], 1024
+    for k in range(ndim):
+        top = min(80, budget // 2 ** (ndim - k - 1))
+        cols = draw(st.integers(2, top))
+        rows = draw(st.one_of(st.just(cols), st.integers(2, top)))
+        pairs.append((rows, cols))
+        budget //= max(rows, cols)
+    return pairs
+
+
+@settings(max_examples=40, deadline=None)
+@given(pairs=_factor_shapes(), data=st.data(),
+       layout=st.sampled_from(["C", "F", "strided"]),
+       out_order=st.sampled_from([None, "C", "F"]),
+       block=st.sampled_from([5, tensors._BLOCK]),
+       seed=st.integers(0, 2**32 - 1))
+def test_mode_products_match_the_assembled_oracles(pairs, data, layout,
+                                                   out_order, block, seed):
+    rng = np.random.default_rng(seed)
+    bands = [data.draw(st.one_of(st.none(), st.integers(0, max(p))))
+             for p in pairs]
+    mats = [_banded(rng, r, n, b) for (r, n), b in zip(pairs, bands)]
+    squares = [_banded(rng, n, n, b) for (_, n), b in zip(pairs, bands)]
+    shape = tuple(n for _, n in pairs)
+    u = _layouts(rng, shape)[layout]
+    before = u.copy()
+    with mock.patch.object(tensors, "_BLOCK", block):
+        for axis, m in enumerate(mats):
+            got = mu_mode_product(u, m, axis)
+            want = mu_mode_ref(u, m, axis)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        out = None
+        if out_order is not None:
+            out = np.empty(tuple(r for r, _ in pairs), complex,
+                           order=out_order)
+        got = tucker_apply(u, mats, out=out)
+        assert out is None or got is out
+        want = kron_chain(mats) @ vec(u)
+        assert np.max(np.abs(vec(got) - want)) <= 1e-13 * np.max(np.abs(want))
+        got = vec(kron_sum_apply(u, squares))
+        want = kron_sum_matrix(squares) @ vec(u)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.array_equal(u, before)
+
+
+@pytest.mark.parametrize("block", [5, None], ids=["5-entry", "default"])
+def test_a_blocked_2d_leading_pass_in_place(block, monkeypatch):
+    # F order, square factors: the first direction runs in place on out
+    if block is not None:
+        monkeypatch.setattr(tensors, "_BLOCK", block)
+    rng = np.random.default_rng(26)
+    u = np.asfortranarray(random_complex(rng, (72, 9)))
+    mats = [_banded(rng, 72, 72, 3), random_complex(rng, (9, 9))]
+    assert tensors._row_blocks(mats[0]) is not None
+    want = kron_chain(mats) @ vec(u)
+    got = vec(tucker_apply(u, mats))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_a_dense_factor_is_one_gemm_and_a_banded_one_a_gemm_per_block():
+    rng = np.random.default_rng(27)
+    assert tensors._row_blocks(random_complex(rng, (80, 80))) is None
+    assert tensors._row_blocks(_banded(rng, 32, 32, 1)) is None
+    blocks = tensors._row_blocks(_banded(rng, 80, 80, 2))
+    assert blocks == [(slice(0, 32), slice(0, 34)),
+                      (slice(32, 64), slice(30, 66)),
+                      (slice(64, 96), slice(62, 80))]
+
+
+def test_kron_sum_apply_folds_its_terms_left_to_right():
+    rng = np.random.default_rng(28)
+    u = random_complex(rng, (5, 6, 7))
+    mats = [random_complex(rng, (n, n)) for n in u.shape]
+    t0, t1, t2 = (mu_mode_product(u, m, k) for k, m in enumerate(mats))
+    assert kron_sum_apply(u, mats).tobytes() == ((t0 + t1) + t2).tobytes()
