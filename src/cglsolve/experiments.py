@@ -16,7 +16,7 @@ from dataclasses import MISSING, asdict, dataclass, fields, replace
 import numpy as np
 
 from .flows import NonlinearSpec
-from .integrators import (SCHEMES, Problem, checked_snapshot_steps,
+from .integrators import (Problem, _checked_run, checked_snapshot_steps,
                           integrate)
 from .io import _staged, write_report, write_snapshot
 from .operators import (BlockOperator, build_fd_operator,
@@ -51,10 +51,7 @@ class ExperimentConfig:
     scheme: str = "if4"
     steps: int = 240
     seed: int = 2024
-    ic_mode: int = 1     # plane-wave mode index
-    prerun_steps: int = 10000   # soliton_pair: 1D pre-run steps
-    prerun_time: float = 25.0   # soliton_pair: 1D pre-run final time
-    prerun_extent: int = 0      # soliton_pair: 1D pre-run grid (0: extents[0])
+    prerun_extent: int = 0  # soliton_pair: 1D pre-run grid (0: extents[0])
 
 
 def config_to_dict(config):
@@ -230,22 +227,20 @@ def smooth_modes_state(config):
             + 0.25 * np.exp(-2j * np.pi * x1 / (b1 - a1)))
 
 
-def necklace_state(config, delta=1.2, radius=6.0, width=2.5,
-                   lobes=5, twist=3):
-    """Azimuthally modulated ring around the x3 = 0 plane (3D only)."""
+def necklace_state(config):
+    """Azimuthally modulated ring around the x3 = 0 plane (3D only): peak
+    1.2, radius 6, width 2.5, 5 lobes and a phase twist of 3."""
     if len(config.extents) != 3:
         raise ValueError("necklace initial state needs a 3D grid")
     x1, x2, x3 = np.meshgrid(*grid_axes(config), indexing="ij", sparse=True)
     rho = np.hypot(x1, x2)
     theta = np.arctan2(x2, x1)
-    r = np.sqrt((rho - radius) ** 2 + x3 ** 2) / width
-    return (delta / np.cosh(r)) * np.cos(lobes * theta) \
-        * np.exp(1j * twist * theta)
+    r = np.sqrt((rho - 6.0) ** 2 + x3 ** 2) / 2.5
+    return (1.2 / np.cosh(r)) * np.cos(5 * theta) * np.exp(3j * theta)
 
 
-def gaussian_profile(x, delta=2.25, center=17.5, width=2.5):
-    return delta * np.exp(-((x - center) ** 2) / (2.0 * width ** 2)) \
-        + 0.0j
+def gaussian_profile(x):
+    return 2.25 * np.exp(-((x - 17.5) ** 2) / (2.0 * 2.5 ** 2)) + 0.0j
 
 
 def plane_wave_parameters(params, interval, mode):
@@ -265,9 +260,12 @@ def plane_wave_parameters(params, interval, mode):
 
 def plane_wave_state(config, t):
     kappa, rho, omega = plane_wave_parameters(
-        config.params, config.intervals[0], config.ic_mode)
+        config.params, config.intervals[0], mode=1)
     mesh = np.meshgrid(*grid_axes(config), indexing="ij")
     return rho * np.exp(1j * (kappa * mesh[0] - omega * t))
+
+
+_PRERUN_STEPS = 10000  # soliton_pair: the 1D pre-run's steps to t = 25
 
 
 def prepare_coupled_initial(config):
@@ -290,8 +288,8 @@ def prepare_coupled_initial(config):
     problem = Problem(build_periodic_operator(grid, scalar),
                       NonlinearSpec("cubic_quintic", scalar))
     w0 = gaussian_profile(grid.nodes(0))
-    result = integrate(problem, "if4", (dft_forward(w0),),
-                       config.prerun_time, config.prerun_steps)
+    result = integrate(problem, "if4", (dft_forward(w0),), 25.0,
+                       _PRERUN_STEPS)
     if result.diverged:
         raise RuntimeError("1D pre-run diverged; cannot build the "
                            "coupled initial state")
@@ -370,20 +368,18 @@ def run_convergence_study(config, schemes, step_counts, errors=True,
     and meta is {}. Status "x" marks a diverged run, diverged_at its step
     (0 if none). With out_dir, ``io.write_report`` writes the rows to
     ``<out_dir>/<name>-sweep.csv`` and ``.json``, whose paths are
-    meta["report"]. Unknown schemes, step counts that are not integers
-    >= 1 and an out_dir that is not a directory are a ValueError before
-    any run; the ladder is sorted and de-duplicated.
+    meta["report"]. ``integrate``'s checks of the schemes, step counts and
+    t_final, and an out_dir that is not a directory, are a ValueError
+    before any run; the ladder is sorted and de-duplicated.
     """
     _check_out_dir(out_dir)
     if not schemes:
         raise ValueError("need at least one scheme")
+    components = NonlinearSpec(config.kind, config.params).components
     for scheme in schemes:
-        if scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {scheme!r}")
-    for m in step_counts:
-        _check_scalar("a step count", m, int)
-        if m < 1:
-            raise ValueError(f"a step count must be >= 1, got {m}")
+        for m in step_counts:
+            _checked_run(scheme, components, config.t_final, m,
+                         "a step count")
     step_counts = sorted({int(m) for m in step_counts})
     if not step_counts:
         raise ValueError("need at least one step count")
@@ -484,11 +480,15 @@ def run_preset(config, snapshot_steps=(), out_dir=None,
                frozen_probe_steps=0):
     """One integration of a config; optional snapshots and summary file.
 
-    Returns (summary, physical_fields). out_dir is made at the first
-    write, and rejected before any work if it is not a directory. With
-    frozen_probe_steps > 0 the run continues that many steps and reports
-    the relative modulus drift over them (near zero for a frozen state).
+    Returns (summary, physical_fields). ``integrate``'s checks of the
+    scheme, steps and t_final, and an out_dir that is not a directory,
+    are a ValueError before any work; out_dir is made at the first write.
+    With frozen_probe_steps > 0 the run continues that many steps and
+    reports the relative modulus drift over them (near zero if frozen).
     """
+    _checked_run(config.scheme,
+                 NonlinearSpec(config.kind, config.params).components,
+                 config.t_final, config.steps)
     _check_out_dir(out_dir)
     checked_frozen_probe(frozen_probe_steps)
     snapshot_steps = checked_snapshot_request(snapshot_steps, config.steps,

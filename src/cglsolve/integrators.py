@@ -169,15 +169,6 @@ class Problem:
                 dft_forward(v, out=v)
         return out
 
-    def prepare(self, tau, scheme):
-        """The scheme's exponentials for step tau, {fraction: one per
-        block}."""
-        terms = {term for term, _ in scheme.maps + scheme.coarse}
-        if self.nonlinear.components > 1 and terms & {"cubic", "quintic"}:
-            raise ValueError("exact cubic and quintic flows leave out the "
-                             "coupled cross term")
-        return self.operator.prepare(tau, scheme.fractions)
-
 
 class _Workspace:
     """The full-size arrays of one integrate call: a free list of tuples
@@ -421,6 +412,26 @@ class IntegrationResult:
     reason: str = ""
 
 
+def _checked_run(scheme_name, components, t_final, steps, what="steps"):
+    """SCHEMES[scheme_name], else ValueError for an unknown scheme, exact
+    cubic or quintic flows of several components (no cross term), steps
+    not an integer >= 1, or a t_final not positive and finite."""
+    if scheme_name not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme_name!r}; "
+                         f"choose from {sorted(SCHEMES)}")
+    scheme = SCHEMES[scheme_name]
+    terms = {term for term, _ in scheme.maps + scheme.coarse}
+    if components > 1 and terms & {"cubic", "quintic"}:
+        raise ValueError("exact cubic and quintic flows leave out the "
+                         "coupled cross term")
+    if (not isinstance(steps, numbers.Integral) or isinstance(steps, bool)
+            or steps < 1):
+        raise ValueError(f"{what} must be an integer >= 1, got {steps!r}")
+    if not (isinstance(t_final, numbers.Real) and 0 < t_final < np.inf):
+        raise ValueError("t_final must be positive and finite")
+    return scheme
+
+
 def checked_snapshot_steps(snapshot_steps, steps):
     """snapshot_steps as a tuple, else ValueError unless it is iterable
     and every entry is an integer (not a bool) in 1..steps."""
@@ -440,21 +451,14 @@ def integrate(problem, scheme_name, fields, t_final, steps,
               snapshot_steps=(), on_snapshot=None):
     """March `steps` uniform steps of the named scheme to t_final.
 
-    ValueError for an unknown scheme, steps that are not an integer >= 1,
-    a t_final that is not positive and finite, or non-finite fields. The
-    reported seconds cover the stepping loop only; ``diverged_at`` is
-    1-based. ``on_snapshot(k, t, fields)`` gets each requested step's
-    state, which later steps never write.
+    ValueError for an unknown scheme, exact flows of a coupled problem,
+    steps not an integer >= 1, a t_final not positive and finite, or
+    non-finite fields. The reported seconds cover the stepping loop only;
+    ``diverged_at`` is 1-based. ``on_snapshot(k, t, fields)`` gets each
+    requested step's state, which later steps never write.
     """
-    if scheme_name not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme_name!r}; "
-                         f"choose from {sorted(SCHEMES)}")
-    if (not isinstance(steps, numbers.Integral) or isinstance(steps, bool)
-            or steps < 1):
-        raise ValueError(f"steps must be an integer >= 1, got {steps!r}")
-    if not np.isfinite(t_final) or t_final <= 0:
-        raise ValueError("t_final must be positive and finite")
-    scheme = SCHEMES[scheme_name]
+    scheme = _checked_run(scheme_name, problem.nonlinear.components,
+                          t_final, steps)
     tau = t_final / steps
     fields = tuple(np.asarray(u, dtype=complex) for u in fields)
     if not all_finite(fields):
@@ -463,7 +467,7 @@ def integrate(problem, scheme_name, fields, t_final, steps,
     # an exponential that overflows shows as divergence at step 1
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            exponentials = problem.prepare(tau, scheme)
+            exponentials = problem.operator.prepare(tau, scheme.fractions)
     except ExponentialOverflowError as err:
         return IntegrationResult(fields, steps, tau, 0.0, diverged=True,
                                  diverged_at=1, reason=str(err))

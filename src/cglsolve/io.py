@@ -85,8 +85,10 @@ def _staged(path, mode):
 
 
 def read_snapshot(path):
-    """(fields, time) of a snapshot, each field a new F-ordered array; a
-    file cut short at any byte raises ValueError("truncated snapshot ...")."""
+    """(fields, time) of a snapshot, each field a new F-ordered array.
+    ValueError for a file cut short at any byte ("truncated snapshot
+    ...") and, before any field is made, for no components or a time
+    that is not finite, which ``write_snapshot`` refuses too."""
     with open(str(path), "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(_MAGIC))
@@ -100,6 +102,9 @@ def read_snapshot(path):
         shape = _unpack(fh, f"<{order}Q", size)
         (time,) = _unpack(fh, "<d", size)
         (ncomp,) = _unpack(fh, "<I", size)
+        if not ncomp or not math.isfinite(time):
+            raise ValueError(f"a snapshot needs a component and a finite "
+                             f"time, got {ncomp} at {time}")
         end = fh.tell() + 16 * math.prod(shape) * ncomp
         if size < end:
             raise ValueError(f"truncated snapshot: {size} of {end} bytes")

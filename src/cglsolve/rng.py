@@ -14,7 +14,7 @@ import numpy as np
 
 from . import spectral
 
-__all__ = ["uniforms", "normal_tensor"]
+__all__ = ["normal_tensor"]
 
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX = ((30, np.uint64(0xBF58476D1CE4E5B9)),
@@ -78,15 +78,6 @@ def _normals_chunks(seed, dst, lo, hi):
         np.multiply(r, s, out=even)
         np.sin(a, out=s)
         np.multiply(r[:odd.size], s[:odd.size], out=odd)
-
-
-def uniforms(seed, count, start=0):
-    """Doubles in (0, 1] from counter positions start..start+count-1."""
-    seed = _check_seed(seed)
-    out = np.empty(count)
-    z, t = np.empty((2, count), dtype=np.uint64)
-    _uniforms_into(seed, int(start), _gammas(count), out, z, t)
-    return out
 
 
 def normal_tensor(seed, shape):

@@ -7,12 +7,12 @@ first-index-fastest (column-major), for d = 2
     vec(tucker_apply(u, [m1, m2])) == kron(m2, m1) @ vec(u)
 
 and ``kron_sum_apply`` applies the Kronecker sum of its factors without
-forming it. Each costs one matrix product per direction, or, for a factor
-mostly of exact zeros, one per block of rows over the columns it touches;
-a dense factor keeps its one product and its bits. F-ordered input is
-read as it is, C-ordered input as its F-ordered transpose, and other
-strides are copied once; a result is C-ordered for C-ordered input and
-F-ordered otherwise.
+forming it. Every factor is square, n_mu x n_mu (else ValueError). Each
+costs one matrix product per direction, or, for a factor mostly of exact
+zeros, one per block of rows over the columns it touches; a dense factor
+keeps its one product and its bits. F-ordered input is read as it is,
+C-ordered input as its F-ordered transpose, and other strides are copied
+once; a result is C-ordered for C-ordered input and F-ordered otherwise.
 """
 
 import math
@@ -37,7 +37,7 @@ _WHOLE = ((slice(None), slice(None)),)
 
 
 def _checked(u, mats, axes):
-    """u as an array and mats as matrices whose columns fit their axes."""
+    """u as an array and mats as square matrices that fit their axes."""
     u = np.asarray(u)
     mats = [np.asarray(m) for m in mats]
     for m, axis in zip(mats, axes):
@@ -46,10 +46,10 @@ def _checked(u, mats, axes):
         if not 0 <= axis < u.ndim:
             raise ValueError(
                 f"axis {axis} out of range for order-{u.ndim} tensor")
-        if m.shape[1] != u.shape[axis]:
-            raise ValueError(
-                f"factor columns {m.shape[1]} != extent {u.shape[axis]} "
-                f"of axis {axis}")
+        n = u.shape[axis]
+        if m.shape != (n, n):
+            raise ValueError(f"factor of axis {axis} must be {n} x {n}, "
+                             f"got {m.shape[0]} x {m.shape[1]}")
     return u, mats
 
 
@@ -90,47 +90,42 @@ def _row_blocks(mat):
 
 
 def _mode_pass(x, mat, axis, out, blocks):
-    """out = x x_axis mat, with x and out F-ordered of matching shapes: one
-    GEMM per (rows, cols) block of mat, or one in all if blocks is None."""
-    n, r = x.shape[axis], mat.shape[0]
+    """out = x x_axis mat, with x and out F-ordered of one shape: one GEMM
+    per (rows, cols) block of mat, or one in all if blocks is None."""
+    n = x.shape[axis]
     a = math.prod(x.shape[:axis])
     b = math.prod(x.shape[axis + 1:])
     if a == 1:
-        src, dst = x.reshape(n, b, order="F"), out.reshape(r, b, order="F")
+        src, dst = x.reshape(n, b, order="F"), out.reshape(n, b, order="F")
         for rows, cols in blocks or _WHOLE:
             np.matmul(mat[rows, cols], src[cols], out=dst[rows])
     else:
         # a batch over b of (a, n) @ mat.T, each entry F-ordered
         src = x.reshape(a, n, b, order="F").transpose(2, 0, 1)
-        dst = out.reshape(a, r, b, order="F").transpose(2, 0, 1)
+        dst = out.reshape(a, n, b, order="F").transpose(2, 0, 1)
         for rows, cols in blocks or _WHOLE:
             np.matmul(src[..., cols], mat[rows, cols].T, out=dst[..., rows])
 
 
-def _mode_shape(shape, mat, axis):
-    return shape[:axis] + (mat.shape[0],) + shape[axis + 1:]
-
-
 def mu_mode_product(u, mat, axis):
-    """Apply the (m, n_axis) matrix ``mat`` along the zero-based direction
-    ``axis`` of the tensor ``u``."""
+    """Apply the n_axis x n_axis matrix ``mat`` along the zero-based
+    direction ``axis`` of the tensor ``u``."""
     u, (mat,) = _checked(u, [mat], [axis])
     x, transposed = _column_major(u)
     if transposed:
         axis = u.ndim - 1 - axis
-    out = np.empty(_mode_shape(x.shape, mat, axis),
-                   np.result_type(x.dtype, mat.dtype), order="F")
+    out = np.empty(x.shape, np.result_type(x.dtype, mat.dtype), order="F")
     _mode_pass(x, mat, axis, out, _row_blocks(mat))
     return out.T if transposed else out
 
 
 def tucker_apply(u, mats, *, out=None):
     """Apply one matrix per direction: ``u x_1 m_1 x_2 m_2 ...``. ``out``,
-    if given, is a C- or F-contiguous complex128 array of the result's
-    shape that shares no memory with u; it is written and returned."""
+    if given, is a C- or F-contiguous complex128 array of u's shape that
+    shares no memory with u; it is written and returned."""
     u, mats = _one_per_direction(u, mats)
     if out is not None:
-        check_out(out, tuple(m.shape[0] for m in mats))
+        check_out(out, u.shape)
         if not (out.flags.c_contiguous or out.flags.f_contiguous):
             raise ValueError("out must be a C- or F-contiguous array")
         if np.shares_memory(out, u):
@@ -147,52 +142,42 @@ def _tucker_column_major(x, mats, out):
     """tucker_apply for an F-ordered x into the F-ordered out (or a new
     array): the last direction is one pass into it, and the others run in
     place on cache-sized blocks of the last axis."""
-    lead, last = mats[:-1], mats[-1]
+    lead = mats[:-1]
     plans = [_row_blocks(m) for m in mats]
     dtype = np.result_type(x.dtype, *mats)
-    shape = _mode_shape(x.shape, last, x.ndim - 1)
-    # shapes of one last-axis slice before and after each leading product
-    shapes = [shape[:-1]]
-    for axis, m in enumerate(lead):
-        shapes.append(_mode_shape(shapes[-1], m, axis))
     if out is None:
-        out = np.empty(shapes[-1] + shape[-1:], dtype, order="F")
-    buf = out
-    if shapes[-1] != shapes[0]:  # a rectangular factor resizes the slices
-        buf = np.empty(shape, dtype, order="F")
-    _mode_pass(x, last, x.ndim - 1, buf, plans[-1])
+        out = np.empty(x.shape, dtype, order="F")
+    _mode_pass(x, mats[-1], x.ndim - 1, out, plans[-1])
     if not lead:
-        return buf
+        return out
     # a lone leading pass reads the rows it writes, which a blocked pass
     # must not do, so it writes scratch too
-    through = len(lead) == 1 and buf is out and plans[0] is not None
-    width = -(-_BLOCK // max(1, math.prod(shapes[0])))
-    written = shapes[1:len(lead) + through]
-    size = max(map(math.prod, written), default=0) * width
-    scratch = [np.empty(size, dtype) for _ in range(min(len(written), 2))]
-    for lo in range(0, buf.shape[-1], width):
-        _leading_passes(buf[..., lo:lo + width], lead, plans, shapes,
-                        out[..., lo:lo + width], scratch, through)
+    through = len(lead) == 1 and plans[0] is not None
+    slab = max(1, math.prod(x.shape[:-1]))
+    width = -(-_BLOCK // slab)
+    scratch = [np.empty(slab * width, dtype)
+               for _ in range(min(len(lead) - 1 + through, 2))]
+    for lo in range(0, out.shape[-1], width):
+        _leading_passes(out[..., lo:lo + width], lead, plans, scratch,
+                        through)
     return out
 
 
-def _leading_passes(src, mats, plans, shapes, dst, scratch, through):
-    """Every mats[k] along axis k of the F-ordered block src, into dst,
-    through alternating scratch buffers; with ``through`` the last pass
-    writes scratch too, copied into dst. dst may be src: numpy gives an
-    overlapping matmul the result it would have without overlap."""
-    width = src.shape[-1]
-    cur = src
+def _leading_passes(block, mats, plans, scratch, through):
+    """Every mats[k] along axis k of the F-ordered block, in place, through
+    alternating scratch buffers; with ``through`` the last pass writes
+    scratch too, copied back. numpy gives an overlapping matmul the result
+    it would have without overlap."""
+    cur = block
     for axis, m in enumerate(mats):
-        nxt = dst
+        nxt = block
         if axis < len(mats) - 1 or through:
-            shape = shapes[axis + 1] + (width,)
-            nxt = scratch[axis % 2][:math.prod(shape)].reshape(shape,
-                                                               order="F")
+            nxt = scratch[axis % 2][:block.size].reshape(block.shape,
+                                                         order="F")
         _mode_pass(cur, m, axis, nxt, plans[axis])
         cur = nxt
     if through:
-        dst[...] = cur
+        block[...] = cur
 
 
 def kron_sum_apply(u, mats):

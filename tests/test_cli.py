@@ -139,8 +139,8 @@ def test_non_object_config_is_a_usage_error(with_preset, tmp_path, capsys):
 
 @pytest.mark.parametrize("key,value", [
     ("steps", 2.5), ("steps", "ten"), ("steps", True), ("t_final", "abc"),
-    ("t_final", float("nan")), ("ic_mode", "a"), ("scheme", 4),
-    ("prerun_time", None), ("extents", [64.9]), ("extents", [True]),
+    ("t_final", float("nan")), ("seed", "a"), ("scheme", 4),
+    ("prerun_extent", None), ("extents", [64.9]), ("extents", [True]),
     ("extents", 64), ("intervals", [[0.0, True]]),
     ("intervals", [[0.0, float("inf")]]), ("intervals", [[0.0, 1.0, 2.0]])])
 def test_malformed_config_value_is_a_usage_error(key, value, tmp_path,
@@ -151,6 +151,37 @@ def test_malformed_config_value_is_a_usage_error(key, value, tmp_path,
                               "--config", str(path)], capsys)
     assert code == 2
     assert f"config key {key!r}" in err
+
+
+@pytest.mark.parametrize("key", ["ic_mode", "prerun_steps", "prerun_time"])
+def test_recipe_constants_are_unknown_config_keys(key, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({key: 1}))
+    code, err = _usage_error(["run", "--preset", "plane-wave-1d",
+                              "--config", str(path)], capsys)
+    assert code == 2
+    assert f"unknown config key(s): {key}" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--steps", "0"], ["--steps", "-2"], ["--tfinal", "-1"],
+    ["--tfinal", "0"], ["--scheme", "strang_3t"], ["--scheme", "split4_3t"],
+    {"scheme": "bogus"}], ids=["steps-0", "steps-neg", "tfinal-neg",
+                                "tfinal-0", "strang_3t", "split4_3t",
+                                "config-scheme"])
+def test_a_bad_coupled_run_is_a_usage_error_before_its_pre_run(
+        flags, tmp_path, capsys, monkeypatch):
+    def no_state(config):
+        raise AssertionError("the initial state was built")
+
+    monkeypatch.setattr(experiments, "initial_state", no_state)
+    if isinstance(flags, dict):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(flags))
+        flags = ["--config", str(path)]
+    code, _ = _usage_error(["run", "--preset", "coupled-2d-periodic"]
+                           + flags, capsys)
+    assert code == 2
 
 
 def test_bool_parameter_is_a_usage_error(tmp_path, capsys):

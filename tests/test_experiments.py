@@ -107,8 +107,7 @@ def test_config_from_dict_rejects_bool_parameters(name):
 def test_plane_wave_satisfies_dispersion_relation():
     cfg = make_preset("plane-wave-1d")
     p = cfg.params
-    kappa, rho, omega = plane_wave_parameters(p, cfg.intervals[0],
-                                              cfg.ic_mode)
+    kappa, rho, omega = plane_wave_parameters(p, cfg.intervals[0], 1)
     lam = ((p.alpha1 + 1j * p.beta1) * (-kappa ** 2) + p.alpha2
            + (p.alpha3 + 1j * p.beta3) * rho ** 2)
     assert abs(-1j * omega - lam) <= 1e-12
@@ -218,8 +217,9 @@ def test_unknown_ic_rejected():
         initial_state(cfg)
 
 
-def test_prepare_coupled_initial_reflection():
-    cfg = replace(make_preset("coupled-2d-periodic"), prerun_steps=1500)
+def test_prepare_coupled_initial_reflection(monkeypatch):
+    monkeypatch.setattr(experiments, "_PRERUN_STEPS", 1500)
+    cfg = make_preset("coupled-2d-periodic")
     u0, v0 = prepare_coupled_initial(cfg)
     n1, n2 = cfg.extents
     assert u0.shape == (n1, n2) and v0.shape == (n1, n2)
@@ -320,6 +320,25 @@ def test_convergence_study_rejects_bad_step_counts_before_any_run(
     cfg = make_preset("cubic-2d-dirichlet")
     with pytest.raises(ValueError, match="step count"):
         run_convergence_study(cfg, ["if4"], [steps, 20])
+
+
+@pytest.mark.parametrize("override", [
+    {"steps": 0}, {"steps": 2.5}, {"steps": True}, {"t_final": -1.0},
+    {"t_final": 0.0}, {"t_final": math.inf}, {"t_final": math.nan},
+    {"t_final": "1"}, {"t_final": None},
+    {"scheme": "bogus"}, {"scheme": "strang_3t"}, {"scheme": "split4_3t"}],
+    ids=lambda o: "-".join(map(str, *o.items())))
+def test_a_bad_run_is_rejected_before_any_work(override, monkeypatch):
+    # coupled-2d-periodic builds its initial state by a 10,000-step pre-run
+    def no_state(config):
+        raise AssertionError("the initial state was built")
+
+    monkeypatch.setattr(experiments, "initial_state", no_state)
+    cfg = replace(make_preset("coupled-2d-periodic"), **override)
+    with pytest.raises(ValueError):
+        run_preset(cfg)
+    with pytest.raises(ValueError):
+        run_convergence_study(cfg, [cfg.scheme], [cfg.steps, 400])
 
 
 def test_convergence_study_writes_its_report(tmp_path):

@@ -23,9 +23,9 @@ from cglsolve.operators import (
 from cglsolve.params import CglParameters
 from cglsolve.spectral import FourierGrid, dft_forward
 
-from oracles import (expm_taylor_ref, kron_sum_matrix, lawson_kutta38_ref,
-                     lawson_rk4_fold_ref, lawson_rk4_ref, random_complex,
-                     unvec, vec)
+from oracles import (expm_taylor_ref, kron_chain, kron_sum_matrix,
+                     lawson_kutta38_ref, lawson_rk4_fold_ref, lawson_rk4_ref,
+                     random_complex, unvec, vec)
 
 CUBIC = CglParameters(alpha1=1.0, beta1=2.0, alpha2=1.0, alpha3=-1.0,
                       beta3=0.2)
@@ -61,7 +61,7 @@ def test_linear_problems_step_exactly_by_the_exponential(fourier, kind, steps,
     # alpha3 = beta3 = alpha4 = beta4 = 0 make every flow and g vanish; an
     # FD direction needs 6 nodes, and its dense exponential stays small
     if fourier:
-        shape = data.draw(st.lists(st.integers(2, 6), min_size=1, max_size=3))
+        shape = data.draw(st.lists(st.integers(2, 6), min_size=1, max_size=4))
         grid = FourierGrid(shape, ((0.0, 10.0),) * len(shape))
         op = build_periodic_operator(grid, LINEAR_ONLY)
     else:
@@ -77,6 +77,23 @@ def test_linear_problems_step_exactly_by_the_exponential(fourier, kind, steps,
         want = unvec(dense @ vec(u0), shape)
     for scheme in EXP_SCHEMES:
         res = integrate(problem, scheme, (u0,), t_final, steps)
+        err = np.max(np.abs(res.fields[0] - want)) / np.max(np.abs(want))
+        assert err <= 1e-13, scheme
+
+
+def test_a_4d_linear_problem_steps_exactly_by_the_exponential():
+    # exp of the Kronecker sum is the Kronecker product of the 1-D
+    # exponentials; the assembled 1512-node sum is too large for the
+    # Taylor oracle
+    shape = (6, 7, 6, 6)
+    op = build_fd_operator(LINEAR_ONLY, shape, (10.0,) * 4, "dirichlet")
+    problem = Problem(op, NonlinearSpec("cubic", LINEAR_ONLY))
+    u0 = random_complex(np.random.default_rng(73), shape)
+    t_final = 0.4
+    dense = kron_chain([expm_taylor_ref(m, t_final) for m in op.matrices])
+    want = unvec(dense @ vec(u0), shape)
+    for scheme in EXP_SCHEMES:
+        res = integrate(problem, scheme, (u0,), t_final, 3)
         err = np.max(np.abs(res.fields[0] - want)) / np.max(np.abs(want))
         assert err <= 1e-13, scheme
 
@@ -327,7 +344,7 @@ def test_non_finite_initial_fields_rejected(scheme, bad, monkeypatch):
     def prepare(*args):
         raise AssertionError("prepare ran on non-finite initial fields")
 
-    monkeypatch.setattr(problem, "prepare", prepare)
+    monkeypatch.setattr(problem.operator, "prepare", prepare)
     u0 = np.zeros(16, dtype=complex)
     u0[5] = bad
     with pytest.raises(ValueError, match="initial fields must be finite"):
@@ -738,7 +755,7 @@ def test_if4_steps_keep_the_bits_of_the_unreordered_fold(name, shape):
     problem = problem_of(name, shape)
     u = initial_fields(problem, 81)
     res = integrate(problem, "if4", u, 3e-3, 3)
-    exps = problem.prepare(res.tau, SCHEMES["if4"])
+    exps = problem.operator.prepare(res.tau, SCHEMES["if4"].fractions)
     ws = integrators._Workspace(u)
 
     def expk(f, v):

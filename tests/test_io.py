@@ -70,6 +70,19 @@ def test_snapshot_rejects_an_unknown_version(tmp_path):
         read_snapshot(path)
 
 
+@pytest.mark.parametrize("ncomp,time", [
+    (0, 0.5), (1, float("nan")), (2, float("inf")), (1, -float("inf"))],
+    ids=["no-components", "nan-time", "inf-time", "minus-inf-time"])
+def test_snapshot_reader_refuses_what_the_writer_refuses(tmp_path, ncomp,
+                                                         time):
+    # a hand-built header without its payload: the header's values are
+    # refused before the size check, so before any field is made
+    path = tmp_path / "h.cgls"
+    path.write_bytes(b"CGLS" + struct.pack("<IIQdI", 1, 1, 3, time, ncomp))
+    with pytest.raises(ValueError, match="a component and a finite time"):
+        read_snapshot(path)
+
+
 def test_snapshot_rejects_trailing_bytes(tmp_path):
     u = _draw((3,), 5)
     path = tmp_path / "t.cgls"

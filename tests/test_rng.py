@@ -5,9 +5,19 @@ import numpy as np
 import pytest
 
 from cglsolve import rng, spectral
-from cglsolve.rng import normal_tensor, uniforms
+from cglsolve.rng import normal_tensor
 
 from oracles import normal_tensor_ref, standard_normals_ref, uniforms_ref
+
+
+def uniforms(seed, count, start=0):
+    """Doubles in (0, 1] from counter positions start..start+count-1, the
+    stream that ``normal_tensor`` pairs up."""
+    seed = rng._check_seed(seed)
+    out = np.empty(count)
+    z, t = np.empty((2, count), dtype=np.uint64)
+    rng._uniforms_into(seed, start, rng._gammas(count), out, z, t)
+    return out
 
 
 def test_same_seed_bit_identical():

@@ -1,5 +1,6 @@
 """Tensor kernels against index-loop and explicit-Kronecker references."""
 
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -55,7 +56,7 @@ def test_mu_mode_matches_index_loops(shape):
     rng = np.random.default_rng(hash(shape) % 2**32)
     u = random_complex(rng, shape)
     for axis, n in enumerate(shape):
-        m = random_complex(rng, (n + 1, n))
+        m = random_complex(rng, (n, n))
         got = mu_mode_product(u, m, axis)
         want = mu_mode_ref(u, m, axis)
         assert got.shape == want.shape
@@ -136,8 +137,14 @@ U34 = np.zeros((3, 4), dtype=complex)
                           out=np.zeros((3, 8), complex)[:, ::2]),
      "contiguous"),
     (lambda: kron_sum_apply(U34, [np.eye(3)]), "need 2 factors"),
+    (lambda: mu_mode_product(U34, np.ones((5, 4)), 1), "must be 4 x 4"),
+    (lambda: tucker_apply(U34, [np.ones((3, 2)), np.eye(4)]),
+     "must be 3 x 3"),
+    (lambda: kron_sum_apply(U34, [np.eye(3), np.ones((2, 4))]),
+     "must be 4 x 4"),
 ], ids=["tucker-0d", "tucker-0d-out", "kron-sum-0d", "non-matrix",
-        "strided-out", "kron-sum-count"])
+        "strided-out", "kron-sum-count", "mu-mode-taller", "tucker-wider",
+        "kron-sum-wider"])
 def test_invalid_tensor_input_is_rejected(call, match):
     with pytest.raises(ValueError, match=match):
         call()
@@ -180,6 +187,15 @@ def test_mode_products_match_index_loops_for_every_layout(shape, rows,
     rng = np.random.default_rng(hash(("layout", shape, rows)) % 2**32)
     mats = [random_complex(rng, (max(1, n + rows), n)) for n in shape]
     for name, u in _layouts(rng, shape).items():
+        if rows:
+            # a taller or wider factor is rejected whatever the layout
+            for call in [partial(mu_mode_product, u, m, axis)
+                         for axis, m in enumerate(mats)] + [
+                    partial(tucker_apply, u, mats),
+                    partial(kron_sum_apply, u, mats)]:
+                with pytest.raises(ValueError, match="must be"):
+                    call()
+            continue
         before = u.copy()
         want = u
         for axis, m in enumerate(mats):
@@ -206,9 +222,9 @@ def test_f_ordered_input_gives_f_ordered_output(shape, tucker_blocks):
         assert mu_mode_product(u, m, axis).flags.f_contiguous
 
 
-def _banded(rng, rows, cols, band):
-    """A random (rows, cols) factor, zero where |i - j| > band if given."""
-    m = random_complex(rng, (rows, cols))
+def _banded(rng, n, band):
+    """A random n x n factor, zero where |i - j| > band if given."""
+    m = random_complex(rng, (n, n))
     if band is not None:
         i, j = np.indices(m.shape)
         m[np.abs(i - j) > band] = 0
@@ -216,35 +232,31 @@ def _banded(rng, rows, cols, band):
 
 
 @st.composite
-def _factor_shapes(draw):
-    """1-3 (rows, cols) pairs of 2-80 nodes, square or not, with at most
-    1024 entries in the input and in the output, so the assembled
-    Kronecker oracle stays small while one direction can reach 80."""
+def _extents(draw):
+    """1-3 extents of 2-80 nodes with at most 1024 entries in all, so the
+    assembled Kronecker oracle stays small while one direction can reach
+    80."""
     ndim = draw(st.integers(1, 3))
-    pairs, budget = [], 1024
+    shape, budget = [], 1024
     for k in range(ndim):
-        top = min(80, budget // 2 ** (ndim - k - 1))
-        cols = draw(st.integers(2, top))
-        rows = draw(st.one_of(st.just(cols), st.integers(2, top)))
-        pairs.append((rows, cols))
-        budget //= max(rows, cols)
-    return pairs
+        n = draw(st.integers(2, min(80, budget // 2 ** (ndim - k - 1))))
+        shape.append(n)
+        budget //= n
+    return tuple(shape)
 
 
 @settings(max_examples=40, deadline=None)
-@given(pairs=_factor_shapes(), data=st.data(),
+@given(shape=_extents(), data=st.data(),
        layout=st.sampled_from(["C", "F", "strided"]),
        out_order=st.sampled_from([None, "C", "F"]),
        block=st.sampled_from([5, tensors._BLOCK]),
        seed=st.integers(0, 2**32 - 1))
-def test_mode_products_match_the_assembled_oracles(pairs, data, layout,
+def test_mode_products_match_the_assembled_oracles(shape, data, layout,
                                                    out_order, block, seed):
     rng = np.random.default_rng(seed)
-    bands = [data.draw(st.one_of(st.none(), st.integers(0, max(p))))
-             for p in pairs]
-    mats = [_banded(rng, r, n, b) for (r, n), b in zip(pairs, bands)]
-    squares = [_banded(rng, n, n, b) for (_, n), b in zip(pairs, bands)]
-    shape = tuple(n for _, n in pairs)
+    mats = [_banded(rng, n, data.draw(st.one_of(st.none(),
+                                                st.integers(0, n))))
+            for n in shape]
     u = _layouts(rng, shape)[layout]
     before = u.copy()
     with mock.patch.object(tensors, "_BLOCK", block):
@@ -254,14 +266,13 @@ def test_mode_products_match_the_assembled_oracles(pairs, data, layout,
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         out = None
         if out_order is not None:
-            out = np.empty(tuple(r for r, _ in pairs), complex,
-                           order=out_order)
+            out = np.empty(shape, complex, order=out_order)
         got = tucker_apply(u, mats, out=out)
         assert out is None or got is out
         want = kron_chain(mats) @ vec(u)
         assert np.max(np.abs(vec(got) - want)) <= 1e-13 * np.max(np.abs(want))
-        got = vec(kron_sum_apply(u, squares))
-        want = kron_sum_matrix(squares) @ vec(u)
+        got = vec(kron_sum_apply(u, mats))
+        want = kron_sum_matrix(mats) @ vec(u)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     assert np.array_equal(u, before)
 
@@ -273,7 +284,7 @@ def test_a_blocked_2d_leading_pass_in_place(block, monkeypatch):
         monkeypatch.setattr(tensors, "_BLOCK", block)
     rng = np.random.default_rng(26)
     u = np.asfortranarray(random_complex(rng, (72, 9)))
-    mats = [_banded(rng, 72, 72, 3), random_complex(rng, (9, 9))]
+    mats = [_banded(rng, 72, 3), random_complex(rng, (9, 9))]
     assert tensors._row_blocks(mats[0]) is not None
     want = kron_chain(mats) @ vec(u)
     got = vec(tucker_apply(u, mats))
@@ -283,8 +294,8 @@ def test_a_blocked_2d_leading_pass_in_place(block, monkeypatch):
 def test_a_dense_factor_is_one_gemm_and_a_banded_one_a_gemm_per_block():
     rng = np.random.default_rng(27)
     assert tensors._row_blocks(random_complex(rng, (80, 80))) is None
-    assert tensors._row_blocks(_banded(rng, 32, 32, 1)) is None
-    blocks = tensors._row_blocks(_banded(rng, 80, 80, 2))
+    assert tensors._row_blocks(_banded(rng, 32, 1)) is None
+    blocks = tensors._row_blocks(_banded(rng, 80, 2))
     assert blocks == [(slice(0, 32), slice(0, 34)),
                       (slice(32, 64), slice(30, 66)),
                       (slice(64, 96), slice(62, 80))]
