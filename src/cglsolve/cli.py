@@ -1,9 +1,10 @@
 """Command line: ``cglsolve preset|run|sweep``; the README shows each.
 
 Flags override a --config file, which overrides the preset. Exit codes:
-0 on success, 1 for a run that diverged, 2 for a usage error, which
-includes every ValueError the library raises on invalid input. Output
-directories are made only when a file is written.
+0 on success, 1 for a run that diverged (or a coupled pre-run, reported
+on one line), 2 for a usage error, which includes every ValueError the
+library raises on invalid input. Output directories are made only when
+a file is written.
 """
 
 import argparse
@@ -14,6 +15,7 @@ from .experiments import (available_presets, checked_frozen_probe,
                           checked_snapshot_request, config_from_dict,
                           config_to_dict, make_preset, run_convergence_study,
                           run_preset)
+from .flows import DivergenceError
 from .integrators import SCHEMES
 from .io import write_csv
 
@@ -184,6 +186,10 @@ def main(argv=None):
     except ValueError as err:
         # the library rejects invalid input with ValueError: a usage error
         args.parser.error(str(err))
+    except DivergenceError as err:
+        # a run that diverges returns its report; this is set-up diverging
+        print(f"{args.parser.prog}: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

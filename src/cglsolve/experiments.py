@@ -15,7 +15,7 @@ from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .flows import NonlinearSpec
+from .flows import DivergenceError, NonlinearSpec
 from .integrators import (Problem, _checked_run, checked_snapshot_steps,
                           integrate)
 from .io import _staged, write_report, write_snapshot
@@ -274,8 +274,8 @@ def prepare_coupled_initial(config):
     A scalar cubic-quintic ``if4`` run on the first direction gives the
     line w, and u0(x1, x2) = w(x1), v0(x1, x2) = w(b - x1). The pre-run
     grid, ``prerun_extent``, must be a multiple of extents[0] (ValueError)
-    so that an integer stride picks exact node values; RuntimeError if
-    the pre-run diverges.
+    so that an integer stride picks exact node values; a DivergenceError
+    with the pre-run's step and reason if it diverges.
     """
     # the scalar equation: no advection, no cross term
     scalar = replace(config.params, alpha0=0.0, alpha5=0.0)
@@ -291,8 +291,9 @@ def prepare_coupled_initial(config):
     result = integrate(problem, "if4", (dft_forward(w0),), 25.0,
                        _PRERUN_STEPS)
     if result.diverged:
-        raise RuntimeError("1D pre-run diverged; cannot build the "
-                           "coupled initial state")
+        raise DivergenceError(f"1D pre-run diverged at step "
+                              f"{result.diverged_at}: {result.reason}; "
+                              "cannot build the coupled initial state")
     w = dft_inverse(result.fields[0])[:: fine // n1]
     # w[(n - j) mod n] samples w at b - x_j on the periodic grid
     mirrored = np.roll(w[::-1], 1)

@@ -33,9 +33,6 @@ _REAL_COEFF_FLOOR = 1e-14
 # real values per pass of all_finite, through one 64 KiB boolean buffer
 # (CHANGES.md, "One workspace per integrate call")
 _FINITE_CHUNK = 1 << 16
-# entries per pass of the exact flows: fewer, longer numpy calls than at
-# 2^13, while 2^15 costs RSS (CHANGES.md, "Exact flows that use both cores")
-_FLOW_CHUNK = 1 << 14
 
 
 class DivergenceError(RuntimeError):
@@ -208,21 +205,21 @@ def _power_law_flow(u0, t, a, b, p, name, out):
 
 
 def _flow_chunks(src, dst, p, neg_pat, amp_coeff, half_phase_coeff, lo, hi):
-    """The power-law flow of src[lo:hi] into dst[lo:hi], _FLOW_CHUNK
+    """The power-law flow of src[lo:hi] into dst[lo:hi], spectral._CHUNK
     entries at a time; returns (blow-up seen, non-finite output seen). A
     chunk with blow-up is left unwritten; NaN input is not blow-up but
     gives NaN output. The factor is c ((1 - T^2) + 2iT) with T =
     tan(phi/2) and c = amp/(1 + T^2); dst takes u c, then the rotation,
     which is built in scratch, since dst may be src. Two scratch arrays
-    per call, 384 KiB at 2^14 entries."""
-    n = min(_FLOW_CHUNK, hi - lo)
+    per call, 768 KiB at 2^15 entries."""
+    n = min(spectral._CHUNK, hi - lo)
     rot = np.empty(n, dtype=complex)
     # rot's bytes as floats: amp and den, its two halves, until rot is built
     halves = rot.view(np.float64)
     w = np.empty(n)
     blow_up = non_finite = False
-    for start in range(lo, hi, _FLOW_CHUNK):
-        stop = min(start + _FLOW_CHUNK, hi)
+    for start in range(lo, hi, spectral._CHUNK):
+        stop = min(start + spectral._CHUNK, hi)
         k = stop - start
         u, y, r = src[start:stop], w[:k], rot[:k]
         amp, den = halves[:k], halves[k:2 * k]

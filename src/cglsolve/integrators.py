@@ -208,52 +208,58 @@ def _lincomb(*terms, out=None):
     chained whole-array expressions. ``out`` (default: new arrays) may be
     the first term's arrays, never another term's.
     """
+    if terms[0][1][0].size >= spectral._SERIAL_BELOW:
+        return _combine(terms, out)
     result = []
     for i in range(len(terms[0][1])):
         dst = None if out is None else out[i]
         c, x = terms[0]
-        x = x[i]
-        if x.size < spectral._SERIAL_BELOW:
-            acc = x if c == 1 else np.multiply(c, x, out=dst)
-            for c, y in terms[1:]:
-                y = y[i]
-                acc = np.add(y if c == 1 else c * y, acc, out=dst)
-            if dst is not None and acc is not dst:
-                np.copyto(dst, acc)
-                acc = dst
-        else:
-            acc = _combine([c for c, _ in terms], [y[i] for _, y in terms],
-                           dst)
+        acc = x[i] if c == 1 else np.multiply(c, x[i], out=dst)
+        for c, y in terms[1:]:
+            y = y[i]
+            acc = np.add(y if c == 1 else c * y, acc, out=dst)
+        if dst is not None and acc is not dst:
+            np.copyto(dst, acc)
+            acc = dst
         result.append(acc)
     return tuple(result) if out is None else out
 
 
-def _combine(coefs, xs, out):
-    """The kernel path of _lincomb for one component."""
-    order = spectral.memory_order(xs, (out,))
-    if out is None:
-        out = np.empty(xs[0].shape, np.result_type(*xs), order=order)
-    kernel = partial(_lincomb_chunks, coefs, [np.ravel(x, order) for x in xs],
-                     out.ravel(order), out is xs[0])
-    spectral.run_slabs(kernel, out.size)
-    return out
+def _combine(terms, out):
+    """The kernel path of _lincomb: one run_slabs call for all components."""
+    dsts, jobs = [], []
+    for i in range(len(terms[0][1])):
+        xs = [x[i] for _, x in terms]
+        dst = None if out is None else out[i]
+        order = spectral.memory_order(xs, (dst,))
+        if dst is None:
+            dst = np.empty(xs[0].shape, np.result_type(*xs), order=order)
+        dsts.append(dst)
+        jobs.append(([np.ravel(x, order) for x in xs], dst.ravel(order),
+                     dst is xs[0]))
+    spectral.run_slabs(partial(_lincomb_chunks, [c for c, _ in terms], jobs),
+                       dsts[0].size)
+    return tuple(dsts) if out is None else out
 
 
-def _lincomb_chunks(coefs, srcs, dst, in_place, lo, hi):
-    """The fold of _lincomb over srcs[j][lo:hi] into dst[lo:hi]."""
-    tmp = np.empty(min(spectral._CHUNK, hi - lo), dst.dtype)
-    for start in range(lo, hi, spectral._CHUNK):
-        stop = min(start + spectral._CHUNK, hi)
-        acc, t = dst[start:stop], tmp[:stop - start]
-        if coefs[0] != 1:
-            np.multiply(coefs[0], srcs[0][start:stop], out=acc)
-        elif not in_place:
-            np.copyto(acc, srcs[0][start:stop])
-        for c, x in zip(coefs[1:], srcs[1:]):
-            x = x[start:stop]
-            if c != 1:
-                x = np.multiply(c, x, out=t)
-            np.add(x, acc, out=acc)
+def _lincomb_chunks(coefs, jobs, lo, hi):
+    """The fold of _lincomb over srcs[j][lo:hi] into dst[lo:hi] for each
+    (srcs, dst, in_place) job, one chunk at a time."""
+    tmp = np.empty(min(spectral._CHUNK, hi - lo),
+                   np.result_type(*[dst for _, dst, _ in jobs]))
+    for srcs, dst, in_place in jobs:
+        for start in range(lo, hi, spectral._CHUNK):
+            stop = min(start + spectral._CHUNK, hi)
+            acc, t = dst[start:stop], tmp[:stop - start]
+            if coefs[0] != 1:
+                np.multiply(coefs[0], srcs[0][start:stop], out=acc)
+            elif not in_place:
+                np.copyto(acc, srcs[0][start:stop])
+            for c, x in zip(coefs[1:], srcs[1:]):
+                x = x[start:stop]
+                if c != 1:
+                    x = np.multiply(c, x, out=t)
+                np.add(x, acc, out=acc)
 
 
 def _rhs(p, fields, ws, owned=False):

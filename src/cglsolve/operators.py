@@ -19,6 +19,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
+from . import tensors
 from .linalg import expm_pade
 from .spectral import direction_symbols, pointwise_apply, symbol_exponential
 from .tensors import kron_sum_apply, tucker_apply
@@ -108,6 +109,26 @@ def _numerical_band(e):
     return np.where(dist <= np.argmax(fits), e, 0)
 
 
+def _per_distinct(matrices, build):
+    """[build(m) for m in matrices], one call per matrix distinct bit for
+    bit; equal matrices (all three of a cube's) share its result."""
+    keys = [m.tobytes() for m in matrices]
+    found = {}
+    for key, m in zip(keys, matrices):
+        if key not in found:
+            found[key] = build(m)
+    return [found[key] for key in keys]
+
+
+class _Factors(list):
+    """A prepared Kronecker exponential: one factor per direction, and in
+    ``plans`` each factor's block plan (``tensors._row_blocks``)."""
+
+    def __init__(self, factors):
+        super().__init__(factors)
+        self.plans = _per_distinct(factors, tensors._row_blocks)
+
+
 class KroneckerOperator:
     """Kronecker sum of per-direction matrices."""
 
@@ -122,29 +143,29 @@ class KroneckerOperator:
                 raise ValueError("per-direction factors must be square")
         self.shape = tuple(m.shape[0] for m in self.matrices)
 
+    @cached_property
+    def _plans(self):
+        """The block plan of each matrix, made on first use (by ``apply``)."""
+        return _per_distinct(self.matrices, tensors._row_blocks)
+
     def apply(self, u):
-        return kron_sum_apply(u, self.matrices)
+        return kron_sum_apply(u, self.matrices, plans=self._plans)
 
     def prepare(self, tau, fractions):
         """{f: [exp(f tau A_mu) for each direction mu]}, each cut to its
-        numerical band (``_numerical_band``); directions whose matrices
-        are equal bit for bit (all three of a cube) share one array, one
-        ``expm_pade`` per distinct matrix and fraction."""
-        keys = [m.tobytes() for m in self.matrices]
-
-        def build(step):
-            found = {}
-            for key, m in zip(keys, self.matrices):
-                if key not in found:
-                    found[key] = _numerical_band(expm_pade(m, step))
-            return [found[key] for key in keys]
-
-        return _exponentials(tau, fractions, build)
+        numerical band (``_numerical_band``), as a list whose ``plans``
+        hold their block plans; directions whose matrices are equal bit
+        for bit (all three of a cube) share one array and plan, one
+        ``expm_pade`` and one plan per distinct matrix and fraction."""
+        return _exponentials(tau, fractions, lambda step: _Factors(
+            _per_distinct(self.matrices,
+                          lambda m: _numerical_band(expm_pade(m, step)))))
 
     def exp_apply(self, exponential, u, *, out=None):
         """A prepared exponential times u, into ``out`` if given (never u
-        itself): a Tucker product."""
-        return tucker_apply(u, exponential, out=out)
+        itself): a Tucker product with the exponential's plans."""
+        return tucker_apply(u, exponential, out=out,
+                            plans=exponential.plans)
 
 
 class FourierOperator:

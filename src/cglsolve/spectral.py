@@ -16,7 +16,6 @@ written there and ``out`` is returned. ``run_slabs`` and
 import contextvars
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,30 +103,60 @@ def _usable_cpus():
 # arrays under this many entries run serially: below it two slab threads
 # lose to one serial FFT (CHANGES.md, "the FFT serial floor")
 _SERIAL_BELOW = 2 ** 15
-# entries per pass of the chunked elementwise kernels: operands and scratch
-# stay in cache (CHANGES.md, "Column-major mu-mode products")
-_CHUNK = 1 << 13
+# entries per pass of every chunked elementwise kernel: each numpy call
+# must outlast a hand-off of the GIL between the slab threads
+# (CHANGES.md, "Slab kernels that pay for their threads")
+_CHUNK = 1 << 15
 _THREADS = _usable_cpus()
-_pool = None
-_pool_lock = threading.Lock()
 
 
-def _executor():
-    """The shared worker pool, created on the first threaded call, with
-    one thread fewer than there are slabs (the caller runs one)."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(_THREADS - 1,
-                                       thread_name_prefix="cglsolve-slab")
-        return _pool
+class _Worker:
+    """A daemon thread that runs one range at a time: ``hand`` passes it
+    a task through the ``go`` lock and ``take`` waits on ``done`` for the
+    outcome. The worker drops the task before it signals, and ``take``
+    the outcome, so neither outlives the call."""
+
+    def __init__(self):
+        self.go, self.done = threading.Lock(), threading.Lock()
+        self.go.acquire()
+        self.done.acquire()
+        self.task = self.outcome = None
+        threading.Thread(target=self._serve, name="cglsolve-slab",
+                         daemon=True).start()
+
+    def _serve(self):
+        while True:
+            self.go.acquire()
+            context, fn, lo, hi = self.task
+            self.task = None
+            try:
+                self.outcome = (context.run(fn, lo, hi), None)
+            except BaseException as err:  # handed to the caller, re-raised
+                self.outcome = (None, err)
+            del context, fn
+            self.done.release()
+
+    def hand(self, fn, lo, hi):
+        self.task = (contextvars.copy_context(), fn, lo, hi)
+        self.go.release()
+
+    def take(self):
+        self.done.acquire()
+        outcome, self.outcome = self.outcome, None
+        return outcome
+
+
+# the workers, started on the first threaded call and added to when a
+# call has more ranges; a call holds _busy while it uses them
+_workers = []
+_busy = threading.Lock()
 
 
 def _forget_pool():
-    # a forked child inherits the pool object but none of its threads
-    global _pool, _pool_lock
-    _pool = None
-    _pool_lock = threading.Lock()
+    # a forked child inherits the workers' objects but none of their threads
+    global _workers, _busy
+    _workers = []
+    _busy = threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
@@ -169,21 +198,36 @@ def _slab_pass(line_fn, src, out, axis):
 def run_slabs(fn, n):
     """``[fn(lo, hi), ...]`` over contiguous ranges covering ``range(n)``,
     one per usable CPU, in range order. The caller runs the first range,
-    the pool the rest, each in a copy of the caller's context (so its
-    numpy error state applies); an error in any range reaches the caller.
+    the pool's workers the rest, each in a copy of the caller's context
+    (so its numpy error state applies); an error in any range reaches the
+    caller. A call that finds the pool in use, by another thread or by
+    the slab it runs in, runs its ranges itself, one after another.
     """
     cuts = [n * i // _THREADS for i in range(_THREADS + 1)]
     ranges = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
-    if len(ranges) < 2:
+    if len(ranges) < 2 or not _busy.acquire(blocking=False):
         return [fn(lo, hi) for lo, hi in ranges]
-    pool = _executor()
-    futures = [pool.submit(contextvars.copy_context().run, fn, lo, hi)
-               for lo, hi in ranges[1:]]
+    outcomes = None
     try:
-        first = fn(*ranges[0])
+        while len(_workers) < len(ranges) - 1:
+            _workers.append(_Worker())
+        workers = _workers[:len(ranges) - 1]
+        for worker, (lo, hi) in zip(workers, ranges[1:]):
+            worker.hand(fn, lo, hi)
+        try:
+            first = fn(*ranges[0])
+        finally:
+            outcomes = [worker.take() for worker in workers]
     finally:
-        wait(futures)
-    return [first] + [f.result() for f in futures]
+        if outcomes is None:
+            # interrupted before every outcome was taken: a late one would
+            # answer the next call, so later calls start new workers
+            _workers.clear()
+        _busy.release()
+    for _, err in outcomes:
+        if err is not None:
+            raise err
+    return [first] + [result for result, _ in outcomes]
 
 
 def memory_order(arrays, out=()):

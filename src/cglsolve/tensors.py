@@ -9,10 +9,10 @@ first-index-fastest (column-major), for d = 2
 and ``kron_sum_apply`` applies the Kronecker sum of its factors without
 forming it. Every factor is square, n_mu x n_mu (else ValueError). Each
 costs one matrix product per direction, or, for a factor mostly of exact
-zeros, one per block of rows over the columns it touches; a dense factor
-keeps its one product and its bits. F-ordered input is read as it is,
-C-ordered input as its F-ordered transpose, and other strides are copied
-once; a result is C-ordered for C-ordered input and F-ordered otherwise.
+zeros, one per block of rows over the columns it touches (``plans``), so
+a dense factor keeps its one product and its bits. F-ordered input is
+read as is, C-ordered input as its F-ordered transpose, other strides
+are copied once; a result is C-ordered for C input, else F-ordered.
 """
 
 import math
@@ -111,19 +111,27 @@ def mu_mode_product(u, mat, axis):
     """Apply the n_axis x n_axis matrix ``mat`` along the zero-based
     direction ``axis`` of the tensor ``u``."""
     u, (mat,) = _checked(u, [mat], [axis])
+    return _mode_product(u, mat, axis, _row_blocks(mat))
+
+
+def _mode_product(u, mat, axis, blocks):
+    """mu_mode_product of a checked u and mat, with mat's plan."""
     x, transposed = _column_major(u)
     if transposed:
         axis = u.ndim - 1 - axis
     out = np.empty(x.shape, np.result_type(x.dtype, mat.dtype), order="F")
-    _mode_pass(x, mat, axis, out, _row_blocks(mat))
+    _mode_pass(x, mat, axis, out, blocks)
     return out.T if transposed else out
 
 
-def tucker_apply(u, mats, *, out=None):
+def tucker_apply(u, mats, *, out=None, plans=None):
     """Apply one matrix per direction: ``u x_1 m_1 x_2 m_2 ...``. ``out``,
     if given, is a C- or F-contiguous complex128 array of u's shape that
-    shares no memory with u; it is written and returned."""
+    shares no memory with u; it is written and returned. ``plans``, if
+    given, is ``[_row_blocks(m) for m in mats]``."""
     u, mats = _one_per_direction(u, mats)
+    if plans is None:
+        plans = [_row_blocks(m) for m in mats]
     if out is not None:
         check_out(out, u.shape)
         if not (out.flags.c_contiguous or out.flags.f_contiguous):
@@ -132,18 +140,18 @@ def tucker_apply(u, mats, *, out=None):
             raise ValueError("out must not share memory with u")
     x, transposed = _column_major(u, out)
     if not transposed:
-        return _tucker_column_major(x, mats, out)
-    result = _tucker_column_major(x, mats[::-1],
+        return _tucker_column_major(x, mats, plans, out)
+    result = _tucker_column_major(x, mats[::-1], plans[::-1],
                                   None if out is None else out.T).T
     return result if out is None else out
 
 
-def _tucker_column_major(x, mats, out):
+def _tucker_column_major(x, mats, plans, out):
     """tucker_apply for an F-ordered x into the F-ordered out (or a new
-    array): the last direction is one pass into it, and the others run in
-    place on cache-sized blocks of the last axis."""
+    array), with each factor's plan: the last direction is one pass into
+    it, and the others run in place on cache-sized blocks of the last
+    axis."""
     lead = mats[:-1]
-    plans = [_row_blocks(m) for m in mats]
     dtype = np.result_type(x.dtype, *mats)
     if out is None:
         out = np.empty(x.shape, dtype, order="F")
@@ -180,11 +188,14 @@ def _leading_passes(block, mats, plans, scratch, through):
         block[...] = cur
 
 
-def kron_sum_apply(u, mats):
+def kron_sum_apply(u, mats, *, plans=None):
     """Action of the Kronecker sum of ``mats`` on ``u``, without forming
-    the Kronecker-sum matrix."""
+    the Kronecker-sum matrix; ``plans`` as for ``tucker_apply``."""
     u, mats = _one_per_direction(u, mats)
-    out = mu_mode_product(u, mats[0], 0)
-    for axis, m in enumerate(mats[1:], 1):
-        np.add(out, mu_mode_product(u, m, axis), out=out)
+    if plans is None:
+        plans = [_row_blocks(m) for m in mats]
+    out = _mode_product(u, mats[0], 0, plans[0])
+    for axis in range(1, len(mats)):
+        np.add(out, _mode_product(u, mats[axis], axis, plans[axis]),
+               out=out)
     return out

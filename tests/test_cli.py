@@ -184,6 +184,22 @@ def test_a_bad_coupled_run_is_a_usage_error_before_its_pre_run(
     assert code == 2
 
 
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--schemes", "if4"]],
+                         ids=["run", "sweep"])
+def test_a_diverged_coupled_pre_run_is_reported_on_one_line(command,
+                                                            tmp_path, capsys):
+    cfg = config_to_dict(make_preset("coupled-2d-periodic"))
+    cfg["params"].update(alpha3=50.0, alpha4=0.0)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code = main(command + ["--config", str(path), "--steps", "2"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    assert err.count("\n") == 1
+    assert "pre-run diverged at step 2: non-finite state" in err
+
+
 def test_bool_parameter_is_a_usage_error(tmp_path, capsys):
     params = config_to_dict(make_preset("plane-wave-1d"))["params"]
     path = tmp_path / "cfg.json"

@@ -7,7 +7,9 @@ floor, in C, F and strided layouts, and with
 1, 2 or 5 slabs, they must give the bits of their whole-array expressions
 (``eval_g``: the seed formula to roundoff, and the values its own
 whole-array path gives below the floor), the same bits for every slab
-count, and leave their inputs unchanged.
+count, and leave their inputs unchanged. Sizes whose slabs span several
+``spectral._CHUNK``-entry chunks and end next to a chunk edge check the
+chunk loops of ``eval_g`` and ``_lincomb``.
 """
 
 import math
@@ -18,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cglsolve import spectral
+from cglsolve import flows, spectral
 from cglsolve.flows import NonlinearSpec, all_finite, eval_g
 from cglsolve.integrators import _lincomb
 from cglsolve.params import CglParameters
@@ -175,6 +177,52 @@ def test_eval_g_matches_the_seed_formula(shape, kind, layouts, seed):
         assert (np.max(np.abs(g - want))
                 <= 2e-15 * np.max(terms * np.abs(u)))
     assert all(same_bits(a, b) for a, b in zip(fields, before))
+
+
+@st.composite
+def chunk_edges(draw):
+    """A slab count and a 1-D size whose slabs, with that count, each span
+    two or three chunks and end one entry short of or past a chunk edge."""
+    n = draw(st.sampled_from(SLABS[1:]))
+    per_slab = (draw(st.integers(2, 3)) * spectral._CHUNK
+                + draw(st.sampled_from([-1, 1])))
+    return n, n * per_slab
+
+
+EDGES = settings(max_examples=8, deadline=None)
+
+
+@EDGES
+@given(edge=chunk_edges(), kind=st.sampled_from(sorted(PARAMS)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_eval_g_across_chunk_edges(edge, kind, seed):
+    n, size = edge
+    rng = np.random.default_rng(seed)
+    spec = NonlinearSpec(kind, PARAMS[kind])
+    fields = tuple(random_complex(rng, (size,))
+                   for _ in range(spec.components))
+    with slabs(n):
+        got = eval_g(spec, fields)
+    # the whole-array path gives the kernel's bits for finite values
+    want = flows._g_whole(kind, spec.params, fields, None)
+    assert all(same_bits(a, b) for a, b in zip(got, want))
+
+
+@EDGES
+@given(edge=chunk_edges(), components=st.integers(1, 3),
+       coefs=st.lists(st.sampled_from([1, 0.5, -1.0 / 3.0, 4.0 / 3.0]),
+                      min_size=3, max_size=3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_lincomb_across_chunk_edges(edge, components, coefs, seed):
+    n, size = edge
+    rng = np.random.default_rng(seed)
+    xs = [tuple(random_complex(rng, (size,)) for _ in range(components))
+          for _ in coefs]
+    terms = list(zip(coefs, xs))
+    with slabs(n):
+        got = _lincomb(*terms)
+    for i in range(components):
+        assert same_bits(got[i], fold([(c, x[i]) for c, x in terms]))
 
 
 @PROPERTY

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cglsolve import flows, spectral
+from cglsolve import spectral
 from cglsolve.flows import (
     DivergenceError,
     NonlinearSpec,
@@ -383,7 +383,7 @@ def test_flow_chunk_edges_on_slabs(per_slab, threads, monkeypatch):
     # each slab is one chunk +- 1 entries, so the last slab ends in a partial
     # chunk; a bad entry there alone decides the reason
     monkeypatch.setattr(spectral, "_THREADS", threads)
-    n = threads * (flows._FLOW_CHUNK + per_slab)
+    n = threads * (spectral._CHUNK + per_slab)
     par = CglParameters(alpha1=1.0, alpha3=2.0, beta3=0.5)
     u0 = 0.1 * random_complex(np.random.default_rng(66), (n,))
     want = power_flow_ref(u0, 0.01, par.alpha3, par.beta3, 2)

@@ -8,7 +8,8 @@ import pytest
 
 from cglsolve import operators, tensors
 from cglsolve.experiments import build_problem, make_preset
-from cglsolve.integrators import SCHEMES
+from cglsolve.flows import NonlinearSpec
+from cglsolve.integrators import SCHEMES, Problem, integrate
 from cglsolve.linalg import expm_pade
 from cglsolve.operators import (
     BlockOperator,
@@ -214,6 +215,29 @@ def test_the_row_blocks_of_the_fd3d_exponentials_cover_half_of_each():
         assert cover <= e.size / 2, f
     dense = random_complex(np.random.default_rng(54), (128, 128))
     assert tensors._row_blocks(dense) is None
+
+
+@pytest.mark.parametrize("scheme", ["split4", "rk4"])
+def test_a_run_plans_each_distinct_factor_once(scheme, monkeypatch):
+    # directions 0 and 2 share a matrix; both extents exceed one row block
+    op = build_fd_operator(PARAMS, (40, 48, 40), (5.0, 6.0, 5.0), "dirichlet")
+    problem = Problem(op, NonlinearSpec("cubic", PARAMS))
+    row_blocks = tensors._row_blocks
+    scanned = []
+
+    def counted(mat):
+        scanned.append(mat)
+        return row_blocks(mat)
+
+    monkeypatch.setattr(tensors, "_row_blocks", counted)
+    u0 = 0.1 * random_complex(np.random.default_rng(57), op.shape)
+    res = integrate(problem, scheme, (u0,), 5e-4, 5)
+    assert not res.diverged
+    # split4: 2 distinct matrices x 2 fractions; rk4: the 2 D2 matrices
+    assert len(scanned) == (4 if scheme == "split4" else 2)
+    assert len({m.tobytes() for m in scanned}) == len(scanned)
+    for e in op.prepare(1e-4, SCHEMES[scheme].fractions).values():
+        assert e.plans == [row_blocks(m) for m in e]
 
 
 def test_prepare_makes_one_exponential_per_distinct_matrix(expm_calls):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cglsolve import spectral
+from cglsolve.flows import NonlinearSpec, cubic_flow, eval_g
+from cglsolve.integrators import _lincomb
 from cglsolve.operators import build_periodic_operator
 from cglsolve.params import CglParameters
 from cglsolve.spectral import (
@@ -30,6 +33,8 @@ from oracles import dense_symbol, dft_direct, idft_direct, random_complex
 L = 100.0
 PARAMS = CglParameters(alpha1=1.0, beta1=2.0, alpha2=1.0, alpha3=-1.0,
                        beta3=0.2)
+CQ = CglParameters(alpha1=0.5, beta1=0.5, alpha2=-0.5, alpha3=2.52,
+                   beta3=1.0, alpha4=-1.0, beta4=-0.11)
 
 
 def test_wavenumber_table_even():
@@ -196,6 +201,133 @@ def test_forked_child_gets_a_fresh_pool(slab_threads):
         child.join(timeout=10)
         pytest.fail("transform in forked child hung")
     assert child.exitcode == 0
+
+
+def _in_thread(target, timeout=60):
+    """target() in a daemon thread; fails if it is still running after
+    `timeout` seconds, and re-raises what it raised."""
+    raised = []
+
+    def run():
+        try:
+            target()
+        except BaseException as err:  # re-raised below, in the test
+            raised.append(err)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), f"{target} hung"
+    if raised:
+        raise raised[0]
+
+
+def test_two_threads_share_the_pool_with_serial_bits(slab_threads,
+                                                     monkeypatch):
+    x = random_complex(np.random.default_rng(46), (64, 64, 16))
+    small = 0.1 * x
+    spec = NonlinearSpec("cubic_quintic", CQ)
+    kernels = (lambda: dft_forward(x),
+               lambda: eval_g(spec, (x,))[0],
+               lambda: _lincomb((0.5, (x,)), (2.0, (x,)))[0],
+               lambda: cubic_flow(small, 0.01, CQ))
+    monkeypatch.setattr(spectral, "_THREADS", 1)
+    want = [kernel() for kernel in kernels]
+    monkeypatch.setattr(spectral, "_THREADS", slab_threads)
+    mismatches = []
+
+    def repeat():
+        for _ in range(5):
+            for kernel, serial in zip(kernels, want):
+                if not np.array_equal(kernel(), serial):
+                    mismatches.append(kernel)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=repeat) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not mismatches
+
+
+def test_a_call_inside_a_slab_runs_serially(slab_threads):
+    def inner(lo, hi):
+        return threading.get_ident(), lo, hi
+
+    def outer(lo, hi):
+        return spectral.run_slabs(inner, 12)
+
+    got = []
+    _in_thread(lambda: got.extend(spectral.run_slabs(outer, 40)))
+    assert len(got) == slab_threads
+    for ranges in got:
+        # every nested range, in order, on the thread that ran its slab
+        assert len({ident for ident, _, _ in ranges}) == 1
+        assert [lo for _, lo, _ in ranges] == [0] + [hi for _, _, hi
+                                                     in ranges[:-1]]
+        assert ranges[-1][2] == 12
+
+
+@pytest.mark.parametrize("failing", ["caller", "worker"])
+def test_the_pool_works_after_a_slab_raises(failing, slab_threads):
+    def fn(lo, hi):
+        if (lo == 0) == (failing == "caller"):
+            raise RuntimeError("slab failed")
+        return lo, hi
+
+    def fail_then_run():
+        with pytest.raises(RuntimeError, match="slab failed"):
+            spectral.run_slabs(fn, 100)
+        cuts = [100 * i // slab_threads for i in range(slab_threads + 1)]
+        assert (spectral.run_slabs(lambda lo, hi: (lo, hi), 100)
+                == list(zip(cuts, cuts[1:])))
+
+    _in_thread(fail_then_run)
+    x = random_complex(np.random.default_rng(47), (64, 64, 16))
+    assert np.array_equal(dft_forward(x), np.fft.fftn(x))
+
+
+def test_an_interrupted_call_leaves_a_working_pool(slab_threads,
+                                                  monkeypatch):
+    release = threading.Event()
+
+    def slow(lo, hi):
+        if lo > 0:  # a worker's range, still running when take is cut off
+            release.wait(timeout=60)
+        return "late", lo, hi
+
+    def interrupted(worker):
+        raise KeyboardInterrupt
+
+    take = spectral._Worker.take
+    monkeypatch.setattr(spectral._Worker, "take", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        spectral.run_slabs(slow, 100)
+    monkeypatch.setattr(spectral._Worker, "take", take)
+    release.set()
+    # the interrupted call's late outcomes must not answer this one
+    cuts = [100 * i // slab_threads for i in range(slab_threads + 1)]
+    got = []
+    _in_thread(lambda: got.extend(spectral.run_slabs(
+        lambda lo, hi: (lo, hi), 100)))
+    assert got == list(zip(cuts, cuts[1:]))
+
+
+def test_the_pool_keeps_no_array_a_slab_captured(slab_threads):
+    a = np.ones(1000)
+    u = random_complex(np.random.default_rng(48), (64, 64, 16))
+    refs = weakref.ref(a), weakref.ref(u)
+    parts = spectral.run_slabs(lambda lo, hi: a[lo:hi], a.size)
+    assert sum(float(p.sum()) for p in parts) == 1000.0
+    pointwise_apply(u, u)
+    del a, u, parts
+    assert all(ref() is None for ref in refs)
 
 
 def test_grid_nodes_keep_left_endpoint():
