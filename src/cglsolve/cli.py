@@ -11,12 +11,11 @@ import argparse
 import json
 import sys
 
-from .experiments import (available_presets, checked_frozen_probe,
-                          checked_snapshot_request, config_from_dict,
-                          config_to_dict, make_preset, run_convergence_study,
-                          run_preset)
-from .flows import DivergenceError
-from .integrators import SCHEMES
+from .experiments import (available_presets, checked_snapshot_request,
+                          config_from_dict, config_to_dict, make_preset,
+                          run_convergence_study, run_preset)
+from .flows import DivergenceError, NonlinearSpec
+from .integrators import SCHEMES, _fits
 from .io import write_csv
 
 _DEFAULT_LADDER = "12,17,24,34,48"
@@ -105,13 +104,8 @@ def _cmd_run(args, parser):
                                              config.steps, args.out)
     except ValueError as err:
         parser.error(f"--snapshots: {err}")
-    try:
-        checked_frozen_probe(args.frozen_probe)
-    except ValueError as err:
-        parser.error(f"--frozen-probe: {err}")
     summary, _ = run_preset(config, snapshot_steps=snapshots,
-                            out_dir=args.out,
-                            frozen_probe_steps=args.frozen_probe)
+                            out_dir=args.out)
     if args.format == "json":
         json.dump(summary, sys.stdout, indent=2)
         sys.stdout.write("\n")
@@ -123,8 +117,10 @@ def _cmd_run(args, parser):
 
 def _cmd_sweep(args, parser):
     config = _resolve_config(args, parser)
-    schemes = ([s.strip() for s in args.schemes.split(",")]
-               if args.schemes else sorted(SCHEMES))
+    components = NonlinearSpec(config.kind, config.params).components
+    schemes = ([s.strip() for s in args.schemes.split(",")] if args.schemes
+               else [s for s in sorted(SCHEMES)
+                     if _fits(SCHEMES[s], components)])
     ladder = _ints(args.steps)
     rows, meta = run_convergence_study(config, schemes, ladder,
                                        errors=not args.stability,
@@ -160,9 +156,6 @@ def main(argv=None):
     p_run.add_argument("--steps", type=int, help="number of time steps")
     p_run.add_argument("--snapshots", metavar="I,J,...",
                        help="1-based step indices to snapshot (needs --out)")
-    p_run.add_argument("--frozen-probe", type=int, default=0,
-                       metavar="N", help="continue N steps and report the "
-                       "modulus drift")
     p_run.add_argument("--format", choices=["table", "json"],
                        default="table")
     p_run.set_defaults(func=_cmd_run, parser=p_run)
@@ -170,7 +163,8 @@ def main(argv=None):
     p_sweep = sub.add_parser("sweep", help="convergence or stability sweep")
     _common_config_flags(p_sweep)
     p_sweep.add_argument("--schemes", metavar="S1,S2,...",
-                         help="comma-separated scheme names (default: all)")
+                         help="comma-separated scheme names (default: "
+                         "all that the problem's kind runs)")
     p_sweep.add_argument("--steps", default=_DEFAULT_LADDER,
                          metavar="M1,M2,...", help="step-count ladder")
     p_sweep.add_argument("--stability", action="store_true",

@@ -30,9 +30,9 @@ __all__ = [
     "config_to_dict", "config_from_dict", "build_problem", "grid_axes",
     "initial_state", "plane_wave_parameters", "plane_wave_state",
     "necklace_state", "smooth_modes_state", "gaussian_profile",
-    "prepare_coupled_initial", "relative_error", "relative_modulus_drift",
-    "ReferenceMismatch", "run_convergence_study", "least_squares_orders",
-    "checked_snapshot_request", "checked_frozen_probe", "run_preset",
+    "prepare_coupled_initial", "relative_error", "ReferenceMismatch",
+    "run_convergence_study", "least_squares_orders",
+    "checked_snapshot_request", "run_preset",
 ]
 
 
@@ -335,12 +335,6 @@ def relative_error(fields, reference):
     return num / den
 
 
-def relative_modulus_drift(before, after):
-    """How much the modulus field moved, relative to its size."""
-    change = float(np.max(np.abs(np.abs(after) - np.abs(before))))
-    return change / float(np.max(np.abs(before)))
-
-
 def least_squares_orders(rows):
     """Fit log(err) vs log(tau) per scheme over the clean rows."""
     samples = {}
@@ -469,29 +463,17 @@ def checked_snapshot_request(snapshot_steps, steps, out_dir):
     return snapshot_steps
 
 
-def checked_frozen_probe(steps):
-    """frozen_probe_steps, else ValueError unless it is an integer >= 0."""
-    _check_scalar("frozen_probe_steps", steps, int)
-    if steps < 0:
-        raise ValueError(f"frozen_probe_steps must be >= 0, got {steps}")
-    return steps
-
-
-def run_preset(config, snapshot_steps=(), out_dir=None,
-               frozen_probe_steps=0):
+def run_preset(config, snapshot_steps=(), out_dir=None):
     """One integration of a config; optional snapshots and summary file.
 
     Returns (summary, physical_fields). ``integrate``'s checks of the
     scheme, steps and t_final, and an out_dir that is not a directory,
     are a ValueError before any work; out_dir is made at the first write.
-    With frozen_probe_steps > 0 the run continues that many steps and
-    reports the relative modulus drift over them (near zero if frozen).
     """
     _checked_run(config.scheme,
                  NonlinearSpec(config.kind, config.params).components,
                  config.t_final, config.steps)
     _check_out_dir(out_dir)
-    checked_frozen_probe(frozen_probe_steps)
     snapshot_steps = checked_snapshot_request(snapshot_steps, config.steps,
                                               out_dir)
     problem = build_problem(config)
@@ -529,13 +511,6 @@ def run_preset(config, snapshot_steps=(), out_dir=None,
         "t_reached": reached,
         "max_modulus": max(float(np.max(np.abs(u))) for u in physical),
     }
-    if frozen_probe_steps and not result.diverged:
-        probe = integrate(problem, config.scheme, result.fields,
-                          result.tau * frozen_probe_steps,
-                          frozen_probe_steps)
-        if not probe.diverged:
-            summary["frozen_modulus_drift"] = relative_modulus_drift(
-                physical[0], problem.to_physical(probe.fields)[0])
     if out_dir:
         final_path = output("final.cgls")
         write_snapshot(final_path, physical, reached, axes)

@@ -1,4 +1,4 @@
-"""Time integrators: schemes as data, two steppers, and ``integrate``.
+"""Time integrators: schemes as data, one step program, ``integrate``.
 
 Every scheme advances du/dt = K u + g(u). A state is a tuple with one
 array per component, in the operator's representation: grid values for
@@ -18,6 +18,7 @@ import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, partial
+from operator import itemgetter
 
 import numpy as np
 
@@ -67,12 +68,8 @@ class Scheme:
     @property
     def fractions(self):
         """The step fractions of the exponentials, ascending."""
-        if self.tableau is None:
-            found = {f for term, f in self.maps + self.coarse if term == "K"}
-        else:
-            found = {group[0] for groups, *_ in _rows(self.tableau, 1.0)
-                     for group in groups}
-        return tuple(sorted(found - {0, None}))
+        ops, _ = _lower(self, 1.0, True, True)
+        return tuple(sorted({arg for kind, arg, _ in ops if kind == "exp"}))
 
 
 SCHEMES = {s.name: s for s in (
@@ -117,87 +114,6 @@ class Problem:
         if not self.fourier:
             return fields
         return tuple(dft_forward(u) for u in fields)
-
-    # -- pieces the steppers use -------------------------------------
-    # expk, g and flow take their result's arrays from the workspace ws;
-    # they write their input, or give it back, only if ``owned``: the
-    # caller hands it over
-
-    def expk(self, exponentials, fields, ws, owned=False):
-        """A prepared exponential (one per block) times fields; in place if
-        owned and Fourier (a symbol product), else into a new workspace
-        tuple."""
-        out = fields if owned and self.fourier else ws.take()
-        self.operator.exp_apply(exponentials, fields, out=out)
-        if owned and out is not fields:
-            ws.give(fields)
-        return out
-
-    def g(self, fields, ws, owned=False):
-        """g(fields): the inverse transform, eval_g and the forward
-        transform all run in one tuple, fields itself if owned."""
-        out = fields if owned else ws.take()
-        if self.fourier:
-            fields = tuple(dft_inverse(u, out=v) for u, v in zip(fields, out))
-        eval_g(self.nonlinear, fields, out=out)
-        if self.fourier:
-            for v in out:
-                dft_forward(v, out=v)
-        return out
-
-    def flow(self, term, fields, t, ws, owned=False):
-        """Subflow over time t: exact for "cubic" and "quintic" alone and
-        for "g" of the cubic kind; else one ``rk4`` step on ``eval_g``.
-        The transforms and an exact flow run in one tuple, fields itself
-        if owned."""
-        if self.fourier:
-            out = fields if owned else ws.take()
-            fields = tuple(dft_inverse(u, out=v) for u, v in zip(fields, out))
-            owned = True
-        if term == "g" and self.nonlinear.kind != "cubic":
-            out = _run_tableau(_rows(_RK4, t), partial(_eval_g, self.nonlinear),
-                               None, ws, fields)
-            if owned:
-                ws.give(fields)
-        else:
-            exact = quintic_flow if term == "quintic" else cubic_flow
-            out = fields if owned else ws.take()
-            for u, v in zip(fields, out):
-                exact(u, t, self.nonlinear.params, out=v)
-        if self.fourier:
-            for v in out:
-                dft_forward(v, out=v)
-        return out
-
-
-class _Workspace:
-    """The full-size arrays of one integrate call: a free list of tuples
-    with one array per component, shaped and ordered like the state.
-    ``take`` pops a free tuple or makes one; ``give`` returns one that no
-    later stage reads. A step's result is never given back."""
-
-    def __init__(self, like):
-        self._layout = [(u.shape, "F" if u.flags.f_contiguous
-                         and not u.flags.c_contiguous else "C")
-                        for u in like]
-        self._free = []
-
-    def take(self):
-        if self._free:
-            return self._free.pop()
-        return tuple(np.empty(shape, complex, order=order)
-                     for shape, order in self._layout)
-
-    def give(self, *tuples):
-        for arrays in tuples:
-            if any(arrays[0] is free[0] for free in self._free):
-                raise RuntimeError("workspace arrays given back twice")
-            self._free.append(arrays)
-
-
-def _eval_g(spec, fields, ws, owned=False):
-    """eval_g as a stage value: in place if owned, else into a new tuple."""
-    return eval_g(spec, fields, out=fields if owned else ws.take())
 
 
 def _lincomb(*terms, out=None):
@@ -262,18 +178,10 @@ def _lincomb_chunks(coefs, jobs, lo, hi):
                 np.add(x, acc, out=acc)
 
 
-def _rhs(p, fields, ws, owned=False):
-    """K u + g(u) as a stage value; (1, g) then (1, Ku) has the bits of
-    Ku + g, since two terms add the same either way."""
-    lin = p.operator.apply(fields)
-    k = p.g(fields, ws, owned)
-    return _lincomb((1, k), (1, lin), out=k)
-
-
 @lru_cache(maxsize=64)
 def _rows(tableau, h):
-    """A tableau's step h as a plan: (groups, last reads, stage) entries
-    in the order they run.
+    """A tableau's step h as a plan: (groups, stage) entries in the order
+    they run.
 
     Stage i is E(c_i) u + h sum_j a_ij E(c_i - c_j) k_j with E(f) =
     exp(f h K), E = 1 without ``lawson``; b is a last row with c = 1. A
@@ -287,7 +195,7 @@ def _rows(tableau, h):
     leading groups of a later row have all their stages, hold two or more
     terms and include the newest stage, their sum (each group under its E,
     in fold order) fills a slot, keyed (row, i), that the row then reads
-    as its first term. Last reads: slots (j >= 1) no later entry reads.
+    as its first term.
     """
     nodes = [sum(row, Fraction(0)) for row in tableau.a] + [_ONE]
     rows = []
@@ -321,90 +229,182 @@ def _rows(tableau, h):
                 rows[r][:n] = [(None, 1, ((1, (r, i)),))]
         plan.append((groups, True))
         slot[i + 2] = len(slot)
-    plan = [(tuple((fraction, c, tuple((coef, slot[j]) for coef, j in terms))
-                   for fraction, c, terms in groups), stage)
-            for groups, stage in plan]
-    last = {j: e for e, (groups, _) in enumerate(plan)
-            for _, _, terms in groups for _, j in terms if j}
-    return tuple((groups, frozenset(j for j, e in last.items() if e == i),
-                  stage) for i, (groups, stage) in enumerate(plan))
+    return tuple((tuple((f, c, tuple((coef, slot[j]) for coef, j in terms))
+                        for f, c, terms in groups), stage)
+                 for groups, stage in plan)
 
 
-def _run_tableau(plan, f, expk, ws, u):
-    """One step from u, which is never written; f(U, ws, owned) is a
-    stage's value, computed in U's arrays if the step owns them."""
-    k = [u, f(u, ws)]
-    for groups, dead, stage in plan[:-1]:
-        x, owned = _row_sum(groups, dead, k, expk, ws)
-        k.append(f(x, ws, owned) if stage else x)
-    return _row_sum(*plan[-1][:2], k, expk, ws)[0]
+def _lower(scheme, tau, fourier, exact_g):
+    """The scheme's step of size tau as ops (kind, arg, reads) on values,
+    and the value of the step's result: value 0 is the step's input and
+    value i the output of op i - 1.
+
+    Kinds: "exp" (arg: the fraction of a prepared exponential), "inverse"
+    and "forward" transforms, "eval_g", "flow" (arg: the term, whose exact
+    flow it is, and the time), "lincomb" (arg: a coefficient per read) and
+    "K u". A tableau lowers entry by entry from its ``_rows`` plan, a map
+    list map by map; a "g" subflow is exact if ``exact_g``, else an inlined
+    ``rk4`` step on eval_g, and in Fourier space each flow runs between an
+    inverse and a forward transform.
+    """
+    ops = []
+
+    def emit(kind, arg, *reads):
+        ops.append((kind, arg, reads))
+        return len(ops)
+
+    def physical(op, x):
+        # in Fourier space g and the flows run between transforms
+        if fourier:
+            x = emit("inverse", None, x)
+        x = op(x)
+        return emit("forward", None, x) if fourier else x
+
+    g = partial(emit, "eval_g", None)
+
+    def rhs(x):
+        # (1, g) then (1, K u) has the bits of K u + g: two terms add the
+        # same either way
+        ku = emit("K u", None, x)
+        return emit("lincomb", (1, 1), physical(g, x), ku)
+
+    def row_sum(groups, k):
+        parts = []
+        for fraction, c, terms in groups:
+            x = k[terms[0][1]]
+            if len(terms) > 1:
+                x = emit("lincomb", tuple(coef for coef, _ in terms),
+                         *[k[j] for _, j in terms])
+            if fraction is not None:
+                x = emit("exp", fraction, x)
+            parts.append((c, x))
+        coefs, xs = zip(*parts)
+        return xs[0] if coefs == (1,) else emit("lincomb", coefs, *xs)
+
+    def tableau(plan, f, u):
+        k = [u, f(u)]
+        for groups, stage in plan[:-1]:
+            x = row_sum(groups, k)
+            k.append(f(x) if stage else x)
+        return row_sum(plan[-1][0], k)
+
+    def compose(maps, x=0):
+        for term, f in maps:
+            t = tau * f.numerator / f.denominator
+            if term == "K":
+                x = emit("exp", f, x)
+            elif term == "g" and not exact_g:
+                x = physical(partial(tableau, _rows(_RK4, t), g), x)
+            else:
+                x = physical(partial(emit, "flow", (term, t)), x)
+        return x
+
+    if scheme.tableau is not None:
+        f = partial(physical, g) if scheme.tableau.lawson else rhs
+        result = tableau(_rows(scheme.tableau, tau), f, 0)
+    elif scheme.coarse:
+        coarse = compose(scheme.coarse)
+        result = emit("lincomb", (4.0 / 3.0, -1.0 / 3.0), compose(scheme.maps),
+                      coarse)
+    else:
+        result = compose(scheme.maps)
+    return tuple(ops), result
 
 
-def _row_sum(groups, dead, k, expk, ws):
-    """An entry's sum and whether the step owns its arrays. The slots in
-    ``dead`` are read by no later entry: each is written over by its
-    group's sum or its exponential, or given back once read. A sum is
-    written into its first term's arrays if the step owns them."""
-    parts = []
-    for exponential, c, terms in groups:
-        x, owned = k[terms[0][1]], terms[0][1] in dead
-        if len(terms) > 1:
-            x = _lincomb(*[(coef, k[j]) for coef, j in terms],
-                         out=x if owned else ws.take())
-            ws.give(*[k[j] for _, j in terms[1:] if j in dead])
-            owned = True
-        if exponential is not None:
-            x, owned = expk(exponential, x, ws, owned), True
-        parts.append((c, x, owned))
-    c, x, owned = parts[0]
-    if len(parts) == 1 and c == 1:
-        return x, owned
-    total = _lincomb(*[(c, x) for c, x, _ in parts],
-                     out=x if owned else ws.take())
-    ws.give(*[x for _, x, owned in parts[1:] if owned])
-    return total, True
+def _slots(ops, fourier):
+    """Each value's workspace slot, by one liveness scan, and the slot
+    count. A slot is free again after the last read of its value, so the
+    step's result, which no op reads, keeps its slot.
 
-
-def _compose(p, maps, ws, u):
-    """u through the bound maps: (term, exponential or subflow time)."""
-    owned = False
-    for term, x in maps:
-        u = (p.expk(x, u, ws, owned) if term == "K"
-             else p.flow(term, u, x, ws, owned))
-        owned = True
-    return u
-
-
-def _richardson(p, maps, coarse, ws, u):
-    coarse = _compose(p, coarse, ws, u)
-    fine = _compose(p, maps, ws, u)
-    fine = _lincomb((4.0 / 3.0, fine), (-1.0 / 3.0, coarse), out=fine)
-    ws.give(coarse)
-    return fine
+    An op writes into the slot of its first read if that read dies there
+    and the op may write it: a lincomb its first term, an exponential its
+    input in Fourier space only, a transform, eval_g or flow its input.
+    Else it takes a free slot, or a new one. Slot 0 holds the step's input
+    and is never written. "K u" writes slot -1, outside the workspace: the
+    operator returns it in new arrays.
+    """
+    last = {r: i for i, (_, _, reads) in enumerate(ops) for r in reads}
+    slot, free, count = [0], [], 0
+    for i, (kind, _, reads) in enumerate(ops):
+        first = slot[reads[0]]
+        if kind == "K u":
+            w = -1
+        elif first > 0 and last[reads[0]] == i and (kind != "exp" or fourier):
+            w = first
+        else:
+            w = free.pop() if free else count + 1
+            count = max(count, w)
+        free += [slot[r] for r in reads
+                 if last[r] == i and slot[r] > 0 and slot[r] != w]
+        slot.append(w)
+    return slot, count
 
 
 def _stepper(p, scheme, tau, exponentials, like):
-    """u -> the scheme's step of size tau, with one workspace shaped like
-    ``like`` for all its steps. The prepared exponentials replace the
-    fractions of the tableau's rows and of the maps, whose flows get their
-    times, so a step looks nothing up."""
-    ws = _Workspace(like)
-    if scheme.tableau is not None:
-        plan = tuple((tuple((frac and exponentials[frac], c, terms)
-                            for frac, c, terms in groups), dead, stage)
-                     for groups, dead, stage in _rows(scheme.tableau, tau))
-        f = p.g if scheme.tableau.lawson else partial(_rhs, p)
-        return partial(_run_tableau, plan, f, p.expk, ws)
+    """u -> the scheme's step of size tau: one loop over the lowered ops,
+    on workspace arrays shaped like ``like`` for all its steps. The slot
+    of the step's result gets new arrays each step, since the caller keeps
+    that state; no step writes slot 0, its input. The ops call the module
+    names bound when this runs."""
+    ops, result = _lower(scheme, tau, p.fourier, p.nonlinear.kind == "cubic")
+    slot, count = _slots(ops, p.fourier)
+    out = slot[result]
+    flows = {"g": cubic_flow, "cubic": cubic_flow, "quintic": quintic_flow}
 
-    def bound(maps):
-        return tuple((term, exponentials[f] if term == "K"
-                      else tau * f.numerator / f.denominator)
-                     for term, f in maps)
+    def call(kind, arg):
+        if kind == "exp":
+            return partial(p.operator.exp_apply, exponentials[arg])
+        if kind == "lincomb":
+            return lambda *fields, out: _lincomb(*zip(arg, fields), out=out)
+        if kind == "eval_g":
+            return partial(eval_g, p.nonlinear)
+        if kind == "K u":
+            return p.operator.apply
+        # a transform or flow acts on each component into out's arrays
+        each = {"inverse": dft_inverse, "forward": dft_forward}.get(kind)
+        each = each or partial(flows[arg[0]], t=arg[1],
+                               params=p.nonlinear.params)
+        return lambda fields, out: tuple(each(u, out=v)
+                                         for u, v in zip(fields, out))
 
-    if scheme.coarse:
-        return partial(_richardson, p, bound(scheme.maps),
-                       bound(scheme.coarse), ws)
-    return partial(_compose, p, bound(scheme.maps), ws)
+    runs = tuple(_run(call(kind, arg), [slot[r] for r in reads], slot[v])
+                 for v, (kind, arg, reads) in enumerate(ops, start=1))
+    slots = [_empty(like) if 0 < j != out else None
+             for j in range(count + 1)] + [None]
+
+    def step(u):
+        # slot 0 holds no earlier input when the result's arrays are made
+        slots[out] = _empty(like)
+        slots[0] = u
+        for run in runs:
+            run(slots)
+        result, slots[0] = slots[out], None
+        return result
+
+    return step
+
+
+def _run(fn, reads, w):
+    """The op as a call on the slot list s: fn of the read slots into slot
+    w, whose arrays it may write. "K u" (w = -1) makes new arrays, so its
+    slot lets go of the last ones first."""
+    r, get = reads[0], itemgetter(*reads)
+    if len(reads) > 1:
+        def run(s):
+            s[w] = fn(*get(s), out=s[w])
+    elif w < 0:
+        def run(s):
+            s[w] = None
+            s[w] = fn(s[r])
+    else:
+        def run(s):
+            s[w] = fn(s[r], out=s[w])
+    return run
+
+
+def _empty(like):
+    """New arrays shaped and ordered like the state ``like``."""
+    return tuple(np.empty_like(u) for u in like)
 
 
 @dataclass
@@ -418,6 +418,13 @@ class IntegrationResult:
     reason: str = ""
 
 
+def _fits(scheme, components):
+    """Whether the scheme runs a problem of that many components: exact
+    cubic and quintic flows of several leave out the coupled cross term."""
+    terms = {term for term, _ in scheme.maps + scheme.coarse}
+    return components == 1 or not terms & {"cubic", "quintic"}
+
+
 def _checked_run(scheme_name, components, t_final, steps, what="steps"):
     """SCHEMES[scheme_name], else ValueError for an unknown scheme, exact
     cubic or quintic flows of several components (no cross term), steps
@@ -426,8 +433,7 @@ def _checked_run(scheme_name, components, t_final, steps, what="steps"):
         raise ValueError(f"unknown scheme {scheme_name!r}; "
                          f"choose from {sorted(SCHEMES)}")
     scheme = SCHEMES[scheme_name]
-    terms = {term for term, _ in scheme.maps + scheme.coarse}
-    if components > 1 and terms & {"cubic", "quintic"}:
+    if not _fits(scheme, components):
         raise ValueError("exact cubic and quintic flows leave out the "
                          "coupled cross term")
     if (not isinstance(steps, numbers.Integral) or isinstance(steps, bool)

@@ -137,6 +137,26 @@ def lawson_rk4_ref(expk, g, u, tau):
                                          + 2.0 * expk(0.5, k3) + k4)
 
 
+def lawson_rk_ref(expk, g, u, tau, a, b):
+    """One step of the explicit Lawson scheme with Butcher weights a, b in
+    textbook form, with expk(f, v) = E(f) v = exp(f tau K) v and nodes
+    c_i = sum_j a_ij: U_i = E(c_i) u + tau sum_j a_ij E(c_i - c_j) g(U_j),
+    and the step E(1) u + tau sum_j b_j E(1 - c_j) g(U_j)."""
+    c = [float(sum(row)) for row in a] + [1.0]
+    k = []
+
+    def row(i, weights):
+        x = expk(c[i], u)
+        for j, w in enumerate(weights):
+            if w:
+                x = x + (tau * float(w)) * expk(c[i] - c[j], k[j])
+        return x
+
+    for i, weights in enumerate(a):
+        k.append(g(row(i, weights)))
+    return row(len(a), b)
+
+
 def lawson_kutta38_ref(expk, g, u, tau):
     """One Lawson step of Kutta's 3/8 rule (nodes 0, 1/3, 2/3, 1) in
     textbook form, with expk(f, v) = exp(f tau K) v."""

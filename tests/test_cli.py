@@ -8,6 +8,7 @@ import pytest
 from cglsolve import cli, experiments
 from cglsolve.cli import main
 from cglsolve.experiments import available_presets, config_to_dict, make_preset
+from cglsolve.integrators import SCHEMES
 
 
 def test_preset_list(capsys):
@@ -210,19 +211,6 @@ def test_bool_parameter_is_a_usage_error(tmp_path, capsys):
     assert "parameter alpha3" in err
 
 
-@pytest.mark.parametrize("probe", ["-3", "2.5"])
-def test_bad_frozen_probe_is_a_usage_error_before_any_work(probe, capsys,
-                                                           monkeypatch):
-    def no_run(*args, **kwargs):
-        raise AssertionError("the run started")
-
-    monkeypatch.setattr(cli, "run_preset", no_run)
-    code, err = _usage_error(["run", "--preset", "plane-wave-1d",
-                              "--frozen-probe", probe], capsys)
-    assert code == 2
-    assert "--frozen-probe" in err
-
-
 @pytest.mark.parametrize("snapshots,with_out", [("3", False), ("0,3", True),
                                                 ("3,11", True),
                                                 ("3,11", False)])
@@ -296,6 +284,21 @@ def _no_integrate(monkeypatch):
         raise AssertionError("a run started")
 
     monkeypatch.setattr(experiments, "integrate", no_run)
+
+
+def test_a_coupled_sweep_runs_by_default_the_schemes_its_kind_runs(
+        capsys):
+    # the exact _3t splits leave out the cross term: the default list
+    # skips them, and naming one is a usage error
+    sweep = ["sweep", "--preset", "coupled-2d-periodic", "--stability",
+             "--steps", "2"]
+    assert main(sweep + ["--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [r["scheme"] for r in rows] == sorted(
+        s for s in SCHEMES if not s.endswith("_3t"))
+    code, err = _usage_error(sweep + ["--schemes", "strang_3t"], capsys)
+    assert code == 2
+    assert "coupled cross term" in err
 
 
 def test_sweep_unknown_scheme_is_a_usage_error_before_any_run(capsys,

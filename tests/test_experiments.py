@@ -12,8 +12,8 @@ from cglsolve.experiments import (available_presets, build_problem,
                                   least_squares_orders, make_preset,
                                   necklace_state, plane_wave_parameters,
                                   plane_wave_state, prepare_coupled_initial,
-                                  relative_error, relative_modulus_drift,
-                                  run_convergence_study, run_preset,
+                                  relative_error, run_convergence_study,
+                                  run_preset,
                                   smooth_modes_state)
 from cglsolve.integrators import integrate
 from cglsolve.io import read_snapshot
@@ -260,9 +260,6 @@ def test_relative_error_and_drift_helpers():
     a = np.array([1.0 + 0j, 2.0, -2.0])
     b = np.array([1.0 + 0j, 2.5, -2.0])
     assert relative_error((b,), (a,)) == pytest.approx(0.25)
-    assert relative_modulus_drift(a, b) == pytest.approx(0.25)
-    # drift sees modulus only: a global phase is invisible
-    assert relative_modulus_drift(a, a * np.exp(0.3j)) <= 1e-15
 
 
 def test_least_squares_orders_recovers_exact_slope():
@@ -446,25 +443,6 @@ def test_run_preset_writes_the_last_finite_state_on_divergence(tmp_path):
     assert all(np.array_equal(a, b) for a, b in zip(fields, physical))
     assert summary["max_modulus"] == max(float(np.max(np.abs(u)))
                                          for u in fields)
-
-
-def test_run_preset_frozen_probe_on_steady_orbit():
-    # a plane wave has constant modulus, so the drift probe reads only
-    # the scheme's own error over a few steps
-    cfg = replace(make_preset("plane-wave-1d"), steps=20)
-    summary, _ = run_preset(cfg, frozen_probe_steps=5)
-    assert summary["frozen_modulus_drift"] <= 1e-6
-
-
-@pytest.mark.parametrize("probe", [-3, 2.5, True, "2"])
-def test_run_preset_rejects_bad_frozen_probe_before_any_work(probe,
-                                                             monkeypatch):
-    def no_build(config):
-        raise AssertionError("the run started")
-
-    monkeypatch.setattr(experiments, "build_problem", no_build)
-    with pytest.raises(ValueError, match="frozen_probe_steps"):
-        run_preset(make_preset("plane-wave-1d"), frozen_probe_steps=probe)
 
 
 @pytest.mark.parametrize("snapshots,out", [

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from cglsolve.flows import (
     eval_g,
     quintic_flow,
 )
-from cglsolve.integrators import Problem, _Workspace
+from cglsolve.integrators import SCHEMES, Problem, Scheme, integrate
 from cglsolve.operators import BlockOperator, KroneckerOperator
 from cglsolve.params import CglParameters
 
@@ -155,13 +156,18 @@ def test_eval_g_coupled_cross_terms():
 
 
 def g_subflow(spec, fields, t):
-    # the "g" subflow of a non-cubic kind is one RK4 step on eval_g; a
-    # zero grid operator leaves the fields in physical space
+    # the "g" subflow of a non-cubic kind is one RK4 step on eval_g: one
+    # step of a scheme that is that subflow alone; a zero grid operator
+    # leaves the fields in physical space
     n = fields[0].size
     op = KroneckerOperator([np.zeros((n, n))])
     if spec.components > 1:
         op = BlockOperator([op, KroneckerOperator([np.zeros((n, n))])])
-    return Problem(op, spec).flow("g", fields, t, _Workspace(fields))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(SCHEMES, "g", Scheme("g", 4, maps=(("g", Fraction(1)),)))
+        result = integrate(Problem(op, spec), "g", fields, t, 1)
+    assert not result.diverged
+    return result.fields
 
 
 def test_rk4_flow_close_to_exact_cubic():

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cglsolve import integrators, operators, spectral
@@ -21,11 +21,11 @@ from cglsolve.operators import (
     build_periodic_operator,
 )
 from cglsolve.params import CglParameters
-from cglsolve.spectral import FourierGrid, dft_forward
+from cglsolve.spectral import FourierGrid, dft_forward, dft_inverse
 
 from oracles import (expm_taylor_ref, kron_chain, kron_sum_matrix,
                      lawson_kutta38_ref, lawson_rk4_fold_ref, lawson_rk4_ref,
-                     random_complex, unvec, vec)
+                     lawson_rk_ref, random_complex, unvec, vec)
 
 CUBIC = CglParameters(alpha1=1.0, beta1=2.0, alpha2=1.0, alpha3=-1.0,
                       beta3=0.2)
@@ -603,19 +603,39 @@ def test_states_kept_by_the_caller_are_never_written(name, scheme):
 def made_tuples(name, scheme, steps, monkeypatch):
     """The workspace tuples an integrate call makes."""
     made = []
-    take = integrators._Workspace.take
+    empty = integrators._empty
 
-    def counted(ws):
-        made.append(not ws._free)
-        return take(ws)
+    def counted(like):
+        made.append(like)
+        return empty(like)
 
     problem = counting_problem(name)
     fields = tuple(np.full(problem.operator.shape, 0.1 + 0.05j)
                    for _ in range(problem.nonlinear.components))
     with monkeypatch.context() as patch:
-        patch.setattr(integrators._Workspace, "take", counted)
+        patch.setattr(integrators, "_empty", counted)
         integrate(problem, scheme, fields, 0.01 * steps, steps)
-    return sum(made)
+    return len(made)
+
+
+def program_of(problem, scheme, tau=0.01):
+    """The scheme's ops, its result's value, each value's slot and the
+    slot count."""
+    ops, result = integrators._lower(scheme, tau, problem.fourier,
+                                     problem.nonlinear.kind == "cubic")
+    return (ops, result, *integrators._slots(ops, problem.fourier))
+
+
+def assert_slots_keep_their_values(ops, result, slot):
+    """No op writes slot 0, the step's input; no op writes the slot of a
+    value made before it and read at or after it, unless it is that op's
+    first read (op v - 1 makes value v), or the result's slot after it."""
+    assert 0 not in slot[1:]
+    for v, (_, _, reads) in enumerate(ops, start=1):
+        for r in reads:
+            assert slot[r] not in slot[r + 1:v]
+        assert slot[v] not in [slot[r] for r in reads[1:]]
+    assert result == 0 or slot[result] not in slot[result + 1:]
 
 
 # the most workspace tuples a step holds at once: each stage value, a
@@ -635,10 +655,24 @@ STEP_PEAK = {
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))
 @pytest.mark.parametrize("name", sorted(STEP_PEAK))
 def test_workspace_holds_a_steps_peak(scheme, name, monkeypatch):
-    # each step's result leaves the workspace: one new tuple a step after
-    # the first step's peak
+    # the peak is the program's slot count; each step's result leaves the
+    # workspace: one new tuple a step after the first step's peak
     peak = STEP_PEAK[name][scheme]
+    ops, result, slot, count = program_of(counting_problem(name),
+                                          SCHEMES[scheme])
+    assert count == peak
+    assert_slots_keep_their_values(ops, result, slot)
     assert made_tuples(name, scheme, 3, monkeypatch) == peak + 2
+
+
+def test_a_scheme_of_no_maps_returns_its_input(monkeypatch):
+    # the program's result is slot 0, which no step writes
+    monkeypatch.setitem(SCHEMES, "none", integrators.Scheme("none", 1))
+    problem = counting_problem("coupled")
+    u = initial_fields(problem, 83)
+    res = integrate(problem, "none", u, 0.01, 3)
+    assert not res.diverged
+    assert all(a is b for a, b in zip(res.fields, u))
 
 
 def textbook_pieces(problem, tau):
@@ -700,7 +734,7 @@ def test_the_final_row_takes_its_early_sums_in_turn(scheme, chain):
     # each read the one before; entry e of the plan fills slot e + 2 of k
     plan = integrators._rows(scheme.tableau, 1.0)
     found, slot = 0, plan[-1][0][0][2][0][1]
-    while slot >= 2 and not plan[slot - 2][2]:
+    while slot >= 2 and not plan[slot - 2][1]:
         found, slot = found + 1, plan[slot - 2][0][0][2][0][1]
     assert found == chain
     if chain:
@@ -730,6 +764,7 @@ def test_kutta38_workspace_holds_a_steps_peak(name, peak, monkeypatch):
     # k1 starts an early sum in each of the three later rows, and each
     # later early sum is written into the slot it reads
     monkeypatch.setitem(SCHEMES, "if38", KUTTA38)
+    assert program_of(counting_problem(name), KUTTA38)[3] == peak
     assert made_tuples(name, "if38", 3, monkeypatch) == peak + 2
     assert made_tuples(name, "if38", 5, monkeypatch) == peak + 4
 
@@ -756,13 +791,15 @@ def test_if4_steps_keep_the_bits_of_the_unreordered_fold(name, shape):
     u = initial_fields(problem, 81)
     res = integrate(problem, "if4", u, 3e-3, 3)
     exps = problem.operator.prepare(res.tau, SCHEMES["if4"].fractions)
-    ws = integrators._Workspace(u)
 
     def expk(f, v):
         return Fields(problem.operator.exp_apply(exps[f], v))
 
     def g(v):
-        return Fields(problem.g(v, ws))
+        if not problem.fourier:
+            return Fields(eval_g(problem.nonlinear, v))
+        phys = eval_g(problem.nonlinear, [dft_inverse(x) for x in v])
+        return Fields(dft_forward(x) for x in phys)
 
     want = Fields(u)
     for _ in range(3):
@@ -770,3 +807,54 @@ def test_if4_steps_keep_the_bits_of_the_unreordered_fold(name, shape):
     assert not res.diverged
     for a, b in zip(res.fields, want):
         assert a.tobytes() == b.tobytes()
+
+
+# small weights; nodes in [0, 1], since a prepared exponential has a
+# positive step fraction
+WEIGHTS = st.sampled_from([Fraction(n, 6) for n in range(-2, 7)])
+NODES = st.sampled_from([Fraction(n, 12) for n in (0, 3, 4, 6, 8, 9, 12)])
+
+
+@st.composite
+def lawson_tableaux(draw):
+    """An explicit Lawson tableau of 2 to 4 stages with ascending nodes:
+    each row's last weight makes its sum the row's node."""
+    nodes = sorted(draw(st.lists(NODES, min_size=1, max_size=3)))
+    a = [()]
+    for c in nodes:
+        row = [draw(WEIGHTS) for _ in range(len(a) - 1)]
+        a.append(tuple(row) + (c - sum(row, Fraction(0)),))
+    b = tuple(draw(WEIGHTS) for _ in a)
+    return integrators.Tableau(a=tuple(a), b=b, lawson=True)
+
+
+TEXTBOOK = {}
+
+
+@settings(max_examples=40, deadline=None)
+@given(tableau=lawson_tableaux(),
+       name=st.sampled_from(["fd", "fourier", "coupled"]))
+# all nodes 0: one group per row, whose second term dies while its first
+# lives on
+@example(tableau=integrators.Tableau(
+    a=((), (Fraction(0),), (Fraction(-1, 3), Fraction(1, 3))),
+    b=(Fraction(-1, 3), Fraction(0), Fraction(-1, 3)), lawson=True),
+    name="fd")
+def test_lowered_lawson_steps_equal_the_textbook_step(tableau, name):
+    # any tableau: its early sums, in-place writes and slots against the
+    # textbook formula with dense exponentials, on stacked components
+    scheme = integrators.Scheme("lawson", 1, tableau=tableau)
+    tau = 0.01
+    if name not in TEXTBOOK:  # the FD pieces keep their dense exponentials
+        problem = counting_problem(name)
+        TEXTBOOK[name] = problem, textbook_pieces(problem, tau)
+    problem, (expk, g) = TEXTBOOK[name]
+    u = np.stack(initial_fields(problem, 82))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(SCHEMES, "lawson", scheme)
+        res = integrate(problem, "lawson", tuple(u), tau, 1)
+    want = lawson_rk_ref(expk, g, u, tau, tableau.a, tableau.b)
+    got = np.stack(res.fields)
+    assert not res.diverged
+    assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+    assert_slots_keep_their_values(*program_of(problem, scheme, tau)[:3])
