@@ -19,8 +19,7 @@ from .flows import DivergenceError, NonlinearSpec
 from .integrators import (Problem, _checked_run, checked_snapshot_steps,
                           integrate)
 from .io import _staged, write_report, write_snapshot
-from .operators import (BlockOperator, build_fd_operator,
-                        build_periodic_operator, fd_nodes)
+from .operators import build_fd_operator, build_periodic_operator, fd_nodes
 from .params import CglParameters
 from .rng import normal_tensor
 from .spectral import FourierGrid, dft_forward, dft_inverse
@@ -179,11 +178,14 @@ def available_presets():
 
 
 def make_preset(name, paper_scale=False, **overrides):
+    """The named preset with the overrides, checked as ``config_from_dict``
+    checks a config (ValueError)."""
     if name not in PRESETS:
         raise ValueError(f"unknown preset {name!r}; "
                          f"choose from {available_presets()}")
     paper = _PAPER_SCALE[name] if paper_scale else {}
-    return replace(PRESETS[name], **{**paper, **overrides})
+    return config_from_dict({**config_to_dict(PRESETS[name]), **paper,
+                             **overrides})
 
 
 # -- problem assembly --------------------------------------------------
@@ -203,8 +205,8 @@ def build_problem(config):
         grid = FourierGrid(config.extents, config.intervals)
         # advection enters with opposite signs in the two components
         signs = (1, -1) if spec.components == 2 else (0,)
-        return Problem(BlockOperator([build_periodic_operator(
-            grid, config.params, s) for s in signs]), spec)
+        return Problem([build_periodic_operator(grid, config.params, s)
+                        for s in signs], spec)
     if spec.components != 1:
         raise ValueError("coupled presets require periodic boundaries")
     lengths = tuple(b - a for a, b in config.intervals)

@@ -4,8 +4,8 @@
 solve u' = (a + i b) |u|^p u exactly per grid value (p = 2, 4); for
 |a| < 1e-14 the flow is a pure rotation. Finite-time blow-up and
 non-finite output raise DivergenceError, blow-up anywhere before
-non-finite output anywhere. Where a kind has no exact flow,
-``integrators.Problem.flow`` runs one ``rk4`` step on ``eval_g``.
+non-finite output anywhere. Where a kind has no exact flow, a scheme's
+"g" subflow is one ``rk4`` step on ``eval_g`` (``integrators._lower``).
 
 ``eval_g`` and both flows take a keyword-only ``out`` that may be their
 input, and return it. Their bits do not depend on the thread count.

@@ -1,8 +1,9 @@
 """Time integrators: schemes as data, one step program, ``integrate``.
 
-Every scheme advances du/dt = K u + g(u). A state is a tuple with one
-array per component, in the operator's representation: grid values for
-Kronecker operators, Fourier coefficients for symbol operators.
+Every scheme advances du/dt = K u + g(u), with K one operator per
+component. A state is a tuple with one array per component, in the
+operators' representation: grid values for Kronecker operators, Fourier
+coefficients for symbol operators.
 ``SCHEMES`` maps each name to its ``Scheme``: a ``Tableau``, or map
 lists with an optional coarse list for a Richardson step.
 
@@ -18,6 +19,7 @@ import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import repeat
 from operator import itemgetter
 
 import numpy as np
@@ -26,7 +28,6 @@ from . import spectral
 from .flows import (DivergenceError, all_finite, cubic_flow, eval_g,
                     quintic_flow)
 from .linalg import ExponentialOverflowError
-from .operators import BlockOperator
 from .spectral import dft_forward, dft_inverse
 
 __all__ = ["Tableau", "Scheme", "SCHEMES", "Problem", "IntegrationResult",
@@ -57,13 +58,21 @@ def _strang(fraction, *flows):
 
 @dataclass(frozen=True)
 class Scheme:
-    """A tableau, or a composition of maps with an optional coarse one."""
+    """A tableau, or a composition of maps with an optional coarse one;
+    ValueError if its step needs an exponential of a fraction <= 0."""
 
     name: str
     order: int
     tableau: Tableau = None
     maps: tuple = ()    # (term, fraction of tau), applied in order
     coarse: tuple = ()  # if given, the step is (4/3) maps - (1/3) coarse
+
+    def __post_init__(self):
+        least = min(self.fractions, default=1)
+        if least <= 0:
+            raise ValueError(f"scheme {self.name!r} needs the exponential "
+                             f"of step fraction {least}, and step "
+                             f"fractions must be positive")
 
     @property
     def fractions(self):
@@ -72,35 +81,26 @@ class Scheme:
         return tuple(sorted({arg for kind, arg, _ in ops if kind == "exp"}))
 
 
-SCHEMES = {s.name: s for s in (
-    Scheme("rk2", 2, tableau=_HEUN),
-    Scheme("rk4", 4, tableau=_RK4),
-    Scheme("strang", 2, maps=_strang(_ONE, "g")),
-    Scheme("split4", 4,
-           maps=(("g", _HALF / 2), ("K", _HALF), ("g", _HALF), ("K", _HALF),
-                 ("g", _HALF / 2)),
-           coarse=_strang(_ONE, "g")),
-    Scheme("strang_3t", 2, maps=_strang(_ONE, "quintic", "cubic")),
-    Scheme("split4_3t", 4, maps=2 * _strang(_HALF, "quintic", "cubic"),
-           coarse=_strang(_ONE, "quintic", "cubic")),
-    Scheme("if2", 2, tableau=replace(_HEUN, lawson=True)),
-    Scheme("if4", 4, tableau=replace(_RK4, lawson=True)),
-)}
-
-
 class Problem:
-    """Linear operator + nonlinearity, with representation-aware wrappers;
-    a plain operator becomes a one-block ``BlockOperator``."""
+    """One linear operator per component (a lone operator for one) and
+    the nonlinearity, with representation-aware wrappers. ValueError
+    unless there is one operator per component of the nonlinearity and
+    they share one representation and one shape."""
 
-    def __init__(self, operator, nonlinear):
-        if not isinstance(operator, BlockOperator):
-            operator = BlockOperator([operator])
-        if len(operator.blocks) != nonlinear.components:
-            raise ValueError("the operator needs one block per component "
-                             "of the nonlinearity")
-        self.operator = operator
+    def __init__(self, operators, nonlinear):
+        if not isinstance(operators, (list, tuple)):
+            operators = [operators]
+        if len(operators) != nonlinear.components:
+            raise ValueError(f"need one operator per component of the "
+                             f"nonlinearity ({nonlinear.components}), got "
+                             f"{len(operators)}")
+        if len({(op.representation, op.shape) for op in operators}) != 1:
+            raise ValueError("all operators must share a representation "
+                             "and a shape")
+        self.operators = tuple(operators)
         self.nonlinear = nonlinear
-        self.fourier = operator.representation == "fourier"
+        self.shape = operators[0].shape
+        self.fourier = operators[0].representation == "fourier"
 
     # -- representation plumbing -------------------------------------
     def to_physical(self, fields):
@@ -311,25 +311,39 @@ def _lower(scheme, tau, fourier, exact_g):
     return tuple(ops), result
 
 
+SCHEMES = {s.name: s for s in (
+    Scheme("rk2", 2, tableau=_HEUN),
+    Scheme("rk4", 4, tableau=_RK4),
+    Scheme("strang", 2, maps=_strang(_ONE, "g")),
+    Scheme("split4", 4,
+           maps=(("g", _HALF / 2), ("K", _HALF), ("g", _HALF), ("K", _HALF),
+                 ("g", _HALF / 2)),
+           coarse=_strang(_ONE, "g")),
+    Scheme("strang_3t", 2, maps=_strang(_ONE, "quintic", "cubic")),
+    Scheme("split4_3t", 4, maps=2 * _strang(_HALF, "quintic", "cubic"),
+           coarse=_strang(_ONE, "quintic", "cubic")),
+    Scheme("if2", 2, tableau=replace(_HEUN, lawson=True)),
+    Scheme("if4", 4, tableau=replace(_RK4, lawson=True)),
+)}
+
+
 def _slots(ops, fourier):
     """Each value's workspace slot, by one liveness scan, and the slot
     count. A slot is free again after the last read of its value, so the
     step's result, which no op reads, keeps its slot.
 
     An op writes into the slot of its first read if that read dies there
-    and the op may write it: a lincomb its first term, an exponential its
-    input in Fourier space only, a transform, eval_g or flow its input.
-    Else it takes a free slot, or a new one. Slot 0 holds the step's input
-    and is never written. "K u" writes slot -1, outside the workspace: the
-    operator returns it in new arrays.
+    and the op may write it: a lincomb its first term, an exponential or
+    "K u" its input in Fourier space only, a transform, eval_g or flow its
+    input. Else it takes a free slot, or a new one. Slot 0 holds the
+    step's input and is never written.
     """
     last = {r: i for i, (_, _, reads) in enumerate(ops) for r in reads}
     slot, free, count = [0], [], 0
     for i, (kind, _, reads) in enumerate(ops):
         first = slot[reads[0]]
-        if kind == "K u":
-            w = -1
-        elif first > 0 and last[reads[0]] == i and (kind != "exp" or fourier):
+        if (first > 0 and last[reads[0]] == i
+                and (kind not in ("exp", "K u") or fourier)):
             w = first
         else:
             w = free.pop() if free else count + 1
@@ -342,35 +356,38 @@ def _slots(ops, fourier):
 
 def _stepper(p, scheme, tau, exponentials, like):
     """u -> the scheme's step of size tau: one loop over the lowered ops,
-    on workspace arrays shaped like ``like`` for all its steps. The slot
-    of the step's result gets new arrays each step, since the caller keeps
-    that state; no step writes slot 0, its input. The ops call the module
-    names bound when this runs."""
+    on workspace arrays shaped like ``like`` for all its steps; component
+    i's exponentials are ``exponentials[i]``. The slot of the step's
+    result gets new arrays each step, since the caller keeps that state;
+    no step writes slot 0, its input. The ops call the module names and
+    operator methods bound when this runs."""
     ops, result = _lower(scheme, tau, p.fourier, p.nonlinear.kind == "cubic")
     slot, count = _slots(ops, p.fourier)
     out = slot[result]
     flows = {"g": cubic_flow, "cubic": cubic_flow, "quintic": quintic_flow}
 
     def call(kind, arg):
-        if kind == "exp":
-            return partial(p.operator.exp_apply, exponentials[arg])
         if kind == "lincomb":
             return lambda *fields, out: _lincomb(*zip(arg, fields), out=out)
         if kind == "eval_g":
             return partial(eval_g, p.nonlinear)
-        if kind == "K u":
-            return p.operator.apply
-        # a transform or flow acts on each component into out's arrays
-        each = {"inverse": dft_inverse, "forward": dft_forward}.get(kind)
-        each = each or partial(flows[arg[0]], t=arg[1],
-                               params=p.nonlinear.params)
-        return lambda fields, out: tuple(each(u, out=v)
-                                         for u, v in zip(fields, out))
+        # every other op acts on each component into out's arrays
+        if kind == "exp":
+            each = [partial(op.exp_apply, e[arg])
+                    for op, e in zip(p.operators, exponentials)]
+        elif kind == "K u":
+            each = [op.apply for op in p.operators]
+        else:
+            fn = {"inverse": dft_inverse, "forward": dft_forward}.get(kind)
+            each = repeat(fn or partial(flows[arg[0]], t=arg[1],
+                                        params=p.nonlinear.params))
+        return lambda fields, out: tuple(f(u, out=v)
+                                         for f, u, v in zip(each, fields, out))
 
     runs = tuple(_run(call(kind, arg), [slot[r] for r in reads], slot[v])
                  for v, (kind, arg, reads) in enumerate(ops, start=1))
     slots = [_empty(like) if 0 < j != out else None
-             for j in range(count + 1)] + [None]
+             for j in range(count + 1)]
 
     def step(u):
         # slot 0 holds no earlier input when the result's arrays are made
@@ -386,16 +403,11 @@ def _stepper(p, scheme, tau, exponentials, like):
 
 def _run(fn, reads, w):
     """The op as a call on the slot list s: fn of the read slots into slot
-    w, whose arrays it may write. "K u" (w = -1) makes new arrays, so its
-    slot lets go of the last ones first."""
+    w, whose arrays it may write."""
     r, get = reads[0], itemgetter(*reads)
     if len(reads) > 1:
         def run(s):
             s[w] = fn(*get(s), out=s[w])
-    elif w < 0:
-        def run(s):
-            s[w] = None
-            s[w] = fn(s[r])
     else:
         def run(s):
             s[w] = fn(s[r], out=s[w])
@@ -465,7 +477,8 @@ def integrate(problem, scheme_name, fields, t_final, steps,
 
     ValueError for an unknown scheme, exact flows of a coupled problem,
     steps not an integer >= 1, a t_final not positive and finite, or
-    non-finite fields. The reported seconds cover the stepping loop only;
+    fields that are not one finite array of ``problem.shape`` per
+    component. The reported seconds cover the stepping loop only;
     ``diverged_at`` is 1-based. ``on_snapshot(k, t, fields)`` gets each
     requested step's state, which later steps never write.
     """
@@ -473,13 +486,18 @@ def integrate(problem, scheme_name, fields, t_final, steps,
                           t_final, steps)
     tau = t_final / steps
     fields = tuple(np.asarray(u, dtype=complex) for u in fields)
+    n = len(problem.operators)
+    if [u.shape for u in fields] != [problem.shape] * n:
+        raise ValueError(f"initial fields must be {n} array(s) of shape "
+                         f"{problem.shape}")
     if not all_finite(fields):
         raise ValueError("initial fields must be finite")
     wanted = set(checked_snapshot_steps(snapshot_steps, steps))
     # an exponential that overflows shows as divergence at step 1
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            exponentials = problem.operator.prepare(tau, scheme.fractions)
+            exponentials = [op.prepare(tau, scheme.fractions)
+                            for op in problem.operators]
     except ExponentialOverflowError as err:
         return IntegrationResult(fields, steps, tau, 0.0, diverged=True,
                                  diverged_at=1, reason=str(err))

@@ -2,12 +2,13 @@
 
 ``KroneckerOperator`` (finite differences) is a Kronecker sum of one
 dense matrix per direction, ``FourierOperator`` (periodic) one of 1-D
-diagonal symbols on coefficient space, and ``BlockOperator`` one
-operator per component, on tuples. Each has ``representation`` ("grid"
-or "fourier"), ``shape``, ``apply(u)``, ``prepare(tau, fractions)`` and
-``exp_apply(exponential, u, *, out=None)``. They hold nothing but their
-definition: ``prepare`` returns ``{fraction: exponential}`` for exact
-positive step fractions and a positive, finite tau (else ValueError).
+diagonal symbols on coefficient space. Each has ``representation``
+("grid" or "fourier"), ``shape``, ``apply(u, *, out=None)``,
+``prepare(tau, fractions)`` and ``exp_apply(exponential, u, *,
+out=None)``; ``out`` may be u only for a Fourier operator. They hold
+nothing but their definition: ``prepare`` returns ``{fraction:
+exponential}`` for exact positive step fractions and a positive, finite
+tau (else ValueError). A coupled problem has one operator per component.
 
 The fourth-order D2 matrices have entries in multiples of 1/(12 h^2)
 with one-sided closures; ``_FD_BOUNDARIES`` holds each boundary kind's
@@ -29,7 +30,6 @@ __all__ = [
     "fd_nodes",
     "KroneckerOperator",
     "FourierOperator",
-    "BlockOperator",
     "build_fd_operator",
     "build_periodic_operator",
 ]
@@ -148,8 +148,8 @@ class KroneckerOperator:
         """The block plan of each matrix, made on first use (by ``apply``)."""
         return _per_distinct(self.matrices, tensors._row_blocks)
 
-    def apply(self, u):
-        return kron_sum_apply(u, self.matrices, plans=self._plans)
+    def apply(self, u, *, out=None):
+        return kron_sum_apply(u, self.matrices, out=out, plans=self._plans)
 
     def prepare(self, tau, fractions):
         """{f: [exp(f tau A_mu) for each direction mu]}, each cut to its
@@ -185,8 +185,8 @@ class FourierOperator:
         """The full symbol tensor, built on first use (by ``apply``)."""
         return reduce(np.add.outer, self.symbols)
 
-    def apply(self, u):
-        return pointwise_apply(self.symbol, u)
+    def apply(self, u, *, out=None):
+        return pointwise_apply(self.symbol, u, out=out)
 
     def prepare(self, tau, fractions):
         """{f: exp(f tau symbol)}: the outer product of the exp(f tau s_mu),
@@ -199,49 +199,6 @@ class FourierOperator:
         """A prepared exponential times u, into ``out`` if given (may be
         u): a pointwise product."""
         return pointwise_apply(exponential, u, out=out)
-
-
-class BlockOperator:
-    """Block-diagonal operator for coupled systems; acts componentwise."""
-
-    def __init__(self, blocks):
-        if not blocks:
-            raise ValueError("need at least one block")
-        kinds = {b.representation for b in blocks}
-        if len(kinds) != 1:
-            raise ValueError("all blocks must share a representation")
-        shapes = {b.shape for b in blocks}
-        if len(shapes) != 1:
-            raise ValueError("all blocks must share a shape")
-        self.blocks = list(blocks)
-        self.representation = blocks[0].representation
-        self.shape = blocks[0].shape
-
-    def apply(self, fields):
-        self._check(fields)
-        return tuple(b.apply(u) for b, u in zip(self.blocks, fields))
-
-    def prepare(self, tau, fractions):
-        """{f: (each block's exponential of f)}."""
-        per_block = [b.prepare(tau, fractions) for b in self.blocks]
-        return {f: tuple(e[f] for e in per_block) for f in per_block[0]}
-
-    def exp_apply(self, exponentials, fields, *, out=None):
-        """Each block's exp_apply with its exponential, into the arrays of
-        ``out`` if given."""
-        self._check(fields)
-        if out is None:
-            return tuple(b.exp_apply(e, u) for b, e, u
-                         in zip(self.blocks, exponentials, fields))
-        self._check(out)
-        for b, e, u, v in zip(self.blocks, exponentials, fields, out):
-            b.exp_apply(e, u, out=v)
-        return out
-
-    def _check(self, fields):
-        if len(fields) != len(self.blocks):
-            raise ValueError(
-                f"expected {len(self.blocks)} components, got {len(fields)}")
 
 
 def build_fd_operator(params, extents, lengths, bc):

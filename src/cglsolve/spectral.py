@@ -14,6 +14,7 @@ written there and ``out`` is returned. ``run_slabs`` and
 """
 
 import contextvars
+import operator
 import os
 import threading
 from dataclasses import dataclass
@@ -56,7 +57,12 @@ class FourierGrid:
     intervals: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "extents", tuple(int(n) for n in self.extents))
+        try:
+            extents = tuple(operator.index(n) for n in self.extents)
+        except TypeError:
+            raise ValueError(f"extents must be integers, got "
+                             f"{self.extents!r}") from None
+        object.__setattr__(self, "extents", extents)
         object.__setattr__(self, "intervals",
                            tuple((float(a), float(b)) for a, b in self.intervals))
         if len(self.extents) != len(self.intervals):

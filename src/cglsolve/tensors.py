@@ -11,8 +11,8 @@ forming it. Every factor is square, n_mu x n_mu (else ValueError). Each
 costs one matrix product per direction, or, for a factor mostly of exact
 zeros, one per block of rows over the columns it touches (``plans``), so
 a dense factor keeps its one product and its bits. F-ordered input is
-read as is, C-ordered input as its F-ordered transpose, other strides
-are copied once; a result is C-ordered for C input, else F-ordered.
+read as is, C-ordered input as its F-ordered transpose, other strides are
+copied once; a result takes the order of ``out``, else C for C input, else F.
 """
 
 import math
@@ -111,16 +111,11 @@ def mu_mode_product(u, mat, axis):
     """Apply the n_axis x n_axis matrix ``mat`` along the zero-based
     direction ``axis`` of the tensor ``u``."""
     u, (mat,) = _checked(u, [mat], [axis])
-    return _mode_product(u, mat, axis, _row_blocks(mat))
-
-
-def _mode_product(u, mat, axis, blocks):
-    """mu_mode_product of a checked u and mat, with mat's plan."""
     x, transposed = _column_major(u)
     if transposed:
         axis = u.ndim - 1 - axis
     out = np.empty(x.shape, np.result_type(x.dtype, mat.dtype), order="F")
-    _mode_pass(x, mat, axis, out, blocks)
+    _mode_pass(x, mat, axis, out, _row_blocks(mat))
     return out.T if transposed else out
 
 
@@ -129,6 +124,20 @@ def tucker_apply(u, mats, *, out=None, plans=None):
     if given, is a C- or F-contiguous complex128 array of u's shape that
     shares no memory with u; it is written and returned. ``plans``, if
     given, is ``[_row_blocks(m) for m in mats]``."""
+    u, mats, plans = _checked_inputs(u, mats, out, plans)
+    x, transposed = _column_major(u, out)
+    if not transposed:
+        return _tucker_column_major(x, mats, plans, out)
+    result = _tucker_column_major(x, mats[::-1], plans[::-1],
+                                  None if out is None else out.T).T
+    return result if out is None else out
+
+
+def _checked_inputs(u, mats, out, plans):
+    """u and mats as _one_per_direction gives them, and each factor's plan
+    (made here if ``plans`` is None); ValueError unless out is None or a
+    C- or F-contiguous complex128 array of u's shape that shares no
+    memory with u."""
     u, mats = _one_per_direction(u, mats)
     if plans is None:
         plans = [_row_blocks(m) for m in mats]
@@ -138,12 +147,7 @@ def tucker_apply(u, mats, *, out=None, plans=None):
             raise ValueError("out must be a C- or F-contiguous array")
         if np.shares_memory(out, u):
             raise ValueError("out must not share memory with u")
-    x, transposed = _column_major(u, out)
-    if not transposed:
-        return _tucker_column_major(x, mats, plans, out)
-    result = _tucker_column_major(x, mats[::-1], plans[::-1],
-                                  None if out is None else out.T).T
-    return result if out is None else out
+    return u, mats, plans
 
 
 def _tucker_column_major(x, mats, plans, out):
@@ -188,14 +192,20 @@ def _leading_passes(block, mats, plans, scratch, through):
         block[...] = cur
 
 
-def kron_sum_apply(u, mats, *, plans=None):
+def kron_sum_apply(u, mats, *, out=None, plans=None):
     """Action of the Kronecker sum of ``mats`` on ``u``, without forming
-    the Kronecker-sum matrix; ``plans`` as for ``tucker_apply``."""
-    u, mats = _one_per_direction(u, mats)
-    if plans is None:
-        plans = [_row_blocks(m) for m in mats]
-    out = _mode_product(u, mats[0], 0, plans[0])
-    for axis in range(1, len(mats)):
-        np.add(out, _mode_product(u, mats[axis], axis, plans[axis]),
-               out=out)
+    the Kronecker-sum matrix; ``out`` and ``plans`` as for
+    ``tucker_apply``. The terms add in direction order."""
+    u, mats, plans = _checked_inputs(u, mats, out, plans)
+    x, transposed = _column_major(u, out)
+    dtype = np.result_type(x.dtype, *mats)
+    if out is None:
+        out = np.empty(u.shape, dtype, order="C" if transposed else "F")
+    dst = out.T if transposed else out
+    term = np.empty(x.shape, dtype, order="F")
+    for k, (m, plan) in enumerate(zip(mats, plans)):
+        axis = u.ndim - 1 - k if transposed else k
+        _mode_pass(x, m, axis, term if k else dst, plan)
+        if k:
+            np.add(dst, term, out=dst)
     return out

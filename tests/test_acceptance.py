@@ -15,12 +15,11 @@ import numpy as np
 
 from cglsolve.experiments import (build_problem, initial_state, make_preset,
                                   run_convergence_study, run_preset)
-from cglsolve.flows import cubic_flow, quintic_flow
-from cglsolve.integrators import integrate
+from cglsolve.flows import NonlinearSpec, cubic_flow, quintic_flow
+from cglsolve.integrators import Problem, integrate
 from cglsolve.io import read_snapshot, write_snapshot
 from cglsolve.linalg import expm_pade
-from cglsolve.operators import (BlockOperator, KroneckerOperator,
-                                build_periodic_operator,
+from cglsolve.operators import (KroneckerOperator, build_periodic_operator,
                                 fd_second_derivative)
 from cglsolve.params import CglParameters
 from cglsolve.spectral import FourierGrid
@@ -234,22 +233,21 @@ def test_criterion_08_three_term_gap():
 
 def test_criterion_09_coupled_system():
     t0 = time.perf_counter()
-    # block exponential acts componentwise, bit for bit
+    # a linear-only if4 step of a two-operator problem is each operator's
+    # own exponential on its component, bit for bit
     grid = FourierGrid((8, 6), ((0.0, 7.0), (0.0, 3.0)))
-    params = CglParameters(alpha1=0.125, beta1=0.5, alpha2=-0.9,
-                           alpha3=1.0, beta3=0.8, alpha4=-0.1, beta4=-0.6,
-                           alpha0=-0.4, alpha5=0.5)
-    blocks = [build_periodic_operator(grid, params, 1),
-              build_periodic_operator(grid, params, -1)]
-    alone = [build_periodic_operator(grid, params, 1),
-             build_periodic_operator(grid, params, -1)]
-    block = BlockOperator(blocks)
-    half = Fraction(1, 2)
-    exps = block.prepare(0.21, (half,))
+    linear = CglParameters(alpha1=0.125, beta1=0.5, alpha2=-0.9,
+                           alpha0=-0.4)
+    blocks = [build_periodic_operator(grid, linear, 1),
+              build_periodic_operator(grid, linear, -1)]
+    alone = [build_periodic_operator(grid, linear, 1),
+             build_periodic_operator(grid, linear, -1)]
+    problem = Problem(blocks, NonlinearSpec("coupled_cubic_quintic", linear))
+    one = Fraction(1)
     rng = np.random.default_rng(5)
     fields = (random_complex(rng, (8, 6)), random_complex(rng, (8, 6)))
-    got = block.exp_apply(exps[half], fields)
-    want = tuple(op.exp_apply(op.prepare(0.21, (half,))[half], f)
+    got = integrate(problem, "if4", fields, 0.21, 1).fields
+    want = tuple(op.exp_apply(op.prepare(0.21, (one,))[one], f)
                  for op, f in zip(alone, fields))
     block_ok = all(np.array_equal(g, w) for g, w in zip(got, want))
 

@@ -1,6 +1,6 @@
 """src/ keeps contracts: measurements live in CHANGES.md, narrative in the
 README, so no docstring or comment carries a timing and module docstrings
-stay short."""
+stay short; and every top-level name has a reader in src/ or is exported."""
 
 import ast
 import io
@@ -54,3 +54,52 @@ def test_module_docstring_is_short(path):
     node = tree.body[0]
     lines = node.end_lineno - node.lineno + 1
     assert lines <= MODULE_DOCSTRING_LINES, lines
+
+
+def _top_level_names(tree):
+    """The names a module binds at its top level: functions, classes and
+    assigned names, dunders left out."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not (
+                            name.id.startswith("__")
+                            and name.id.endswith("__")):
+                        yield name.id
+
+
+def _exported(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _used(tree):
+    """Every name the code reads: names and attributes."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx,
+                                                         ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_every_top_level_name_has_a_caller_or_is_exported():
+    # src/ holds no dead helpers: a name no src/ code reads, and that its
+    # module does not export, is left over from a deletion
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in MODULES}
+    used = {name for tree in trees.values() for name in _used(tree)}
+    orphans = [f"{module}:{name}" for module, tree in trees.items()
+               for name in _top_level_names(tree)
+               if name not in used and name not in _exported(tree)]
+    assert not orphans, f"neither used in src/ nor exported: {orphans}"

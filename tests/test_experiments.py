@@ -49,6 +49,18 @@ def test_make_preset_overrides():
     assert cfg.steps == 7 and cfg.seed == 99
 
 
+@pytest.mark.parametrize("override,match", [
+    ({"extents": (64.5,)}, "'extents' entry must be an integer"),
+    ({"foo": 1}, "unknown config key.*foo"),
+    ({"steps": "ten"}, "'steps' must be an integer"),
+], ids=["fractional-extent", "unknown-key", "steps-not-int"])
+def test_make_preset_checks_its_overrides(override, match):
+    # the overrides pass config_from_dict's checks: a fractional extent
+    # is not cut to a shorter grid, and an unknown key is no TypeError
+    with pytest.raises(ValueError, match=match):
+        make_preset("plane-wave-1d", **override)
+
+
 def test_config_dict_round_trip():
     for name in available_presets():
         cfg = make_preset(name)

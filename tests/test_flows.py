@@ -18,7 +18,7 @@ from cglsolve.flows import (
     quintic_flow,
 )
 from cglsolve.integrators import SCHEMES, Problem, Scheme, integrate
-from cglsolve.operators import BlockOperator, KroneckerOperator
+from cglsolve.operators import KroneckerOperator
 from cglsolve.params import CglParameters
 
 from oracles import power_flow_ref, random_complex, rk4_ode_ref
@@ -160,12 +160,11 @@ def g_subflow(spec, fields, t):
     # step of a scheme that is that subflow alone; a zero grid operator
     # leaves the fields in physical space
     n = fields[0].size
-    op = KroneckerOperator([np.zeros((n, n))])
-    if spec.components > 1:
-        op = BlockOperator([op, KroneckerOperator([np.zeros((n, n))])])
+    ops = [KroneckerOperator([np.zeros((n, n))])
+           for _ in range(spec.components)]
     with pytest.MonkeyPatch.context() as patch:
         patch.setitem(SCHEMES, "g", Scheme("g", 4, maps=(("g", Fraction(1)),)))
-        result = integrate(Problem(op, spec), "g", fields, t, 1)
+        result = integrate(Problem(ops, spec), "g", fields, t, 1)
     assert not result.diverged
     return result.fields
 

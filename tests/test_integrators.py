@@ -2,6 +2,7 @@
 
 import warnings
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,6 @@ from cglsolve.flows import NonlinearSpec, eval_g
 from cglsolve.integrators import SCHEMES, IntegrationResult, Problem, integrate
 from cglsolve.linalg import expm_pade
 from cglsolve.operators import (
-    BlockOperator,
     KroneckerOperator,
     build_fd_operator,
     build_periodic_operator,
@@ -294,9 +294,8 @@ def test_coupled_requires_block_operator():
     spec = NonlinearSpec("coupled_cubic_quintic", p)
     with pytest.raises(ValueError):
         Problem(op, spec)
-    block = BlockOperator([build_periodic_operator(g, p, +1),
-                           build_periodic_operator(g, p, -1)])
-    problem = Problem(block, spec)
+    ops = [build_periodic_operator(g, p, s) for s in (+1, -1)]
+    problem = Problem(ops, spec)
     rng = np.random.default_rng(75)
     u0 = dft_forward(0.5 * random_complex(rng, (8,)))
     v0 = dft_forward(0.5 * random_complex(rng, (8,)))
@@ -310,9 +309,8 @@ def test_three_term_rejects_coupled_kind():
                       alpha3=1.0, beta3=0.8, alpha4=-0.1, beta4=-0.6,
                       alpha5=0.5)
     g = FourierGrid((8,), ((0.0, 70.0),))
-    block = BlockOperator([build_periodic_operator(g, p, +1),
-                           build_periodic_operator(g, p, -1)])
-    problem = Problem(block, NonlinearSpec("coupled_cubic_quintic", p))
+    ops = [build_periodic_operator(g, p, s) for s in (+1, -1)]
+    problem = Problem(ops, NonlinearSpec("coupled_cubic_quintic", p))
     u0 = np.zeros(8, dtype=complex)
     with pytest.raises(ValueError):
         integrate(problem, "strang_3t", (u0, u0), 0.1, 2)
@@ -344,11 +342,56 @@ def test_non_finite_initial_fields_rejected(scheme, bad, monkeypatch):
     def prepare(*args):
         raise AssertionError("prepare ran on non-finite initial fields")
 
-    monkeypatch.setattr(problem.operator, "prepare", prepare)
+    monkeypatch.setattr(problem.operators[0], "prepare", prepare)
     u0 = np.zeros(16, dtype=complex)
     u0[5] = bad
     with pytest.raises(ValueError, match="initial fields must be finite"):
         integrate(problem, scheme, (u0,), 1.0, 4)
+
+
+@pytest.mark.parametrize("components", [1, 2])
+@pytest.mark.parametrize("bad", ["too-few", "too-many", "shape"])
+def test_fields_not_one_array_per_component_rejected(components, bad,
+                                                     monkeypatch):
+    # each component is zipped with its operator, so a short tuple would
+    # cut the run short; the check comes before any exponential is made
+    g = FourierGrid((8, 6), ((0.0, 20.0), (0.0, 10.0)))
+    if components == 1:
+        problem = Problem(build_periodic_operator(g, CUBIC),
+                          NonlinearSpec("cubic", CUBIC))
+    else:
+        problem = Problem([build_periodic_operator(g, COUPLED, s)
+                           for s in (1, -1)],
+                          NonlinearSpec("coupled_cubic_quintic", COUPLED))
+
+    def prepare(*args):
+        raise AssertionError("prepare ran on fields of the wrong shape")
+
+    for op in problem.operators:
+        monkeypatch.setattr(op, "prepare", prepare)
+    u = np.zeros((8, 6), dtype=complex)
+    fields = {"too-few": (u,) * (components - 1),
+              "too-many": (u,) * (components + 1),
+              "shape": (u,) * (components - 1) + (u.T,)}[bad]
+    with pytest.raises(ValueError, match=f"{components} array"):
+        integrate(problem, "if4", fields, 1.0, 4)
+
+
+def test_a_scheme_needing_a_non_positive_fraction_is_rejected():
+    # a Lawson node below an earlier one needs exp(-tau/3 K); a K map of
+    # fraction 0 needs exp(0 K)
+    lawson = integrators.Tableau(a=((), (Fraction(-1, 3),)),
+                                 b=(Fraction(1, 2), Fraction(1, 2)),
+                                 lawson=True)
+    with pytest.raises(ValueError, match=r"'backward'.* -1/3"):
+        integrators.Scheme("backward", 2, tableau=lawson)
+    with pytest.raises(ValueError, match=r"'still'.* 0\b"):
+        integrators.Scheme("still", 1, maps=(("g", Fraction(1)),
+                                             ("K", Fraction(0))))
+    # without the Lawson form the same nodes need no exponential
+    plain = integrators.Scheme("plain", 2, tableau=replace(lawson,
+                                                           lawson=False))
+    assert plain.fractions == ()
 
 
 CQ = CglParameters(alpha1=0.5, beta1=0.5, alpha2=-0.5, alpha3=2.52,
@@ -423,9 +466,8 @@ def counting_problem(name):
     if name == "fourier":
         return Problem(build_periodic_operator(grid, CQ),
                        NonlinearSpec("cubic_quintic", CQ))
-    block = BlockOperator([build_periodic_operator(grid, COUPLED, 1),
-                           build_periodic_operator(grid, COUPLED, -1)])
-    return Problem(block, NonlinearSpec("coupled_cubic_quintic", COUPLED))
+    ops = [build_periodic_operator(grid, COUPLED, s) for s in (1, -1)]
+    return Problem(ops, NonlinearSpec("coupled_cubic_quintic", COUPLED))
 
 
 # per-step calls of the traced names; None: the scheme is rejected. The
@@ -487,7 +529,7 @@ def test_per_step_layer_calls(name, scheme, monkeypatch):
             return _fn(*args, **kwargs)
         monkeypatch.setattr(owner, attr, counted)
     problem = counting_problem(name)
-    fields = tuple(np.full(problem.operator.shape, 0.1 + 0.05j)
+    fields = tuple(np.full(problem.shape, 0.1 + 0.05j)
                    for _ in range(problem.nonlinear.components))
     want = STEP_CALLS[name, scheme]
     if want is None:
@@ -535,14 +577,13 @@ def problem_of(name, shape):
     if name == "fourier":
         return Problem(build_periodic_operator(grid, CQ),
                        NonlinearSpec("cubic_quintic", CQ))
-    block = BlockOperator([build_periodic_operator(grid, COUPLED, 1),
-                           build_periodic_operator(grid, COUPLED, -1)])
-    return Problem(block, NonlinearSpec("coupled_cubic_quintic", COUPLED))
+    ops = [build_periodic_operator(grid, COUPLED, s) for s in (1, -1)]
+    return Problem(ops, NonlinearSpec("coupled_cubic_quintic", COUPLED))
 
 
 def initial_fields(problem, seed):
     rng = np.random.default_rng(seed)
-    fields = tuple(0.3 * random_complex(rng, problem.operator.shape)
+    fields = tuple(0.3 * random_complex(rng, problem.shape)
                    for _ in range(problem.nonlinear.components))
     if problem.fourier:
         return problem.from_physical(fields)
@@ -610,7 +651,7 @@ def made_tuples(name, scheme, steps, monkeypatch):
         return empty(like)
 
     problem = counting_problem(name)
-    fields = tuple(np.full(problem.operator.shape, 0.1 + 0.05j)
+    fields = tuple(np.full(problem.shape, 0.1 + 0.05j)
                    for _ in range(problem.nonlinear.components))
     with monkeypatch.context() as patch:
         patch.setattr(integrators, "_empty", counted)
@@ -643,11 +684,12 @@ def assert_slots_keep_their_values(ops, result, slot):
 # split4 while the fine one runs. No more than the step arrays that were
 # live at once before the workspace, when every layer returned new arrays.
 # An exponential writes into its own input only in Fourier space, and the
-# "g" subflow of a non-cubic kind holds its four RK4 stages.
+# "g" subflow of a non-cubic kind holds its four RK4 stages. A stage's
+# K u of rk2/rk4 takes a slot of its own, since g still reads its input.
 STEP_PEAK = {
-    "fd": {"rk2": 2, "rk4": 4, "if2": 3, "if4": 4, "strang": 2,
+    "fd": {"rk2": 3, "rk4": 5, "if2": 3, "if4": 4, "strang": 2,
            "strang_3t": 2, "split4": 3, "split4_3t": 3},
-    "fourier": {"rk2": 2, "rk4": 4, "if2": 2, "if4": 3, "strang": 5,
+    "fourier": {"rk2": 3, "rk4": 5, "if2": 2, "if4": 3, "strang": 5,
                 "strang_3t": 1, "split4": 6, "split4_3t": 2},
 }
 
@@ -678,7 +720,7 @@ def test_a_scheme_of_no_maps_returns_its_input(monkeypatch):
 def textbook_pieces(problem, tau):
     """expk(f, v) = exp(f tau K) v with dense or symbol exponentials, and
     g, on components stacked along axis 0."""
-    blocks, shape = problem.operator.blocks, problem.operator.shape
+    blocks, shape = problem.operators, problem.shape
     if problem.fourier:
         def expk(f, v):
             return np.stack([np.exp(f * tau * b.symbol) * x
@@ -790,10 +832,12 @@ def test_if4_steps_keep_the_bits_of_the_unreordered_fold(name, shape):
     problem = problem_of(name, shape)
     u = initial_fields(problem, 81)
     res = integrate(problem, "if4", u, 3e-3, 3)
-    exps = problem.operator.prepare(res.tau, SCHEMES["if4"].fractions)
+    exps = [op.prepare(res.tau, SCHEMES["if4"].fractions)
+            for op in problem.operators]
 
     def expk(f, v):
-        return Fields(problem.operator.exp_apply(exps[f], v))
+        return Fields(op.exp_apply(e[f], x)
+                      for op, e, x in zip(problem.operators, exps, v))
 
     def g(v):
         if not problem.fourier:

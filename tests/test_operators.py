@@ -12,7 +12,6 @@ from cglsolve.flows import NonlinearSpec
 from cglsolve.integrators import SCHEMES, Problem, integrate
 from cglsolve.linalg import expm_pade
 from cglsolve.operators import (
-    BlockOperator,
     FourierOperator,
     KroneckerOperator,
     build_fd_operator,
@@ -175,7 +174,7 @@ UNIT_ROUNDOFF = 2.0**-53
 
 def _paper_fd3d_exponentials():
     config = make_preset("cubic-3d-dirichlet-neumann", paper_scale=True)
-    (op,) = build_problem(config).operator.blocks
+    (op,) = build_problem(config).operators
     tau = config.t_final / config.steps
     return op, tau, op.prepare(tau, SCHEMES["split4"].fractions)
 
@@ -304,40 +303,45 @@ def test_fourier_apply_is_pointwise_symbol():
     assert np.array_equal(op.apply(u), op.symbol * u)
 
 
+LINEAR_COUPLED = CglParameters(alpha1=0.125, beta1=0.5, alpha2=-0.9,
+                               alpha0=-0.4)
+
+
 def test_block_operator_componentwise():
+    # a two-operator problem steps each component by its own operator,
+    # through its exponentials (if4) or its K u (rk4): the bits of each
+    # operator's one-component problem; a wrong component count is refused
     g = FourierGrid((8, 4), ((0.0, 70.0), (0.0, 35.0)))
-    p = CglParameters(alpha1=0.125, beta1=0.5, alpha2=-0.9, alpha0=-0.4,
-                      alpha3=1.0, beta3=0.8, alpha4=-0.1, beta4=-0.6,
-                      alpha5=0.5)
-    bu = build_periodic_operator(g, p, advection_sign=+1)
-    bv = build_periodic_operator(g, p, advection_sign=-1)
-    block = BlockOperator([bu, bv])
-    tau = 0.1
-    one = Fraction(1)
-    exps = block.prepare(tau, [one])
-    bu2 = build_periodic_operator(g, p, advection_sign=+1)
-    bv2 = build_periodic_operator(g, p, advection_sign=-1)
+    ops = [build_periodic_operator(g, LINEAR_COUPLED, advection_sign=s)
+           for s in (+1, -1)]
+    problem = Problem(ops, NonlinearSpec("coupled_cubic_quintic",
+                                         LINEAR_COUPLED))
     rng = np.random.default_rng(54)
     u = random_complex(rng, (8, 4))
     v = random_complex(rng, (8, 4))
-    gu, gv = block.exp_apply(exps[one], (u, v))
-    assert np.array_equal(gu, bu2.exp_apply(bu2.prepare(tau, [one])[one], u))
-    assert np.array_equal(gv, bv2.exp_apply(bv2.prepare(tau, [one])[one], v))
-    au, av = block.apply((u, v))
-    assert np.array_equal(au, bu2.apply(u))
-    assert np.array_equal(av, bv2.apply(v))
-    with pytest.raises(ValueError):
-        block.apply((u,))
+    for scheme in ("if4", "rk4"):
+        got = integrate(problem, scheme, (u, v), 0.1, 2).fields
+        for s, x, y in zip((+1, -1), (u, v), got):
+            alone = Problem(build_periodic_operator(g, LINEAR_COUPLED, s),
+                            NonlinearSpec("cubic_quintic", LINEAR_COUPLED))
+            want = integrate(alone, scheme, (x,), 0.1, 2).fields[0]
+            assert np.array_equal(y, want), scheme
+    with pytest.raises(ValueError, match="2 array"):
+        integrate(problem, "if4", (u,), 0.1, 2)
 
 
 def test_block_operator_validation():
+    # a problem needs one operator per component, of one representation
     g = FourierGrid((8,), ((0.0, 1.0),))
     op = build_periodic_operator(g, CglParameters(alpha1=1.0))
     k = KroneckerOperator([np.eye(8)])
-    with pytest.raises(ValueError):
-        BlockOperator([])
-    with pytest.raises(ValueError):
-        BlockOperator([op, k])
+    coupled = NonlinearSpec("coupled_cubic_quintic", CglParameters(alpha1=1.0))
+    with pytest.raises(ValueError, match="one operator per component"):
+        Problem([], coupled)
+    with pytest.raises(ValueError, match="one operator per component"):
+        Problem(op, coupled)
+    with pytest.raises(ValueError, match="representation"):
+        Problem([op, k], coupled)
 
 
 def test_build_fd_operator_validation():
@@ -356,8 +360,9 @@ GRID8 = FourierGrid((8,), ((0.0, 1.0),))
     (lambda: FourierOperator(GRID8, [np.ones(7)]), "symbol shape"),
     (lambda: FourierOperator(FourierGrid((4, 4), ((0.0, 1.0),) * 2),
                              [np.ones((4, 4))]), "symbol shape"),
-    (lambda: BlockOperator([KroneckerOperator([np.eye(3)]),
-                            KroneckerOperator([np.eye(4)])]), "shape"),
+    (lambda: Problem([KroneckerOperator([np.eye(3)]),
+                      KroneckerOperator([np.eye(4)])],
+                     NonlinearSpec("coupled_cubic_quintic", PARAMS)), "shape"),
     (lambda: KroneckerOperator([np.eye(3)]).prepare(0.1, [Fraction(0)]),
      "fractions must be positive"),
     (lambda: FourierOperator(GRID8, [np.ones(8)]).prepare(

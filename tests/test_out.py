@@ -2,12 +2,14 @@
 
 For every layer f, ``f(x, out=buf)`` returns ``buf`` and ``buf`` then
 holds the bytes of ``f(x)``. Where the layer allows it, ``buf`` may be
-``x`` itself: the transforms, ``eval_g``, the symbol products and the
-exact flows. ``tucker_apply`` (and so the Kronecker exponential) writes
-into a different array and rejects an ``out`` that shares memory with its
-input. Shapes lie on both sides of the 2^15-entry floor of the threaded
-kernels, in C and F order; ``out`` takes the layout of ``f(x)``. Wrong
-shapes of ``out`` are rejected with a ValueError.
+``x`` itself: the transforms, ``eval_g``, the symbol products (a Fourier
+operator's ``apply`` and exponential) and the exact flows.
+``tucker_apply`` and ``kron_sum_apply`` (and so a Kronecker operator's
+exponential and ``apply``) write into a different array and reject an
+``out`` that shares memory with their input. Shapes lie on both sides
+of the 2^15-entry floor of the threaded kernels, in C and F order;
+``out`` takes the layout of ``f(x)``. Wrong shapes of ``out`` are
+rejected with a ValueError.
 """
 
 from dataclasses import replace
@@ -19,12 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cglsolve.flows import NonlinearSpec, cubic_flow, eval_g, quintic_flow
-from cglsolve.operators import (BlockOperator, FourierOperator,
-                                KroneckerOperator)
+from cglsolve.operators import FourierOperator, KroneckerOperator
 from cglsolve.params import CglParameters
 from cglsolve.spectral import (FourierGrid, dft_forward, dft_inverse,
                                pointwise_apply)
-from cglsolve.tensors import tucker_apply
+from cglsolve.tensors import kron_sum_apply, tucker_apply
 
 from oracles import random_complex
 
@@ -73,22 +74,23 @@ def layer(name, rng, shape):
                 else NonlinearSpec("cubic_quintic", CQ))
         return (lambda x, out=None: eval_g(spec, x, out=out),
                 spec.components, True)
-    if name == "tucker_apply":
+    if name in ("tucker_apply", "kron_sum_apply"):
+        fn = tucker_apply if name == "tucker_apply" else kron_sum_apply
         mats = [random_complex(rng, (n, n)) / n for n in shape]
-        return (lambda x, out=None: tucker_apply(x, mats, out=out), None,
-                False)
+        return (lambda x, out=None: fn(x, mats, out=out), None, False)
     if name == "kronecker_exp_apply":
         return exp_apply(kronecker(rng, shape)), None, False
     if name == "fourier_exp_apply":
         return exp_apply(fourier(rng, shape)), None, True
-    op = BlockOperator([fourier(rng, shape), fourier(rng, shape)])
-    return exp_apply(op), 2, True
+    op = kronecker(rng, shape) if name == "kronecker_apply" else fourier(
+        rng, shape)
+    return op.apply, None, name == "fourier_apply"
 
 
 LAYERS = ("dft_forward", "dft_inverse", "pointwise_apply", "cubic_flow",
           "quintic_flow", "rotation_flow", "eval_g", "eval_g_coupled",
           "tucker_apply", "kronecker_exp_apply", "fourier_exp_apply",
-          "block_exp_apply")
+          "kron_sum_apply", "kronecker_apply", "fourier_apply")
 
 
 @st.composite
@@ -165,7 +167,8 @@ def test_out_of_the_wrong_shape_is_rejected(name):
         f(x, out=wrong)
 
 
-@pytest.mark.parametrize("name", ["tucker_apply", "kronecker_exp_apply"])
+@pytest.mark.parametrize("name", ["tucker_apply", "kronecker_exp_apply",
+                                  "kron_sum_apply", "kronecker_apply"])
 def test_tucker_out_sharing_its_input_is_rejected(name):
     rng = np.random.default_rng(82)
     f, _, _ = layer(name, rng, (6, 6))

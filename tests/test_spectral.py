@@ -438,3 +438,11 @@ def test_grid_validation():
         FourierGrid((8,), ((1.0, 1.0),))
     with pytest.raises(ValueError):
         FourierGrid((8, 8), ((0.0, 1.0),))
+
+
+@pytest.mark.parametrize("extent", [64.5, 64.0, "64", None])
+def test_grid_rejects_non_integer_extents(extent):
+    # int() would cut 64.5 to a 64-point grid without a word
+    with pytest.raises(ValueError, match="extents must be integers"):
+        FourierGrid((extent,), ((0.0, 50.0),))
+    assert FourierGrid((np.int64(64),), ((0.0, 50.0),)).extents == (64,)
