@@ -50,7 +50,6 @@ class ExperimentConfig:
     scheme: str = "if4"
     steps: int = 240
     seed: int = 2024
-    prerun_extent: int = 0  # soliton_pair: 1D pre-run grid (0: extents[0])
 
 
 def config_to_dict(config):
@@ -148,14 +147,11 @@ PRESETS = {c.name: c for c in (
         boundary="periodic", params=_CUBIC_QUINTIC,
         intervals=((-12.0, 12.0),) * 3, extents=(32,) * 3,
         t_final=5.0, ic="necklace", scheme="if4", steps=200),
-    # the pre-run must resolve the soliton fronts even when the 2D grid
-    # is coarse; 512 = 4 * 128 keeps the coarse nodes a subset
     ExperimentConfig(
         name="coupled-2d-periodic", kind="coupled_cubic_quintic",
         boundary="periodic", params=_COUPLED,
         intervals=((0.0, 70.0), (0.0, 35.0)), extents=(128, 64),
-        t_final=3.0, ic="soliton_pair", scheme="if4", steps=300,
-        prerun_extent=512),
+        t_final=3.0, ic="soliton_pair", scheme="if4", steps=300),
     ExperimentConfig(
         name="plane-wave-1d", kind="cubic", boundary="periodic",
         params=_CUBIC, intervals=((0.0, 50.0),), extents=(64,),
@@ -168,7 +164,7 @@ _PAPER_SCALE = {
     "cubic-2d-periodic": {"extents": (256, 256)},
     "cubic-3d-dirichlet-neumann": {"extents": (128,) * 3},
     "cubic-quintic-3d-periodic": {"extents": (128,) * 3},
-    "coupled-2d-periodic": {"extents": (700, 350), "prerun_extent": 700},
+    "coupled-2d-periodic": {"extents": (700, 350)},
     "plane-wave-1d": {"extents": (256,)},
 }
 
@@ -268,6 +264,8 @@ def plane_wave_state(config, t):
 
 
 _PRERUN_STEPS = 10000  # soliton_pair: the 1D pre-run's steps to t = 25
+# the pre-run resolves the soliton fronts even when the 2D grid is coarse
+_PRERUN_NODES = 512
 
 
 def prepare_coupled_initial(config):
@@ -275,17 +273,14 @@ def prepare_coupled_initial(config):
 
     A scalar cubic-quintic ``if4`` run on the first direction gives the
     line w, and u0(x1, x2) = w(x1), v0(x1, x2) = w(b - x1). The pre-run
-    grid, ``prerun_extent``, must be a multiple of extents[0] (ValueError)
-    so that an integer stride picks exact node values; a DivergenceError
-    with the pre-run's step and reason if it diverges.
+    grid is the least multiple of extents[0] with ``_PRERUN_NODES`` nodes
+    or more, so that an integer stride picks exact node values; a
+    DivergenceError with the pre-run's step and reason if it diverges.
     """
     # the scalar equation: no advection, no cross term
     scalar = replace(config.params, alpha0=0.0, alpha5=0.0)
     n1 = config.extents[0]
-    fine = config.prerun_extent or n1
-    if fine % n1 != 0:
-        raise ValueError("prerun_extent must be a multiple of the first "
-                         "grid extent")
+    fine = n1 * -(-_PRERUN_NODES // n1)
     grid = FourierGrid((fine,), (config.intervals[0],))
     problem = Problem(build_periodic_operator(grid, scalar),
                       NonlinearSpec("cubic_quintic", scalar))

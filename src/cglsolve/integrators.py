@@ -3,9 +3,9 @@
 Every scheme advances du/dt = K u + g(u), with K one operator per
 component. A state is a tuple with one array per component, in the
 operators' representation: grid values for Kronecker operators, Fourier
-coefficients for symbol operators.
-``SCHEMES`` maps each name to its ``Scheme``: a ``Tableau``, or map
-lists with an optional coarse list for a Richardson step.
+coefficients for symbol operators. ``SCHEMES`` maps each name to its
+``Scheme``, a ``Tableau`` or map lists, which ``integrate`` lowers once,
+straight to a flat op program on fixed workspace slots (``_lower``).
 
 ``integrate`` never writes an array the caller holds: the initial state,
 the prepared exponentials, or a state a step returned. It reports
@@ -18,8 +18,8 @@ import numbers
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache, partial
-from itertools import repeat
+from functools import partial
+from itertools import repeat, takewhile
 from operator import itemgetter
 
 import numpy as np
@@ -116,46 +116,39 @@ class Problem:
         return tuple(dft_forward(u) for u in fields)
 
 
-def _lincomb(*terms, out=None):
-    """Per component, the sum of c * x over the (c, x) terms, in one pass.
+def _lincomb(*terms, out):
+    """Per component, the sum of c * x over the (c, x) terms, in one pass,
+    into ``out``'s arrays, which may be the first term's, never another
+    term's; returns ``out``.
 
     Terms fold left to right, acc = c * x + acc from the first term, and a
     coefficient of 1 adds its term as it is, so the bits are those of the
-    chained whole-array expressions. ``out`` (default: new arrays) may be
-    the first term's arrays, never another term's.
+    chained whole-array expressions.
     """
     if terms[0][1][0].size >= spectral._SERIAL_BELOW:
-        return _combine(terms, out)
-    result = []
-    for i in range(len(terms[0][1])):
-        dst = None if out is None else out[i]
+        _combine(terms, out)
+        return out
+    for i, dst in enumerate(out):
         c, x = terms[0]
         acc = x[i] if c == 1 else np.multiply(c, x[i], out=dst)
         for c, y in terms[1:]:
             y = y[i]
             acc = np.add(y if c == 1 else c * y, acc, out=dst)
-        if dst is not None and acc is not dst:
+        if acc is not dst:
             np.copyto(dst, acc)
-            acc = dst
-        result.append(acc)
-    return tuple(result) if out is None else out
+    return out
 
 
 def _combine(terms, out):
     """The kernel path of _lincomb: one run_slabs call for all components."""
-    dsts, jobs = [], []
-    for i in range(len(terms[0][1])):
+    jobs = []
+    for i, dst in enumerate(out):
         xs = [x[i] for _, x in terms]
-        dst = None if out is None else out[i]
         order = spectral.memory_order(xs, (dst,))
-        if dst is None:
-            dst = np.empty(xs[0].shape, np.result_type(*xs), order=order)
-        dsts.append(dst)
         jobs.append(([np.ravel(x, order) for x in xs], dst.ravel(order),
                      dst is xs[0]))
     spectral.run_slabs(partial(_lincomb_chunks, [c for c, _ in terms], jobs),
-                       dsts[0].size)
-    return tuple(dsts) if out is None else out
+                       out[0].size)
 
 
 def _lincomb_chunks(coefs, jobs, lo, hi):
@@ -178,24 +171,16 @@ def _lincomb_chunks(coefs, jobs, lo, hi):
                 np.add(x, acc, out=acc)
 
 
-@lru_cache(maxsize=64)
-def _rows(tableau, h):
-    """A tableau's step h as a plan: (groups, stage) entries in the order
-    they run.
+def _groups(tableau, h):
+    """A tableau's step h as rows of groups (fraction, c, terms): one row
+    per row of ``a`` after the first, then b.
 
     Stage i is E(c_i) u + h sum_j a_ij E(c_i - c_j) k_j with E(f) =
     exp(f h K), E = 1 without ``lawson``; b is a last row with c = 1. A
-    group (fraction, c, terms) sums the terms (coefficient, slot of k)
-    under one E (None for 0), stage values first, u = k[0] last; equal
-    coefficients, as of one term, are applied after E as c. u's group,
-    the largest E, is first.
-
-    k holds u, k_1 and each entry's value but the last, the step's: a sum
-    feeds f if ``stage``, else fills a slot. Early sums: as soon as the
-    leading groups of a later row have all their stages, hold two or more
-    terms and include the newest stage, their sum (each group under its E,
-    in fold order) fills a slot, keyed (row, i), that the row then reads
-    as its first term.
+    group sums its terms (coefficient, j), k_j or u for j = 0, under one E
+    (fraction None for E = 1), stages first and u last; equal coefficients,
+    as of one term, are applied after E as c. u's group, the largest E,
+    is first.
     """
     nodes = [sum(row, Fraction(0)) for row in tableau.a] + [_ONE]
     rows = []
@@ -203,35 +188,17 @@ def _rows(tableau, h):
         terms = [(nodes[i] - nodes[j], h * w.numerator / w.denominator, j + 1)
                  for j, w in enumerate(weights) if w]
         by_fraction = {}
-        for fraction, coef, source in terms + [(nodes[i], 1, 0)]:
+        for fraction, coef, j in terms + [(nodes[i], 1, 0)]:
             key = fraction if tableau.lawson else 0
-            by_fraction.setdefault(key, []).append((coef, source))
+            by_fraction.setdefault(key, []).append((coef, j))
         groups = []
         for fraction in sorted(by_fraction, reverse=True):
             terms = by_fraction[fraction]
             c = terms[0][0] if len({coef for coef, _ in terms}) == 1 else 1
-            terms = tuple((coef / c, source) for coef, source in terms)
-            groups.append((fraction or None, c, terms))
+            groups.append((fraction or None, c,
+                           [(coef / c, j) for coef, j in terms]))
         rows.append(groups)
-    # stage i + 1 is the newest when row i runs; slot maps the stages that
-    # exist and early sums, keyed (row, i), to their places in k
-    slot, plan = {0: 0, 1: 1}, []
-    for i, groups in enumerate(rows):
-        for r in range(i + 1, len(rows)):
-            n = 0
-            while n < len(rows[r]) and all(j in slot
-                                           for _, j in rows[r][n][2]):
-                n += 1
-            lead = [j for _, _, terms in rows[r][:n] for _, j in terms]
-            if len(lead) > 1 and i + 1 in lead:
-                plan.append((rows[r][:n], False))
-                slot[r, i] = len(slot)
-                rows[r][:n] = [(None, 1, ((1, (r, i)),))]
-        plan.append((groups, True))
-        slot[i + 2] = len(slot)
-    return tuple((tuple((f, c, tuple((coef, slot[j]) for coef, j in terms))
-                        for f, c, terms in groups), stage)
-                 for groups, stage in plan)
+    return rows
 
 
 def _lower(scheme, tau, fourier, exact_g):
@@ -242,8 +209,8 @@ def _lower(scheme, tau, fourier, exact_g):
     Kinds: "exp" (arg: the fraction of a prepared exponential), "inverse"
     and "forward" transforms, "eval_g", "flow" (arg: the term, whose exact
     flow it is, and the time), "lincomb" (arg: a coefficient per read) and
-    "K u". A tableau lowers entry by entry from its ``_rows`` plan, a map
-    list map by map; a "g" subflow is exact if ``exact_g``, else an inlined
+    "K u". A tableau lowers row by row from its ``_groups``, a map list
+    map by map; a "g" subflow is exact if ``exact_g``, else an inlined
     ``rk4`` step on eval_g, and in Fourier space each flow runs between an
     inverse and a forward transform.
     """
@@ -268,25 +235,37 @@ def _lower(scheme, tau, fourier, exact_g):
         ku = emit("K u", None, x)
         return emit("lincomb", (1, 1), physical(g, x), ku)
 
-    def row_sum(groups, k):
+    def row_sum(groups, value):
         parts = []
         for fraction, c, terms in groups:
-            x = k[terms[0][1]]
+            x = value[terms[0][1]]
             if len(terms) > 1:
                 x = emit("lincomb", tuple(coef for coef, _ in terms),
-                         *[k[j] for _, j in terms])
+                         *[value[j] for _, j in terms])
             if fraction is not None:
                 x = emit("exp", fraction, x)
             parts.append((c, x))
         coefs, xs = zip(*parts)
         return xs[0] if coefs == (1,) else emit("lincomb", coefs, *xs)
 
-    def tableau(plan, f, u):
-        k = [u, f(u)]
-        for groups, stage in plan[:-1]:
-            x = row_sum(groups, k)
-            k.append(f(x) if stage else x)
-        return row_sum(plan[-1][0], k)
+    def tableau(tab, h, f, u):
+        # value holds the stages (u is stage 0, k_j stage j) and the early
+        # sums, keyed (r, i). Before row i runs, stage i + 1 is the newest:
+        # a later row r whose leading groups have all their stages, hold
+        # two or more terms and include stage i + 1 sums them now (each
+        # group under its E, in fold order) and reads that sum first
+        rows, value = _groups(tab, h), {0: u, 1: f(u)}
+        for i, groups in enumerate(rows[:-1]):
+            for r in range(i + 1, len(rows)):
+                lead = list(takewhile(
+                    lambda group: all(j in value for _, j in group[2]),
+                    rows[r]))
+                stages = [j for _, _, terms in lead for _, j in terms]
+                if len(stages) > 1 and i + 1 in stages:
+                    value[r, i] = row_sum(lead, value)
+                    rows[r][:len(lead)] = [(None, 1, [(1, (r, i))])]
+            value[i + 2] = f(row_sum(groups, value))
+        return row_sum(rows[-1], value)
 
     def compose(maps, x=0):
         for term, f in maps:
@@ -294,14 +273,14 @@ def _lower(scheme, tau, fourier, exact_g):
             if term == "K":
                 x = emit("exp", f, x)
             elif term == "g" and not exact_g:
-                x = physical(partial(tableau, _rows(_RK4, t), g), x)
+                x = physical(partial(tableau, _RK4, t, g), x)
             else:
                 x = physical(partial(emit, "flow", (term, t)), x)
         return x
 
     if scheme.tableau is not None:
         f = partial(physical, g) if scheme.tableau.lawson else rhs
-        result = tableau(_rows(scheme.tableau, tau), f, 0)
+        result = tableau(scheme.tableau, tau, f, 0)
     elif scheme.coarse:
         coarse = compose(scheme.coarse)
         result = emit("lincomb", (4.0 / 3.0, -1.0 / 3.0), compose(scheme.maps),

@@ -51,15 +51,21 @@ _FD_BOUNDARIES = {
 }
 
 
-def _boundary(kind):
+def _boundary(kind, length):
+    """The kind's ``_FD_BOUNDARIES`` entry; ValueError for an unknown kind
+    or an interval length that is not positive and finite."""
     if kind not in _FD_BOUNDARIES:
         raise ValueError(f"unknown boundary kind {kind!r}")
+    if not 0 < length < np.inf:
+        raise ValueError(f"interval length must be positive and finite, "
+                         f"got {length}")
     return _FD_BOUNDARIES[kind]
 
 
 def fd_second_derivative(kind, n, length):
-    """Fourth-order D2 on the n nodes of ``fd_nodes(kind, n, length)``."""
-    extra, fewest, (penultimate, last) = _boundary(kind)
+    """Fourth-order D2 on the n nodes of ``fd_nodes(kind, n, length)``;
+    ValueError for too few nodes or a length not positive and finite."""
+    extra, fewest, (penultimate, last) = _boundary(kind, length)
     if n < fewest:
         raise ValueError(f"{kind} D2 needs at least {fewest} nodes")
     h = length / (n + extra)
@@ -75,7 +81,7 @@ def fd_second_derivative(kind, n, length):
 
 def fd_nodes(kind, n, length):
     """Grid nodes matching the FD matrices (1-based interior numbering)."""
-    return np.arange(1, n + 1) * (length / (n + _boundary(kind)[0]))
+    return np.arange(1, n + 1) * (length / (n + _boundary(kind, length)[0]))
 
 
 def _exponentials(tau, fractions, build):

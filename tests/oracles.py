@@ -173,10 +173,10 @@ def lawson_kutta38_ref(expk, g, u, tau):
 
 
 def lawson_rk4_fold_ref(expk, g, u, tau):
-    """One Lawson-RK4 step with the sums of a plan that folds each row
+    """One Lawson-RK4 step with the sums of a step that folds each row
     left to right and sums the last row only once k4 exists:
     E(1)(tau/6 k1 + u) + tau/3 E(1/2)(k2 + k3) + tau/6 k4 in one fold.
-    Given the same expk and g, a reordered plan must keep these bits."""
+    Given the same expk and g, a reordered step must keep these bits."""
     k1 = g(u)
     k2 = g(expk(0.5, (tau / 2) * k1 + u))
     k3 = g(expk(0.5, u) + (tau / 2) * k2)

@@ -141,7 +141,7 @@ def test_non_object_config_is_a_usage_error(with_preset, tmp_path, capsys):
 @pytest.mark.parametrize("key,value", [
     ("steps", 2.5), ("steps", "ten"), ("steps", True), ("t_final", "abc"),
     ("t_final", float("nan")), ("seed", "a"), ("scheme", 4),
-    ("prerun_extent", None), ("extents", [64.9]), ("extents", [True]),
+    ("seed", 2.5), ("extents", [64.9]), ("extents", [True]),
     ("extents", 64), ("intervals", [[0.0, True]]),
     ("intervals", [[0.0, float("inf")]]), ("intervals", [[0.0, 1.0, 2.0]])])
 def test_malformed_config_value_is_a_usage_error(key, value, tmp_path,
@@ -154,7 +154,20 @@ def test_malformed_config_value_is_a_usage_error(key, value, tmp_path,
     assert f"config key {key!r}" in err
 
 
-@pytest.mark.parametrize("key", ["ic_mode", "prerun_steps", "prerun_time"])
+@pytest.mark.parametrize("interval", [[100.0, 0.0], [5.0, 5.0]],
+                         ids=["reversed", "empty"])
+def test_an_empty_or_reversed_fd_interval_is_a_usage_error(interval, tmp_path,
+                                                           capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"intervals": [interval, [0.0, 100.0]]}))
+    code, err = _usage_error(["run", "--preset", "cubic-2d-dirichlet",
+                              "--steps", "5", "--config", str(path)], capsys)
+    assert code == 2
+    assert "interval length must be positive and finite" in err
+
+
+@pytest.mark.parametrize("key", ["ic_mode", "prerun_steps", "prerun_time",
+                                 "prerun_extent"])
 def test_recipe_constants_are_unknown_config_keys(key, tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({key: 1}))

@@ -79,6 +79,12 @@ def same_bits(a, b):
         np.ascontiguousarray(b).view(np.uint8)))
 
 
+def empty(shape, components, order="C"):
+    """Uninitialized complex arrays, one per component, for ``out``."""
+    return tuple(np.empty(shape, complex, order=order)
+                 for _ in range(components))
+
+
 def over_slabs(fn):
     """fn() with every slab count; asserts they agree bit for bit."""
     results = []
@@ -119,9 +125,10 @@ def fold(terms):
        layouts=st.lists(st.sampled_from(LAYOUTS), min_size=2, max_size=4),
        coefs=st.lists(st.sampled_from([1, 1.0, 0.5, -1.0 / 3.0, 4.0 / 3.0,
                                        0.0123]), min_size=4, max_size=4),
-       in_place=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+       in_place=st.booleans(), order=st.sampled_from("CF"),
+       seed=st.integers(0, 2 ** 32 - 1))
 def test_lincomb_is_the_chained_expression(shape, components, layouts, coefs,
-                                           in_place, seed):
+                                           in_place, order, seed):
     rng = np.random.default_rng(seed)
     xs = [tuple(make(rng, shape, layout) for _ in range(components))
           for layout in layouts]
@@ -129,7 +136,8 @@ def test_lincomb_is_the_chained_expression(shape, components, layouts, coefs,
     want = tuple(fold([(c, x[i]) for c, x in terms])
                  for i in range(components))
     before = [tuple(u.copy() for u in x) for x in xs]
-    got = over_slabs(lambda: _lincomb(*terms))
+    got = over_slabs(lambda: _lincomb(*terms, out=empty(shape, components,
+                                                        order)))
     assert all(same_bits(a, b) for a, b in zip(got, want))
     for x, saved in zip(xs, before):
         assert all(same_bits(a, b) for a, b in zip(x, saved))
@@ -219,8 +227,10 @@ def test_lincomb_across_chunk_edges(edge, components, coefs, seed):
     xs = [tuple(random_complex(rng, (size,)) for _ in range(components))
           for _ in coefs]
     terms = list(zip(coefs, xs))
+    out = empty((size,), components)
     with slabs(n):
-        got = _lincomb(*terms)
+        got = _lincomb(*terms, out=out)
+    assert got is out
     for i in range(components):
         assert same_bits(got[i], fold([(c, x[i]) for c, x in terms]))
 
@@ -264,4 +274,4 @@ def test_kernels_use_the_callers_errstate(n):
         with pytest.raises(FloatingPointError):
             eval_g(spec, (u,))
         with pytest.raises(FloatingPointError):
-            _lincomb((1e200, (u,)), (1, (u,)))
+            _lincomb((1e200, (u,)), (1, (u,)), out=(np.empty_like(u),))

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -15,10 +16,11 @@ from cglsolve.experiments import (available_presets, build_problem,
                                   relative_error, run_convergence_study,
                                   run_preset,
                                   smooth_modes_state)
-from cglsolve.integrators import integrate
+from cglsolve.integrators import IntegrationResult, integrate
 from cglsolve.io import read_snapshot
 from cglsolve.operators import FourierOperator
 from cglsolve.params import CglParameters
+from cglsolve.spectral import dft_inverse
 
 from oracles import dense_symbol, necklace_dense
 
@@ -244,10 +246,41 @@ def test_prepare_coupled_initial_reflection(monkeypatch):
     assert 2.0 < np.max(np.abs(u0)) < 2.4
 
 
-def test_prepare_coupled_initial_needs_compatible_grids():
-    cfg = replace(make_preset("coupled-2d-periodic"), prerun_extent=300)
-    with pytest.raises(ValueError, match="multiple"):
-        prepare_coupled_initial(cfg)
+@pytest.mark.parametrize("extents,fine", [((128, 64), 512),
+                                          ((700, 350), 700), ((100, 50), 600)],
+                         ids=["desk", "paper", "extent-100"])
+def test_the_coupled_pre_run_grid_is_derived(extents, fine, monkeypatch):
+    # the least multiple of extents[0] with 512 nodes or more, sampled at
+    # every (fine / extents[0])-th node; the pre-run is stubbed, so its
+    # initial line stands in for its result
+    runs = []
+
+    def recorded(problem, scheme, fields, t_final, steps):
+        runs.append((problem.shape, fields[0]))
+        return IntegrationResult(fields, steps, t_final / steps, 0.0)
+
+    monkeypatch.setattr(experiments, "integrate", recorded)
+    u0, v0 = prepare_coupled_initial(make_preset("coupled-2d-periodic",
+                                                 extents=extents))
+    [(shape, w)] = runs
+    assert shape == (fine,)
+    assert u0.shape == v0.shape == extents
+    assert np.array_equal(u0[:, 0], dft_inverse(w)[::fine // extents[0]])
+
+
+@pytest.mark.parametrize("interval,length", [((100.0, 0.0), -100.0),
+                                             ((5.0, 5.0), 0.0)],
+                         ids=["reversed", "empty"])
+def test_fd_configs_reject_an_empty_or_reversed_interval(interval, length):
+    # before any matrix or warning: the length is named in the error
+    cfg = make_preset("cubic-2d-dirichlet", steps=5,
+                      intervals=(interval, (0.0, 100.0)))
+    message = f"interval length must be positive and finite, got {length}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (run_preset, build_problem, grid_axes):
+            with pytest.raises(ValueError, match=message):
+                call(cfg)
 
 
 def test_paper_scale_coupled_initial_state_keeps_its_bits(monkeypatch):

@@ -1,5 +1,6 @@
 """Scheme reductions, frozen one-step values, orders, divergence handling."""
 
+import hashlib
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -440,6 +441,16 @@ def test_scheme_table():
     assert SCHEMES["split4"].order == 4
 
 
+def test_step_programs_are_pinned():
+    # the op order and the coefficients fix the bits of every step; a
+    # change that moves a program on purpose updates this hash
+    programs = repr([integrators._lower(SCHEMES[name], tau, fourier, exact_g)
+                     for name in sorted(SCHEMES) for fourier in (False, True)
+                     for exact_g in (False, True) for tau in (0.01, 0.7)])
+    assert hashlib.sha256(programs.encode()).hexdigest() == (
+        "243d7f1ccf6aaf04e205fa002ac19eff3dc5d963d7975cc5174386ce050bd042")
+
+
 @pytest.mark.parametrize("steps", [2.5, "ten", True, None])
 def test_non_integer_steps_rejected(steps):
     problem, _ = plane_wave_problem(n=16)
@@ -745,7 +756,7 @@ def textbook_pieces(problem, tau):
 
 @pytest.mark.parametrize("name", ["fd", "fourier", "coupled"])
 def test_if4_steps_equal_the_textbook_lawson_rk4(name):
-    # the planned step (sums made early, stages written over) against the
+    # the lowered step (sums made early, stages written over) against the
     # textbook formula with dense exponentials, on stacked components
     problem = counting_problem(name)
     u = np.stack(initial_fields(problem, 78))
@@ -772,18 +783,22 @@ KUTTA38 = integrators.Scheme("if38", 4, tableau=integrators.Tableau(
     (KUTTA38, 3), (SCHEMES["if4"], 2), (SCHEMES["if2"], 1),
     (SCHEMES["rk4"], 0)], ids=["kutta38", "if4", "if2", "rk4"])
 def test_the_final_row_takes_its_early_sums_in_turn(scheme, chain):
-    # follow the final row's first term back through the early sums that
-    # each read the one before; entry e of the plan fills slot e + 2 of k
-    plan = integrators._rows(scheme.tableau, 1.0)
-    found, slot = 0, plan[-1][0][0][2][0][1]
-    while slot >= 2 and not plan[slot - 2][1]:
-        found, slot = found + 1, plan[slot - 2][0][0][2][0][1]
+    # follow the result's first read back through the early sums, each a
+    # lincomb that adds 1 times the sum before it, down to the first
+    ops, result = integrators._lower(scheme, 1.0, True, True)
+    found, v = 0, result
+    while ops[v - 1][0] == "lincomb" and ops[v - 1][1][0] == 1:
+        found, v = found + 1, ops[v - 1][2][0]
     assert found == chain
     if chain:
-        # the final row is that sum plus its newest stage, in the last slot
-        first, last = plan[-1][0]
-        assert first[:2] == (None, 1) and len(first[2]) == 1
-        assert last[0] is None and last[2] == ((1, len(plan)),)
+        # the first sum is u's group under its exponential, made between
+        # k1 and k2 (the stages are g's forward transforms), and the final
+        # row is the last sum plus the newest stage
+        stages = [w for w, (kind, _, _) in enumerate(ops, start=1)
+                  if kind == "forward"]
+        assert ops[v - 1][0] == "exp" and stages[0] < v < stages[1]
+        _, _, reads = ops[result - 1]
+        assert len(reads) == 2 and reads[1] == stages[-1]
 
 
 @pytest.mark.parametrize("name", ["fd", "fourier", "coupled"])
@@ -826,7 +841,7 @@ class Fields(tuple):
                                         ("coupled", (12, 10)),
                                         ("fourier", (32, 32, 32))])
 def test_if4_steps_keep_the_bits_of_the_unreordered_fold(name, shape):
-    # the same exponentials and g, driven by the fold the plan had before
+    # the same exponentials and g, driven by the fold the step had before
     # it summed the final row's groups early; (32, 32, 32) runs the
     # threaded kernels
     problem = problem_of(name, shape)

@@ -119,6 +119,15 @@ def test_fd_nodes():
         fd_nodes("periodic", 8, 1.0)
 
 
+@pytest.mark.parametrize("length", [0.0, -100.0, np.inf, np.nan])
+@pytest.mark.parametrize("kind", ["dirichlet", "dirichlet_neumann"])
+def test_fd_grids_need_a_positive_finite_length(kind, length):
+    for build in (fd_second_derivative, fd_nodes):
+        with pytest.raises(ValueError, match=f"positive and finite, got "
+                                             f"{length}"):
+            build(kind, 8, length)
+
+
 def test_build_fd_operator_distributes_alpha2():
     op = build_fd_operator(PARAMS, (8, 8), (10.0, 10.0), "dirichlet")
     d2 = fd_second_derivative("dirichlet", 8, 10.0)

@@ -229,7 +229,8 @@ def test_two_threads_share_the_pool_with_serial_bits(slab_threads,
     spec = NonlinearSpec("cubic_quintic", CQ)
     kernels = (lambda: dft_forward(x),
                lambda: eval_g(spec, (x,))[0],
-               lambda: _lincomb((0.5, (x,)), (2.0, (x,)))[0],
+               lambda: _lincomb((0.5, (x,)), (2.0, (x,)),
+                                out=(np.empty_like(x),))[0],
                lambda: cubic_flow(small, 0.01, CQ))
     monkeypatch.setattr(spectral, "_THREADS", 1)
     want = [kernel() for kernel in kernels]
