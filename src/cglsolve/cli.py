@@ -1,9 +1,10 @@
 """Command line: ``cglsolve preset|run|sweep``; the README shows each.
 
 Flags override a --config file, which overrides the preset. Exit codes:
-0 on success, 1 for a run that diverged (or a coupled pre-run, reported
-on one line), 2 for a usage error, which includes every ValueError the
-library raises on invalid input. Output directories are made only when
+0 on success, 1 for a run that diverged (or a coupled pre-run, or a
+sweep's reference runs that diverged or disagree, each reported on one
+line), 2 for a usage error, which includes every ValueError the library
+raises on invalid input. Output directories are made only when
 a file is written.
 """
 
@@ -11,9 +12,10 @@ import argparse
 import json
 import sys
 
-from .experiments import (available_presets, checked_snapshot_request,
-                          config_from_dict, config_to_dict, make_preset,
-                          run_convergence_study, run_preset)
+from .experiments import (ReferenceMismatch, available_presets,
+                          checked_snapshot_request, config_from_dict,
+                          config_to_dict, make_preset, run_convergence_study,
+                          run_preset)
 from .flows import DivergenceError, NonlinearSpec
 from .integrators import SCHEMES, _fits
 from .io import write_csv
@@ -180,8 +182,9 @@ def main(argv=None):
     except ValueError as err:
         # the library rejects invalid input with ValueError: a usage error
         args.parser.error(str(err))
-    except DivergenceError as err:
+    except (DivergenceError, ReferenceMismatch) as err:
         # a run that diverges returns its report; this is set-up diverging
+        # or a sweep's reference runs failing
         print(f"{args.parser.prog}: {err}", file=sys.stderr)
         return 1
 

@@ -1,10 +1,10 @@
 """Benchmark presets, initial states, and measurement harnesses.
 
 ``PRESETS`` maps each name to its desk-scale config and ``_PAPER_SCALE``
-to the fields the paper's resolutions change; ``_INITIAL_STATES`` maps
+to the paper's grid extents; ``_INITIAL_STATES`` maps
 each initial-condition recipe to its builder. Invalid configs, schemes,
-step counts, output directories and snapshot or probe requests are a
-ValueError before any run.
+step counts, output directories and snapshot requests are a ValueError
+before any run.
 """
 
 import json
@@ -354,11 +354,14 @@ def run_convergence_study(config, schemes, step_counts, errors=True,
 
     Returns (rows, meta): rows carry ``io.REPORT_COLUMNS``; meta gives the
     reference, the least-squares orders and, for a computed reference,
-    the agreement of its two independent runs, which raises
-    ReferenceMismatch above 10x the smallest measured error. With
-    errors=False no reference runs, rel_err and observed_order are None
-    and meta is {}. Status "x" marks a diverged run, diverged_at its step
-    (0 if none). With out_dir, ``io.write_report`` writes the rows to
+    the agreement of its two independent runs (if4 and split4 at 8x the
+    finest step count). ReferenceMismatch, naming the scheme and its step
+    count, is raised if either diverges, or if they disagree by more than
+    10x the smallest measured error; if the first diverges, the second
+    does not run. With errors=False no reference runs, rel_err and
+    observed_order are None and meta is {}. Status "x" marks a diverged
+    run, diverged_at its step (0 if none). With out_dir,
+    ``io.write_report`` writes the rows to
     ``<out_dir>/<name>-sweep.csv`` and ``.json``, whose paths are
     meta["report"]. ``integrate``'s checks of the schemes, step counts and
     t_final, and an out_dir that is not a directory, are a ValueError
@@ -384,14 +387,16 @@ def run_convergence_study(config, schemes, step_counts, errors=True,
         meta = {"reference": "exact plane wave"}
     elif errors:
         ref_steps = 8 * max(step_counts)
-        first = integrate(problem, "if4", state0, config.t_final, ref_steps)
-        second = integrate(problem, "split4", state0, config.t_final,
-                           ref_steps)
-        if first.diverged or second.diverged:
-            raise ReferenceMismatch("a reference run diverged")
-        reference = problem.to_physical(first.fields)
-        agreement = relative_error(problem.to_physical(second.fields),
-                                   reference)
+        finals = []
+        for scheme in ("if4", "split4"):
+            run = integrate(problem, scheme, state0, config.t_final, ref_steps)
+            if run.diverged:
+                raise ReferenceMismatch(
+                    f"reference run {scheme} at {ref_steps} steps diverged "
+                    f"at step {run.diverged_at}: {run.reason}")
+            finals.append(problem.to_physical(run.fields))
+        reference = finals[0]
+        agreement = relative_error(finals[1], reference)
         meta = {"reference": f"if4 at {ref_steps} steps",
                 "reference_agreement": agreement}
 
@@ -429,9 +434,9 @@ def run_convergence_study(config, schemes, step_counts, errors=True,
         allowed = 10.0 * min(finest)
         if agreement > allowed:
             raise ReferenceMismatch(
-                f"independent reference runs differ by {agreement:.3e}, "
-                f"more than 10x the smallest measured error "
-                f"{min(finest):.3e}")
+                f"reference runs if4 and split4 at {ref_steps} steps differ "
+                f"by {agreement:.3e}, more than 10x the smallest measured "
+                f"error {min(finest):.3e}")
     if errors:
         meta["orders"] = least_squares_orders(rows)
     if out_dir:

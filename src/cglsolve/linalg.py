@@ -1,10 +1,10 @@
 """Dense linear algebra: the Pade matrix exponential.
 
-``expm_pade`` follows the standard degree-{3,5,7,9,13} diagonal-Pade ladder
-with scaling and squaring: pick the smallest degree whose 1-norm threshold
-accommodates the argument, otherwise halve the matrix until the degree-13
-threshold holds and square the result back up. The tests cross-check it
-against a truncated Taylor series kept in ``tests/oracles.py``.
+``expm_pade`` evaluates the degree-13 diagonal Pade approximant with
+scaling and squaring: it halves the matrix until its 1-norm is within the
+degree-13 threshold, evaluates the approximant there and squares the
+result back up. The tests cross-check it against a truncated Taylor
+series kept in ``tests/oracles.py``.
 """
 
 import math
@@ -17,27 +17,16 @@ __all__ = ["ExponentialOverflowError", "expm_pade"]
 class ExponentialOverflowError(ValueError):
     """exp(scale * a) is not finite in double precision."""
 
-# 1-norm thresholds for the double-precision Pade degree ladder.
-_THETA = (
-    (3, 1.495585217958292e-2),
-    (5, 2.539398330063230e-1),
-    (7, 9.504178996162932e-1),
-    (9, 2.097847961257068e0),
-    (13, 5.371920351148152e0),
-)
-
-_COEFFS = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0,
-        56.0, 1.0),
-    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
-    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-         1187353796428800.0, 129060195264000.0, 10559470521600.0,
-         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
-         960960.0, 16380.0, 182.0, 1.0),
-}
+# The 1-norm up to which the degree-13 approximant's backward error stays
+# within double-precision roundoff, and its coefficients (Higham, SIAM J.
+# Matrix Anal. Appl. 26, 2005) divided by the constant one, so that exp(0)
+# is I bit for bit.
+_THETA13 = 5.371920351148152e0
+_COEFFS = tuple(c / 64764752532480000.0 for c in (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0,
+    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+    16380.0, 182.0, 1.0))
 
 
 def _as_square_finite(a, scale):
@@ -56,28 +45,18 @@ def _as_square_finite(a, scale):
     return b, norm
 
 
-def _pade_approximant(b, degree):
-    c = _COEFFS[degree]
-    n = b.shape[0]
-    ident = np.eye(n, dtype=complex)
+def _pade13(b):
+    """The degree-13 Pade approximant of exp(b): odd powers of b build u,
+    even ones v, and exp(b) ~ (v - u)^-1 (v + u)."""
+    c = _COEFFS
+    ident = np.eye(b.shape[0], dtype=complex)
     b2 = b @ b
-    if degree == 13:
-        b4 = b2 @ b2
-        b6 = b2 @ b4
-        u = b @ (b6 @ (c[13] * b6 + c[11] * b4 + c[9] * b2)
-                 + c[7] * b6 + c[5] * b4 + c[3] * b2 + c[1] * ident)
-        v = (b6 @ (c[12] * b6 + c[10] * b4 + c[8] * b2)
-             + c[6] * b6 + c[4] * b4 + c[2] * b2 + c[0] * ident)
-    else:
-        # odd coefficients build u = b * sum c[2k+1] b^(2k), even ones v
-        u = c[1] * ident
-        v = c[0] * ident
-        power = ident
-        for k in range(1, degree // 2 + 1):
-            power = power @ b2
-            u = u + c[2 * k + 1] * power
-            v = v + c[2 * k] * power
-        u = b @ u
+    b4 = b2 @ b2
+    b6 = b2 @ b4
+    u = b @ (b6 @ (c[13] * b6 + c[11] * b4 + c[9] * b2)
+             + c[7] * b6 + c[5] * b4 + c[3] * b2 + c[1] * ident)
+    v = (b6 @ (c[12] * b6 + c[10] * b4 + c[8] * b2)
+         + c[6] * b6 + c[4] * b4 + c[2] * b2 + c[0] * ident)
     return np.linalg.solve(v - u, v + u)
 
 
@@ -87,12 +66,8 @@ def expm_pade(a, scale=1.0):
     ``scale``, or a ``scale * a`` whose 1-norm is not finite, and
     ExponentialOverflowError at the first squaring that is not finite."""
     b, norm = _as_square_finite(a, scale)
-    for degree, theta in _THETA[:-1]:
-        if norm <= theta:
-            return _pade_approximant(b, degree)
-    theta13 = _THETA[-1][1]
-    squarings = max(0, math.ceil(math.log2(norm / theta13))) if norm > theta13 else 0
-    f = _pade_approximant(b / (2.0 ** squarings), 13)
+    squarings = max(0, math.ceil(math.log2(norm / _THETA13))) if norm else 0
+    f = _pade13(b / (2.0 ** squarings))
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, squarings + 1):
             f = f @ f

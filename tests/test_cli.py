@@ -263,6 +263,21 @@ def test_a_step_too_large_for_the_exponential_is_a_usage_error(tmp_path):
     assert not (tmp_path / "D").exists()
 
 
+def test_a_sweep_whose_reference_diverges_exits_1_on_one_line():
+    src = os.path.join(os.path.dirname(cli.__file__), os.pardir)
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "cglsolve.cli", "sweep", "--preset",
+         "cubic-quintic-3d-periodic", "--steps", "1", "--schemes", "if4"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith(
+        "cglsolve sweep: reference run if4 at 8 steps diverged at step ")
+    assert proc.stdout == ""
+
+
 def test_snapshots_written_where_asked(tmp_path, capsys):
     rc = main(["run", "--preset", "plane-wave-1d", "--steps", "10",
                "--snapshots", "1,10", "--out", str(tmp_path),

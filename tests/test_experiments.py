@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from cglsolve import experiments
-from cglsolve.experiments import (available_presets, build_problem,
-                                  config_from_dict, config_to_dict,
+from cglsolve.experiments import (ReferenceMismatch, available_presets,
+                                  build_problem, config_from_dict,
+                                  config_to_dict,
                                   gaussian_profile, grid_axes, initial_state,
                                   least_squares_orders, make_preset,
                                   necklace_state, plane_wave_parameters,
@@ -340,6 +341,52 @@ def test_convergence_study_with_computed_reference():
     errs = [r["rel_err"] for r in rows]
     assert errs[0] > errs[1] > 0.0
     assert meta["orders"]["if4"] == pytest.approx(4.0, abs=0.5)
+
+
+def _with_split4(monkeypatch, change):
+    """Make run_convergence_study's split4 runs return change(result)."""
+    real = experiments.integrate
+
+    def integrate_then_change(problem, scheme, *args, **kwargs):
+        result = real(problem, scheme, *args, **kwargs)
+        return change(result) if scheme == "split4" else result
+
+    monkeypatch.setattr(experiments, "integrate", integrate_then_change)
+
+
+def test_a_diverged_reference_names_its_scheme_steps_and_failure(
+        monkeypatch):
+    # one step of the necklace is coarse enough that if4 blows up at 8,
+    # and then split4 does not run
+    split4_runs = []
+    _with_split4(monkeypatch, lambda r: split4_runs.append(r) or r)
+    with pytest.raises(ReferenceMismatch, match=(
+            r"^reference run if4 at 8 steps diverged at step [1-8]: "
+            r"non-finite state$")):
+        run_convergence_study(make_preset("cubic-quintic-3d-periodic"),
+                              ["if4"], [1])
+    assert split4_runs == []
+    _with_split4(monkeypatch, lambda r: replace(
+        r, diverged=True, diverged_at=3, reason="a made-up blow-up"))
+    cfg = replace(make_preset("cubic-2d-periodic"), extents=(16, 16),
+                  t_final=1.0, ic="smooth_modes")
+    with pytest.raises(ReferenceMismatch, match=(
+            r"^reference run split4 at 16 steps diverged at step 3: "
+            r"a made-up blow-up$")):
+        run_convergence_study(cfg, ["if4"], [2])
+
+
+def test_reference_runs_that_disagree_are_a_mismatch(monkeypatch):
+    # a split4 reference off by 1e-3, far above if4's error at 16 steps
+    _with_split4(monkeypatch, lambda r: replace(
+        r, fields=tuple(1.001 * u for u in r.fields)))
+    cfg = replace(make_preset("cubic-2d-periodic"), extents=(16, 16),
+                  t_final=1.0, ic="smooth_modes")
+    with pytest.raises(ReferenceMismatch, match=(
+            r"^reference runs if4 and split4 at 128 steps differ by "
+            r"1\.000e-03, more than 10x the smallest measured error "
+            r"\d\.\d{3}e-\d\d$")):
+        run_convergence_study(cfg, ["if4"], [8, 16])
 
 
 def test_convergence_study_validates_input():

@@ -37,7 +37,8 @@ def test_scale_parameter_matches_prescaled_argument():
     (8, 2.0), (12, 3.0), (16, 4.0), (24, 6.0), (32, 8.0),
 ])
 def test_expm_matches_taylor_reference(n, target):
-    # Targets walk the whole degree ladder plus the squaring branch.
+    # Targets run from far below the degree-13 threshold (5.37) to well
+    # past it, where the squaring branch takes over.
     rng = np.random.default_rng(1000 + n)
     for draw in range(3):
         a = random_complex(rng, (n, n))
@@ -45,6 +46,22 @@ def test_expm_matches_taylor_reference(n, target):
         got = expm_pade(a)
         want = expm_taylor_ref(a)
         assert rel_max(got, want) <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [1.0, -0.37])
+@pytest.mark.parametrize("size", [1e-12, 1e-8, 1e-4, 1.5e-2, 0.25, 0.95,
+                                  2.1, 5.37, 8.0])
+def test_scalar_exponentials_match_numpy_to_a_few_ulps(size, scale):
+    # |z s| from 1e-12 to one squaring past the degree-13 threshold
+    # (5.37), on 24 directions in the complex plane
+    z = size / abs(scale) * np.exp(2j * np.pi * np.arange(24) / 24)
+    got = np.array([expm_pade([[w]], scale)[0, 0] for w in z])
+    want = np.exp(z * scale)
+    ulps = np.abs(got - want) / np.abs(want) / np.finfo(float).eps
+    # up to |z s| = 1 that is 3 ulps at most; nearer the threshold the
+    # denominator q(b) = p(-b) cancels for Re b > 0 (the numerator p(b)
+    # for Re b < 0), which costs up to about 170 ulps
+    assert ulps.max() <= (4.0 if size <= 1.0 else 256.0)
 
 
 @pytest.mark.parametrize("n", [2, 5, 9, 17, 32])
