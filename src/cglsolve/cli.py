@@ -120,7 +120,9 @@ def _cmd_run(args, parser):
 def _cmd_sweep(args, parser):
     config = _resolve_config(args, parser)
     components = NonlinearSpec(config.kind, config.params).components
-    schemes = ([s.strip() for s in args.schemes.split(",")] if args.schemes
+    # an explicit --schemes, even an empty one, is the list to run
+    schemes = ([s.strip() for s in args.schemes.split(",") if s.strip()]
+               if args.schemes is not None
                else [s for s in sorted(SCHEMES)
                      if _fits(SCHEMES[s], components)])
     ladder = _ints(args.steps)

@@ -15,6 +15,7 @@ from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 
+from . import spectral
 from .flows import DivergenceError, NonlinearSpec
 from .integrators import (Problem, _checked_run, checked_snapshot_steps,
                           integrate)
@@ -227,14 +228,37 @@ def smooth_modes_state(config):
 
 def necklace_state(config):
     """Azimuthally modulated ring around the x3 = 0 plane (3D only): peak
-    1.2, radius 6, width 2.5, 5 lobes and a phase twist of 3."""
+    1.2, radius 6, width 2.5, 5 lobes and a phase twist of 3. The parts
+    that vary in (x1, x2) only are made whole; the C-ordered result is
+    filled on the slab pool, a slab of x1 planes per thread, with the
+    whole-array expression's bits."""
     if len(config.extents) != 3:
         raise ValueError("necklace initial state needs a 3D grid")
     x1, x2, x3 = np.meshgrid(*grid_axes(config), indexing="ij", sparse=True)
     rho = np.hypot(x1, x2)
     theta = np.arctan2(x2, x1)
-    r = np.sqrt((rho - 6.0) ** 2 + x3 ** 2) / 2.5
-    return (1.2 / np.cosh(r)) * np.cos(5 * theta) * np.exp(3j * theta)
+    ring, height = (rho - 6.0) ** 2, x3 ** 2
+    lobes, twist = np.cos(5 * theta), np.exp(3j * theta)
+    # r and the real amplitude are whole arrays, as in the expression;
+    # with chunk-sized scratch instead, a heap block freed by earlier work
+    # stayed resident through the stepping loop (CHANGES.md, "Set-up on
+    # both cores")
+    r, amp = np.empty(config.extents), np.empty(config.extents)
+    out = np.empty(config.extents, complex)
+
+    def fill(lo, hi):
+        s = slice(lo, hi)
+        np.sqrt(np.add(ring[s], height, out=r[s]), out=r[s])
+        np.divide(r[s], 2.5, out=r[s])
+        np.divide(1.2, np.cosh(r[s], out=amp[s]), out=amp[s])
+        np.multiply(amp[s], lobes[s], out=amp[s])
+        np.multiply(amp[s], twist[s], out=out[s])
+
+    if out.size < spectral._SERIAL_BELOW:
+        fill(0, len(out))
+    else:
+        spectral.run_slabs(fill, len(out))
+    return out
 
 
 def gaussian_profile(x):
@@ -365,9 +389,11 @@ def run_convergence_study(config, schemes, step_counts, errors=True,
     ``<out_dir>/<name>-sweep.csv`` and ``.json``, whose paths are
     meta["report"]. ``integrate``'s checks of the schemes, step counts and
     t_final, and an out_dir that is not a directory, are a ValueError
-    before any run; the ladder is sorted and de-duplicated.
+    before any run; the ladder is sorted and de-duplicated, and the
+    schemes de-duplicated in the order they first appear.
     """
     _check_out_dir(out_dir)
+    schemes = list(dict.fromkeys(schemes))
     if not schemes:
         raise ValueError("need at least one scheme")
     components = NonlinearSpec(config.kind, config.params).components

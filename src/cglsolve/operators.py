@@ -20,7 +20,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from . import tensors
+from . import spectral, tensors
 from .linalg import expm_pade
 from .spectral import direction_symbols, pointwise_apply, symbol_exponential
 from .tensors import kron_sum_apply, tucker_apply
@@ -174,6 +174,26 @@ class KroneckerOperator:
                             plans=exponential.plans)
 
 
+def _outer(ufunc, vectors):
+    """reduce(ufunc.outer, vectors), bit for bit, as a C-ordered array:
+    the leading axes' table is made whole and ufunc(table[rows, ..., None],
+    last) fills the result on the slab pool; one vector is returned as
+    it is."""
+    if len(vectors) == 1:
+        return vectors[0]
+    table, last = reduce(ufunc.outer, vectors[:-1]), vectors[-1]
+    out = np.empty(table.shape + last.shape, np.result_type(table, last))
+
+    def fill(lo, hi):
+        ufunc(table[lo:hi, ..., None], last, out=out[lo:hi])
+
+    if out.size < spectral._SERIAL_BELOW:
+        fill(0, len(table))
+    else:
+        spectral.run_slabs(fill, len(table))
+    return out
+
+
 class FourierOperator:
     """Kronecker sum of per-direction diagonal symbols on Fourier
     coefficient space."""
@@ -189,7 +209,7 @@ class FourierOperator:
     @cached_property
     def symbol(self):
         """The full symbol tensor, built on first use (by ``apply``)."""
-        return reduce(np.add.outer, self.symbols)
+        return _outer(np.add, self.symbols)
 
     def apply(self, u, *, out=None):
         return pointwise_apply(self.symbol, u, out=out)
@@ -197,9 +217,8 @@ class FourierOperator:
     def prepare(self, tau, fractions):
         """{f: exp(f tau symbol)}: the outer product of the exp(f tau s_mu),
         d - 1 broadcast products into one C-ordered array."""
-        return _exponentials(tau, fractions, lambda step: reduce(
-            np.multiply.outer, [symbol_exponential(s, step)
-                                for s in self.symbols]))
+        return _exponentials(tau, fractions, lambda step: _outer(
+            np.multiply, [symbol_exponential(s, step) for s in self.symbols]))
 
     def exp_apply(self, exponential, u, *, out=None):
         """A prepared exponential times u, into ``out`` if given (may be

@@ -6,6 +6,8 @@ independent side of every two-route comparison in the test suite, so none
 of them may call into cglsolve.
 """
 
+from functools import reduce
+
 import numpy as np
 
 
@@ -209,6 +211,13 @@ def dense_symbol(wavenumbers, diffusion, alpha2, advection=0.0):
         k1 = np.reshape(wavenumbers[0], (-1,) + (1,) * (len(shape) - 1))
         symbol = symbol + advection * (1j * k1)
     return symbol
+
+
+def outer_table(ufunc, vectors):
+    """The whole d-dimensional table reduce(ufunc.outer, vectors): with
+    np.add the Kronecker sum of 1-D symbols, with np.multiply the
+    product of their exponentials."""
+    return reduce(ufunc.outer, vectors)
 
 
 def necklace_dense(axes, delta=1.2, radius=6.0, width=2.5, lobes=5,

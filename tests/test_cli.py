@@ -339,6 +339,26 @@ def test_sweep_unknown_scheme_is_a_usage_error_before_any_run(capsys,
     assert "unknown scheme 'warp'" in err
 
 
+@pytest.mark.parametrize("schemes", ["", ",", " , "])
+def test_sweep_empty_schemes_is_a_usage_error_before_any_run(schemes, capsys,
+                                                             monkeypatch):
+    # an empty --schemes is not the default list
+    _no_integrate(monkeypatch)
+    code, err = _usage_error(["sweep", "--preset", "plane-wave-1d",
+                              "--steps", "4", "--schemes", schemes,
+                              "--stability"], capsys)
+    assert code == 2
+    assert "need at least one scheme" in err
+
+
+def test_sweep_repeated_scheme_runs_once(capsys):
+    assert main(["sweep", "--preset", "plane-wave-1d", "--steps", "4",
+                 "--schemes", "if4,if4", "--stability", "--format",
+                 "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [(r["scheme"], r["steps"]) for r in rows] == [("if4", 4)]
+
+
 def test_sweep_zero_steps_is_a_usage_error_before_any_run(tmp_path, capsys,
                                                           monkeypatch):
     _no_integrate(monkeypatch)

@@ -190,13 +190,20 @@ def test_necklace_matches_pointwise_formula():
     assert np.max(np.abs(u)) <= 1.2 + 1e-12
 
 
+# small grids are filled serially, the desk 32^3 and larger on the slab
+# pool, a slab of x1 planes per thread
 @pytest.mark.parametrize("extents,intervals", [
     ((12, 12, 8), ((-12.0, 12.0),) * 3),
-    ((20, 14, 9), ((-12.0, 12.0), (-9.0, 10.0), (-5.0, 5.0)))])
+    ((20, 14, 9), ((-12.0, 12.0), (-9.0, 10.0), (-5.0, 5.0))),
+    ((32, 32, 32), ((-12.0, 12.0),) * 3),
+    ((64, 64, 64), ((-12.0, 12.0),) * 3),
+    ((37, 40, 30), ((-12.0, 12.0), (-9.0, 10.0), (-5.0, 5.0)))])
 def test_necklace_equals_the_dense_mesh_formula(extents, intervals):
     cfg = replace(make_preset("cubic-quintic-3d-periodic"), extents=extents,
                   intervals=intervals)
-    assert np.array_equal(necklace_state(cfg), necklace_dense(grid_axes(cfg)))
+    u = necklace_state(cfg)
+    assert u.flags.c_contiguous
+    assert np.array_equal(u, necklace_dense(grid_axes(cfg)))
 
 
 def test_necklace_needs_three_directions():
@@ -397,6 +404,16 @@ def test_convergence_study_validates_input():
         run_convergence_study(cfg, ["strang"], [])
     with pytest.raises(ValueError, match="at least one scheme"):
         run_convergence_study(cfg, [], [10])
+
+
+def test_convergence_study_runs_a_repeated_scheme_once():
+    # like the step ladder, the schemes are de-duplicated, in the order
+    # they first appear
+    rows, meta = run_convergence_study(make_preset("plane-wave-1d"),
+                                       ["if4", "strang", "if4"], [4, 8, 8])
+    assert [(r["scheme"], r["steps"]) for r in rows] == [
+        ("if4", 4), ("if4", 8), ("strang", 4), ("strang", 8)]
+    assert sorted(meta["orders"]) == ["if4", "strang"]
 
 
 @pytest.mark.parametrize("steps", [0, -4, 10.7, True, "12"])

@@ -22,7 +22,8 @@ from cglsolve.operators import (
 from cglsolve.params import CglParameters
 from cglsolve.spectral import FourierGrid, symbol_exponential
 
-from oracles import dense_symbol, kron_sum_matrix, random_complex, vec
+from oracles import (dense_symbol, kron_sum_matrix, outer_table,
+                     random_complex, vec)
 
 PARAMS = CglParameters(alpha1=1.0, beta1=2.0, alpha2=1.0, alpha3=-1.0,
                        beta3=0.2)
@@ -303,6 +304,25 @@ def test_one_dimensional_fourier_exponential_keeps_its_bits():
         assert np.array_equal(op.symbol, full)
         e = op.prepare(0.0025, [Fraction(1, 2)])[Fraction(1, 2)]
         assert np.array_equal(e, np.exp(0.5 * 0.0025 * full))
+
+
+# 1-D, 2-D (a mixed-radix 70 x 35 among them) and 3-D grids, each on both
+# sides of spectral._SERIAL_BELOW entries
+@pytest.mark.parametrize("extents", [
+    (700,), (1 << 16,), (70, 35), (256, 256), (12, 10, 8), (32, 32, 32),
+    (40, 30, 50)], ids=str)
+def test_fourier_tables_are_the_whole_outer_products(extents):
+    # the symbol and the exponentials are filled on the slab pool with
+    # the bits of reduce(ufunc.outer, ...) on the 1-D factors
+    g = FourierGrid(extents, tuple((0.0, 7.0 + mu) for mu in
+                                   range(len(extents))))
+    op = build_periodic_operator(g, replace(PARAMS, alpha0=0.7), 1)
+    assert np.array_equal(op.symbol, outer_table(np.add, op.symbols))
+    tau = 0.01
+    for f, e in op.prepare(tau, [Fraction(1, 2), Fraction(1)]).items():
+        want = outer_table(np.multiply, [symbol_exponential(
+            s, float(f) * tau) for s in op.symbols])
+        assert e.flags.c_contiguous and np.array_equal(e, want)
 
 
 def test_fourier_apply_is_pointwise_symbol():
