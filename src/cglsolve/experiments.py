@@ -299,8 +299,12 @@ def prepare_coupled_initial(config):
     line w, and u0(x1, x2) = w(x1), v0(x1, x2) = w(b - x1). The pre-run
     grid is the least multiple of extents[0] with ``_PRERUN_NODES`` nodes
     or more, so that an integer stride picks exact node values; a
-    DivergenceError with the pre-run's step and reason if it diverges.
+    DivergenceError with the pre-run's step and reason if it diverges;
+    ValueError, before the pre-run, unless the config is a 2D coupled one.
     """
+    if len(config.extents) != 2 or config.kind != "coupled_cubic_quintic":
+        raise ValueError("soliton_pair initial state needs a 2D grid and "
+                         "the coupled_cubic_quintic kind")
     # the scalar equation: no advection, no cross term
     scalar = replace(config.params, alpha0=0.0, alpha5=0.0)
     n1 = config.extents[0]

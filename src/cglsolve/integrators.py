@@ -104,7 +104,8 @@ class Problem:
 
     # -- representation plumbing -------------------------------------
     def to_physical(self, fields):
-        """Grid values, F-ordered like a snapshot's payload."""
+        """Grid values, F-ordered like a snapshot's payload: a grid state
+        ``integrate`` returns is so already and is returned as it is."""
         if not self.fourier:
             return fields
         return tuple(dft_inverse(u, out=np.empty(u.shape, complex, order="F"))
@@ -460,11 +461,19 @@ def integrate(problem, scheme_name, fields, t_final, steps,
     component. The reported seconds cover the stepping loop only;
     ``diverged_at`` is 1-based. ``on_snapshot(k, t, fields)`` gets each
     requested step's state, which later steps never write.
+
+    Every state of a run, the returned one included, has its
+    representation's memory order: F (column-major) for grid values, C
+    for Fourier coefficients. Initial fields in that order are used as
+    they are; others are copied once.
     """
     scheme = _checked_run(scheme_name, problem.nonlinear.components,
                           t_final, steps)
     tau = t_final / steps
-    fields = tuple(np.asarray(u, dtype=complex) for u in fields)
+    # one memory order per representation: the Kronecker products run
+    # column-major and the symbol exponentials are C-ordered
+    order = "C" if problem.fourier else "F"
+    fields = tuple(np.asarray(u, dtype=complex, order=order) for u in fields)
     n = len(problem.operators)
     if [u.shape for u in fields] != [problem.shape] * n:
         raise ValueError(f"initial fields must be {n} array(s) of shape "

@@ -5,14 +5,14 @@ dense matrix per direction, ``FourierOperator`` (periodic) one of 1-D
 diagonal symbols on coefficient space. Each has ``representation``
 ("grid" or "fourier"), ``shape``, ``apply(u, *, out=None)``,
 ``prepare(tau, fractions)`` and ``exp_apply(exponential, u, *,
-out=None)``; ``out`` may be u only for a Fourier operator. They hold
-nothing but their definition: ``prepare`` returns ``{fraction:
-exponential}`` for exact positive step fractions and a positive, finite
-tau (else ValueError). A coupled problem has one operator per component.
+out=None)``; ``out`` may be u only for a Fourier operator, and is
+F-ordered, like the results, for a Kronecker one. They hold nothing but
+their definition: ``prepare`` returns ``{fraction: exponential}`` for
+exact positive step fractions and a positive, finite tau (else
+ValueError). A coupled problem has one operator per component.
 
-The fourth-order D2 matrices have entries in multiples of 1/(12 h^2)
-with one-sided closures; ``_FD_BOUNDARIES`` holds each boundary kind's
-spacing, fewest nodes and last two rows.
+The fourth-order D2 matrices have one-sided closures: ``_FD_BOUNDARIES``
+holds each boundary kind's spacing, fewest nodes and last two rows.
 """
 
 from fractions import Fraction

@@ -10,9 +10,9 @@ and ``kron_sum_apply`` applies the Kronecker sum of its factors without
 forming it. Every factor is square, n_mu x n_mu (else ValueError). Each
 costs one matrix product per direction, or, for a factor mostly of exact
 zeros, one per block of rows over the columns it touches (``plans``), so
-a dense factor keeps its one product and its bits. F-ordered input is
-read as is, C-ordered input as its F-ordered transpose, other strides are
-copied once; a result takes the order of ``out``, else C for C input, else F.
+a dense factor keeps its one product and its bits. Every product runs
+column-major: F-ordered input is read as is, other input is copied to F
+order once, and every result, ``out`` included, is F-ordered.
 """
 
 import math
@@ -63,16 +63,6 @@ def _one_per_direction(u, mats):
     return _checked(u, mats, range(u.ndim))
 
 
-def _column_major(u, like=None):
-    """u as an F-ordered array, and whether that array is u.T: it is if
-    ``like`` (default u) is C-ordered and not also F-ordered. u is copied
-    where its strides do not fit."""
-    like = u if like is None else like
-    if like.flags.c_contiguous and not like.flags.f_contiguous:
-        return np.asfortranarray(u.T), True
-    return np.asfortranarray(u), False
-
-
 def _row_blocks(mat):
     """(rows, cols) slices of mat, one per block of _ROWS rows, cols the
     span of that block's nonzero columns; None, for one GEMM, when there
@@ -111,50 +101,37 @@ def mu_mode_product(u, mat, axis):
     """Apply the n_axis x n_axis matrix ``mat`` along the zero-based
     direction ``axis`` of the tensor ``u``."""
     u, (mat,) = _checked(u, [mat], [axis])
-    x, transposed = _column_major(u)
-    if transposed:
-        axis = u.ndim - 1 - axis
+    x = np.asfortranarray(u)
     out = np.empty(x.shape, np.result_type(x.dtype, mat.dtype), order="F")
     _mode_pass(x, mat, axis, out, _row_blocks(mat))
-    return out.T if transposed else out
-
-
-def tucker_apply(u, mats, *, out=None, plans=None):
-    """Apply one matrix per direction: ``u x_1 m_1 x_2 m_2 ...``. ``out``,
-    if given, is a C- or F-contiguous complex128 array of u's shape that
-    shares no memory with u; it is written and returned. ``plans``, if
-    given, is ``[_row_blocks(m) for m in mats]``."""
-    u, mats, plans = _checked_inputs(u, mats, out, plans)
-    x, transposed = _column_major(u, out)
-    if not transposed:
-        return _tucker_column_major(x, mats, plans, out)
-    result = _tucker_column_major(x, mats[::-1], plans[::-1],
-                                  None if out is None else out.T).T
-    return result if out is None else out
+    return out
 
 
 def _checked_inputs(u, mats, out, plans):
-    """u and mats as _one_per_direction gives them, and each factor's plan
-    (made here if ``plans`` is None); ValueError unless out is None or a
-    C- or F-contiguous complex128 array of u's shape that shares no
-    memory with u."""
+    """u as an F-ordered array, mats as _one_per_direction gives them, and
+    each factor's plan (made here if ``plans`` is None); ValueError unless
+    out is None or an F-contiguous complex128 array of u's shape that
+    shares no memory with u."""
     u, mats = _one_per_direction(u, mats)
     if plans is None:
         plans = [_row_blocks(m) for m in mats]
     if out is not None:
         check_out(out, u.shape)
-        if not (out.flags.c_contiguous or out.flags.f_contiguous):
-            raise ValueError("out must be a C- or F-contiguous array")
         if np.shares_memory(out, u):
             raise ValueError("out must not share memory with u")
-    return u, mats, plans
+        if not out.flags.f_contiguous:
+            raise ValueError("out must be an F-contiguous array")
+    return np.asfortranarray(u), mats, plans
 
 
-def _tucker_column_major(x, mats, plans, out):
-    """tucker_apply for an F-ordered x into the F-ordered out (or a new
-    array), with each factor's plan: the last direction is one pass into
-    it, and the others run in place on cache-sized blocks of the last
-    axis."""
+def tucker_apply(u, mats, *, out=None, plans=None):
+    """Apply one matrix per direction: ``u x_1 m_1 x_2 m_2 ...``. ``out``,
+    if given, is an F-contiguous complex128 array of u's shape that shares
+    no memory with u; it is written and returned. ``plans``, if given, is
+    ``[_row_blocks(m) for m in mats]``. The last direction is one pass
+    into the result, and the others run in place on cache-sized blocks of
+    its last axis."""
+    x, mats, plans = _checked_inputs(u, mats, out, plans)
     lead = mats[:-1]
     dtype = np.result_type(x.dtype, *mats)
     if out is None:
@@ -196,16 +173,13 @@ def kron_sum_apply(u, mats, *, out=None, plans=None):
     """Action of the Kronecker sum of ``mats`` on ``u``, without forming
     the Kronecker-sum matrix; ``out`` and ``plans`` as for
     ``tucker_apply``. The terms add in direction order."""
-    u, mats, plans = _checked_inputs(u, mats, out, plans)
-    x, transposed = _column_major(u, out)
+    x, mats, plans = _checked_inputs(u, mats, out, plans)
     dtype = np.result_type(x.dtype, *mats)
     if out is None:
-        out = np.empty(u.shape, dtype, order="C" if transposed else "F")
-    dst = out.T if transposed else out
+        out = np.empty(x.shape, dtype, order="F")
     term = np.empty(x.shape, dtype, order="F")
     for k, (m, plan) in enumerate(zip(mats, plans)):
-        axis = u.ndim - 1 - k if transposed else k
-        _mode_pass(x, m, axis, term if k else dst, plan)
+        _mode_pass(x, m, k, term if k else out, plan)
         if k:
-            np.add(dst, term, out=dst)
+            np.add(out, term, out=out)
     return out

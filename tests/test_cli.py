@@ -198,6 +198,29 @@ def test_a_bad_coupled_run_is_a_usage_error_before_its_pre_run(
     assert code == 2
 
 
+@pytest.mark.parametrize("preset,cfg", [
+    ("coupled-2d-periodic", {"intervals": [[0, 70]], "extents": [64]}),
+    ("coupled-2d-periodic", {"intervals": [[0, 70]] * 3,
+                             "extents": [16, 8, 8]}),
+    ("cubic-2d-periodic", {"ic": "soliton_pair"})],
+    ids=["coupled-1d", "coupled-3d", "scalar-2d"])
+def test_a_soliton_pair_it_cannot_build_is_a_usage_error_before_its_pre_run(
+        preset, cfg, tmp_path, capsys, monkeypatch):
+    def no_prerun(*args):
+        raise AssertionError("the pre-run was started")
+
+    monkeypatch.setattr(experiments, "integrate", no_prerun)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, err = _usage_error(["run", "--preset", preset, "--config",
+                              str(path)], capsys)
+    # argparse's usage block, then one error line
+    assert code == 2
+    assert err.count("error:") == 1
+    assert err.splitlines()[-1].startswith(
+        "cglsolve run: error: soliton_pair initial state needs")
+
+
 @pytest.mark.parametrize("command", [["run"], ["sweep", "--schemes", "if4"]],
                          ids=["run", "sweep"])
 def test_a_diverged_coupled_pre_run_is_reported_on_one_line(command,

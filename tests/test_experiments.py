@@ -254,6 +254,30 @@ def test_prepare_coupled_initial_reflection(monkeypatch):
     assert 2.0 < np.max(np.abs(u0)) < 2.4
 
 
+# configs the soliton pair cannot be built for: 1D and 3D coupled grids,
+# and a 2D grid of a scalar kind
+NOT_A_SOLITON_PAIR = {
+    "coupled-1d": ("coupled-2d-periodic",
+                   {"intervals": [[0.0, 70.0]], "extents": [64]}),
+    "coupled-3d": ("coupled-2d-periodic",
+                   {"intervals": [[0.0, 70.0]] * 3, "extents": [16, 8, 8]}),
+    "scalar-2d": ("cubic-2d-periodic", {"ic": "soliton_pair"}),
+}
+
+
+@pytest.mark.parametrize("preset,overrides", NOT_A_SOLITON_PAIR.values(),
+                         ids=NOT_A_SOLITON_PAIR)
+def test_the_soliton_pair_needs_a_2d_coupled_config(preset, overrides,
+                                                    monkeypatch):
+    def no_prerun(*args):
+        raise AssertionError("the pre-run was started")
+
+    monkeypatch.setattr(experiments, "integrate", no_prerun)
+    cfg = make_preset(preset, **overrides)
+    with pytest.raises(ValueError, match="soliton_pair"):
+        prepare_coupled_initial(cfg)
+
+
 @pytest.mark.parametrize("extents,fine", [((128, 64), 512),
                                           ((700, 350), 700), ((100, 50), 600)],
                          ids=["desk", "paper", "extent-100"])

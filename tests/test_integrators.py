@@ -619,6 +619,39 @@ def test_to_physical_is_an_f_ordered_ifftn(name, shape):
 RUNNABLE = sorted(k for k, v in STEP_CALLS.items() if v is not None)
 
 
+@pytest.mark.parametrize("scheme", sorted(
+    name for name, s in SCHEMES.items() if integrators._fits(s, 1)))
+def test_a_grid_state_steps_column_major_whatever_its_order(scheme):
+    # smooth_modes builds a C-ordered grid state; its F-ordered copy must
+    # step to the same bits, since integrate fixes a grid state's order
+    config = make_preset("cubic-2d-dirichlet", extents=[24, 20],
+                         ic="smooth_modes")
+    problem = build_problem(config)
+    (u0,) = initial_state(config)
+    assert u0.flags.c_contiguous and not u0.flags.f_contiguous
+    runs = [integrate(problem, scheme, (u,), 0.12, 4)
+            for u in (u0, np.asfortranarray(u0))]
+    for res in runs:
+        assert not res.diverged and res.fields[0].flags.f_contiguous
+    assert runs[0].fields[0].tobytes() == runs[1].fields[0].tobytes()
+
+
+@pytest.mark.parametrize("name,scheme",
+                         [k for k in RUNNABLE if k[0] != "fd"])
+def test_fourier_coefficients_step_row_major_whatever_their_order(name,
+                                                                  scheme):
+    shape = (12, 10) if name == "coupled" else (8, 7, 6)
+    problem = problem_of(name, shape)
+    u0 = initial_fields(problem, 78)
+    assert all(u.flags.c_contiguous for u in u0)
+    want = integrate(problem, scheme, u0, 4e-3, 3)
+    got = integrate(problem, scheme, tuple(np.asfortranarray(u) for u in u0),
+                    4e-3, 3)
+    assert not want.diverged and not got.diverged
+    for a, b in zip(got.fields, want.fields):
+        assert a.flags.c_contiguous and a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("name,scheme", RUNNABLE)
 def test_kernel_path_steps_equal_the_default(name, scheme, monkeypatch):
     # 2^15 entries per component reach the threaded kernels: every

@@ -178,3 +178,16 @@ def test_tucker_out_sharing_its_input_is_rejected(name):
         with pytest.raises(ValueError, match="share memory"):
             f(x, out=out)
     assert np.array_equal(x, before)
+
+
+@pytest.mark.parametrize("name", ["tucker_apply", "kronecker_exp_apply",
+                                  "kron_sum_apply", "kronecker_apply"])
+def test_a_c_ordered_tucker_out_is_rejected(name):
+    # Kronecker products run column-major: out and result are F-ordered
+    rng = np.random.default_rng(83)
+    f, _, _ = layer(name, rng, (6, 5))
+    x = random_complex(rng, (6, 5))
+    assert f(x).flags.f_contiguous
+    with pytest.raises(ValueError, match="F-contiguous"):
+        f(x, out=np.empty((6, 5), complex))
+    assert f(x, out=np.empty((6, 5), complex, order="F")).flags.f_contiguous

@@ -267,8 +267,15 @@ def test_mode_products_match_the_assembled_oracles(shape, data, layout,
         out = None
         if out_order is not None:
             out = np.empty(shape, complex, order=out_order)
+        if out is not None and not out.flags.f_contiguous:
+            # a C-ordered out of two or more directions is refused
+            for f in (tucker_apply, kron_sum_apply):
+                with pytest.raises(ValueError, match="F-contiguous"):
+                    f(u, mats, out=out)
+            out = None
         got = tucker_apply(u, mats, out=out)
         assert out is None or got is out
+        assert got.flags.f_contiguous
         want = kron_chain(mats) @ vec(u)
         assert np.max(np.abs(vec(got) - want)) <= 1e-13 * np.max(np.abs(want))
         got = vec(kron_sum_apply(u, mats))
