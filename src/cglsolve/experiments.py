@@ -9,7 +9,6 @@ before any run.
 
 import json
 import math
-import numbers
 import os
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 
@@ -21,7 +20,7 @@ from .integrators import (Problem, _checked_run, checked_snapshot_steps,
                           integrate)
 from .io import _staged, write_report, write_snapshot
 from .operators import build_fd_operator, build_periodic_operator, fd_nodes
-from .params import CglParameters
+from .params import _SCALARS, CglParameters, _check_scalar
 from .rng import normal_tensor
 from .spectral import FourierGrid, dft_forward, dft_inverse
 
@@ -67,18 +66,6 @@ def _check_keys(data, cls, what):
                and f.default is MISSING and f.default_factory is MISSING]
     if missing:
         raise ValueError(f"missing {what} key(s): {', '.join(missing)}")
-
-
-_SCALARS = {str: ("a string", str), int: ("an integer", numbers.Integral),
-            float: ("a finite real", numbers.Real)}
-
-
-def _check_scalar(name, value, kind):
-    """ValueError unless value is a str, an int or a finite real (float)."""
-    what, cls = _SCALARS[kind]
-    if (not isinstance(value, cls) or isinstance(value, bool)
-            or kind is float and not math.isfinite(value)):
-        raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 def config_from_dict(data):
@@ -254,10 +241,7 @@ def necklace_state(config):
         np.multiply(amp[s], lobes[s], out=amp[s])
         np.multiply(amp[s], twist[s], out=out[s])
 
-    if out.size < spectral._SERIAL_BELOW:
-        fill(0, len(out))
-    else:
-        spectral.run_slabs(fill, len(out))
+    spectral.run_slabs(fill, len(out), out.size)
     return out
 
 

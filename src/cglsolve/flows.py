@@ -50,7 +50,7 @@ class NonlinearSpec:
         if kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
         if not isinstance(params, CglParameters):
-            raise TypeError("params must be CglParameters")
+            raise ValueError("params must be CglParameters")
         if kind == "cubic" and (params.alpha4 != 0.0 or params.beta4 != 0.0):
             raise ValueError("cubic kind requires alpha4 = beta4 = 0")
         if kind != "coupled_cubic_quintic" and params.alpha5 != 0.0:
@@ -90,7 +90,7 @@ def eval_g(spec, fields, *, out=None):
         out = tuple(np.empty(shape, complex, order=order) for _ in fields)
     kernel = partial(_g_chunks, [np.ravel(u, order) for u in fields],
                      [v.ravel(order) for v in out], spec.kind, spec.params)
-    spectral.run_slabs(kernel, out[0].size)
+    spectral.run_slabs(kernel, out[0].size, out[0].size)
     return out
 
 
@@ -193,10 +193,7 @@ def _power_law_flow(u0, t, a, b, p, name, out):
         out = np.empty(u0.shape, complex, order=order)
     kernel = partial(_flow_chunks, np.ravel(u0, order), out.ravel(order),
                      p, -(p * a * t), -1.0 / p, -b / (2.0 * p * a))
-    if u0.size < spectral._SERIAL_BELOW:
-        flags = [kernel(0, u0.size)]
-    else:
-        flags = spectral.run_slabs(kernel, u0.size)
+    flags = spectral.run_slabs(kernel, u0.size, u0.size)
     if any(blow_up for blow_up, _ in flags):
         raise DivergenceError(f"finite-time blow-up in {name} flow")
     if any(non_finite for _, non_finite in flags):

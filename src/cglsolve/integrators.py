@@ -149,7 +149,7 @@ def _combine(terms, out):
         jobs.append(([np.ravel(x, order) for x in xs], dst.ravel(order),
                      dst is xs[0]))
     spectral.run_slabs(partial(_lincomb_chunks, [c for c, _ in terms], jobs),
-                       out[0].size)
+                       out[0].size, out[0].size)
 
 
 def _lincomb_chunks(coefs, jobs, lo, hi):
@@ -420,7 +420,7 @@ def _fits(scheme, components):
 def _checked_run(scheme_name, components, t_final, steps, what="steps"):
     """SCHEMES[scheme_name], else ValueError for an unknown scheme, exact
     cubic or quintic flows of several components (no cross term), steps
-    not an integer >= 1, or a t_final not positive and finite."""
+    not an integer >= 1, or a t_final not a positive finite real."""
     if scheme_name not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme_name!r}; "
                          f"choose from {sorted(SCHEMES)}")
@@ -431,8 +431,10 @@ def _checked_run(scheme_name, components, t_final, steps, what="steps"):
     if (not isinstance(steps, numbers.Integral) or isinstance(steps, bool)
             or steps < 1):
         raise ValueError(f"{what} must be an integer >= 1, got {steps!r}")
-    if not (isinstance(t_final, numbers.Real) and 0 < t_final < np.inf):
-        raise ValueError("t_final must be positive and finite")
+    if (not isinstance(t_final, numbers.Real) or isinstance(t_final, bool)
+            or not 0 < t_final < np.inf):
+        raise ValueError(f"t_final must be a positive finite real, "
+                         f"got {t_final!r}")
     return scheme
 
 
@@ -456,7 +458,7 @@ def integrate(problem, scheme_name, fields, t_final, steps,
     """March `steps` uniform steps of the named scheme to t_final.
 
     ValueError for an unknown scheme, exact flows of a coupled problem,
-    steps not an integer >= 1, a t_final not positive and finite, or
+    steps not an integer >= 1, a t_final not a positive finite real, or
     fields that are not one finite array of ``problem.shape`` per
     component. The reported seconds cover the stepping loop only;
     ``diverged_at`` is 1-based. ``on_snapshot(k, t, fields)`` gets each

@@ -187,10 +187,7 @@ def _outer(ufunc, vectors):
     def fill(lo, hi):
         ufunc(table[lo:hi, ..., None], last, out=out[lo:hi])
 
-    if out.size < spectral._SERIAL_BELOW:
-        fill(0, len(table))
-    else:
-        spectral.run_slabs(fill, len(table))
+    spectral.run_slabs(fill, len(table), out.size)
     return out
 
 

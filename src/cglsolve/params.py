@@ -7,10 +7,30 @@ The evolution reads
              + alpha5 |v|^2 u
 
 where the advection (alpha0, opposite sign per component) and cross-coupling
-(alpha5) terms only act in the two-component system.
+(alpha5) terms only act in the two-component system. Each coefficient
+must be a finite real, not a bool (else ValueError), and is stored as a
+Python float.
 """
 
+import math
+import numbers
 from dataclasses import dataclass, fields
+
+_SCALARS = {str: ("a string", str), int: ("an integer", numbers.Integral),
+            float: ("a finite real", numbers.Real)}
+
+
+def _check_scalar(name, value, kind):
+    """ValueError unless value is a str, an int or a finite real (float),
+    never a bool: the library's rule for scalars from outside."""
+    what, cls = _SCALARS[kind]
+    try:
+        ok = (isinstance(value, cls) and not isinstance(value, bool)
+              and (kind is not float or math.isfinite(value)))
+    except OverflowError:  # an integer beyond the float range
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -28,9 +48,8 @@ class CglParameters:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            if (not isinstance(v, (int, float)) or isinstance(v, bool)
-                    or v != v or abs(v) == float("inf")):
-                raise ValueError(f"parameter {f.name} must be a finite real")
+            _check_scalar(f"parameter {f.name}", v, float)
+            object.__setattr__(self, f.name, float(v))
         if self.alpha1 <= 0.0:
             raise ValueError("alpha1 must be positive (parabolic diffusion)")
 

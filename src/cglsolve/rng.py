@@ -5,7 +5,8 @@ Value i of the stream is splitmix64 of seed + (i+1) * golden gamma (mod
 uniform pairs feed the Box-Muller transform. Any (seed, index) pair
 gives the same double on every platform, however many values are drawn,
 and the bits do not depend on the chunk, the slab split or the thread
-count. A seed that is not an integer in 0..2^64-1 is a ValueError.
+count. A seed that is not an integer in 0..2^64-1, or is a bool, is a
+ValueError.
 """
 
 from functools import partial
@@ -27,7 +28,7 @@ _PAIRS = 1 << 12
 
 
 def _check_seed(seed):
-    if not isinstance(seed, (int, np.integer)):
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
         raise ValueError("seed must be an integer")
     if not 0 <= int(seed) < 2 ** 64:
         raise ValueError("seed must fit in 64 bits")
@@ -87,8 +88,5 @@ def normal_tensor(seed, shape):
     kernel = partial(_normals_chunks, _check_seed(seed),
                      out.reshape(-1, order="F"))
     pairs = (out.size + 1) // 2
-    if out.size < spectral._SERIAL_BELOW:
-        kernel(0, pairs)
-    else:
-        spectral.run_slabs(kernel, pairs)
+    spectral.run_slabs(kernel, pairs, out.size)
     return out

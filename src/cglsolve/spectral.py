@@ -7,13 +7,16 @@ Nyquist slot. Extents may be mixed-radix (700 = 2^2 * 5^2 * 7).
 
 ``dft_forward``/``dft_inverse`` equal ``np.fft.fftn``/``ifftn`` and
 ``pointwise_apply`` equals ``factor * u``, bit for bit, whatever the
-thread count. Each takes a keyword-only ``out``, a complex128 array of
-the result's shape (``check_out``) that may be the input; the result is
-written there and ``out`` is returned. ``run_slabs`` and
-``memory_order`` serve every elementwise kernel of the package.
+thread count; a new multi-dimensional transform is C-ordered. Each takes
+a keyword-only ``out``, a complex128 array of the result's shape
+(``check_out``) that may be the input; the result is written there and
+``out`` is returned. ``run_slabs`` and ``memory_order`` serve every
+elementwise kernel of the package; ``run_slabs`` alone decides, from
+the array's entry count, whether a call splits into slabs.
 """
 
 import contextvars
+import math
 import operator
 import os
 import threading
@@ -38,6 +41,8 @@ def _check_direction(n, interval):
         raise ValueError("need at least two grid points per direction")
     if not b > a:
         raise ValueError(f"empty interval ({a}, {b})")
+    if not math.isfinite(float(b) - float(a)):
+        raise ValueError(f"interval ({a}, {b}) must have a finite length")
     return a, b
 
 
@@ -90,13 +95,12 @@ class FourierGrid:
 
 def dft_forward(u, *, out=None):
     """Unnormalized forward DFT over all axes; equals ``np.fft.fftn``."""
-    return _transform_all_axes(np.asarray(u), np.fft.fft, np.fft.fftn, out)
+    return _transform_all_axes(np.asarray(u), np.fft.fft, out)
 
 
 def dft_inverse(uhat, *, out=None):
     """Inverse DFT carrying the 1/N normalization; equals ``np.fft.ifftn``."""
-    return _transform_all_axes(np.asarray(uhat), np.fft.ifft, np.fft.ifftn,
-                               out)
+    return _transform_all_axes(np.asarray(uhat), np.fft.ifft, out)
 
 
 def _usable_cpus():
@@ -169,15 +173,15 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _transform_all_axes(x, line_fn, nd_fn, out):
-    """line_fn over every axis of x, last axis first, as nd_fn does; 1-D
-    arrays call line_fn, and arrays under _SERIAL_BELOW entries (or with
-    one usable CPU) nd_fn, with the same bits."""
+def _transform_all_axes(x, line_fn, out):
+    """line_fn over every axis of x, last axis first, as ``np.fft.fftn``
+    does, with its bits; 1-D arrays call line_fn, and a 0-d array is a
+    ValueError."""
     check_out(out, x.shape)
+    if x.ndim == 0:
+        raise ValueError("a transform needs an array of at least one axis")
     if x.ndim == 1:
         return line_fn(x, out=out)
-    if x.size < _SERIAL_BELOW or _THREADS < 2:
-        return nd_fn(x, out=out)
     # the first pass reads x; later passes work in place on out, each thread
     # on the same slab of both, so x is written only if it is out
     if out is None:
@@ -198,17 +202,21 @@ def _slab_pass(line_fn, src, out, axis):
         s = (slice(None),) * split + (slice(lo, hi),)
         line_fn(src[s], axis=axis, out=out[s])
 
-    run_slabs(transform, src.shape[split])
+    run_slabs(transform, src.shape[split], src.size)
 
 
-def run_slabs(fn, n):
+def run_slabs(fn, n, entries):
     """``[fn(lo, hi), ...]`` over contiguous ranges covering ``range(n)``,
-    one per usable CPU, in range order. The caller runs the first range,
-    the pool's workers the rest, each in a copy of the caller's context
-    (so its numpy error state applies); an error in any range reaches the
-    caller. A call that finds the pool in use, by another thread or by
-    the slab it runs in, runs its ranges itself, one after another.
+    one per usable CPU, in range order, for work on an array of `entries`
+    entries; under _SERIAL_BELOW entries it is ``[fn(0, n)]``, run by the
+    caller. Otherwise the caller runs the first range, the pool's workers
+    the rest, each in a copy of the caller's context (so its numpy error
+    state applies); an error in any range reaches the caller. A call that
+    finds the pool in use, by another thread or by the slab it runs in,
+    runs its ranges itself, one after another.
     """
+    if entries < _SERIAL_BELOW:
+        return [fn(0, n)]
     cuts = [n * i // _THREADS for i in range(_THREADS + 1)]
     ranges = [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
     if len(ranges) < 2 or not _busy.acquire(blocking=False):
@@ -304,5 +312,5 @@ def pointwise_apply(factor, u, *, out=None):
     def multiply(lo, hi):
         np.multiply(f[lo:hi], x[lo:hi], out=dst[lo:hi])
 
-    run_slabs(multiply, u.size)
+    run_slabs(multiply, u.size, u.size)
     return out

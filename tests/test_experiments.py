@@ -2,6 +2,7 @@ import json
 import math
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -103,7 +104,9 @@ def test_config_from_dict_rejects_a_non_object():
     ("extents", [64.9]), ("extents", [True]), ("extents", ["64"]),
     ("extents", 64), ("intervals", [[0.0, 50.0, 1.0]]), ("intervals", [5]),
     ("intervals", [[0.0, True]]), ("intervals", [[0.0, float("nan")]]),
-    ("intervals", [["0", 50.0]]), ("params", [1.0])])
+    ("intervals", [["0", 50.0]]), ("params", [1.0]),
+    # a JSON integer beyond the float range was an OverflowError
+    ("intervals", [[0, 10 ** 400]])])
 def test_config_from_dict_checks_tuple_fields(key, value):
     # a bad value is refused, not converted ([64.9] once became (64,))
     data = config_to_dict(make_preset("plane-wave-1d"))
@@ -133,6 +136,25 @@ def test_parameters_need_positive_alpha1():
     for alpha1 in (0.0, -1.0):
         with pytest.raises(ValueError, match="alpha1 must be positive"):
             CglParameters(alpha1=alpha1)
+
+
+@pytest.mark.parametrize("value", [np.float32(1.5), np.int64(2),
+                                   np.float64(0.25), 3, Fraction(1, 4)])
+def test_parameters_take_any_finite_real_as_a_float(value):
+    p = CglParameters(alpha1=value, beta3=value)
+    for got in (p.alpha1, p.beta3, p.alpha2):
+        assert type(got) is float
+    assert p.alpha1 == p.beta3 == float(value)
+
+
+@pytest.mark.parametrize("value", [True, np.float32(np.inf), np.nan,
+                                   10 ** 400, 1j, "1", None],
+                         ids=["bool", "float32-inf", "nan", "huge-int",
+                              "complex", "str", "none"])
+def test_parameters_refuse_what_is_not_a_finite_real(value):
+    with pytest.raises(ValueError, match="parameter beta1 must be a finite "
+                                         "real, got "):
+        CglParameters(alpha1=1.0, beta1=value)
 
 
 def test_plane_wave_needs_a_cubic_term():

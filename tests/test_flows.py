@@ -206,7 +206,7 @@ def test_nonlinear_spec_validation():
         NonlinearSpec("cubic_quintic", COUPLED)  # alpha5 without coupling
     with pytest.raises(ValueError):
         NonlinearSpec("septic", CUBIC)
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="params must be CglParameters"):
         NonlinearSpec("cubic", None)
     spec = NonlinearSpec("coupled_cubic_quintic", COUPLED)
     with pytest.raises(ValueError):

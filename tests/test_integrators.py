@@ -326,7 +326,8 @@ def test_unknown_scheme_rejected():
 
 
 @pytest.mark.parametrize("scheme", sorted(SCHEMES))
-@pytest.mark.parametrize("t_final", [0.0, -1.0, np.inf, np.nan])
+# True once ran to t = 1, while steps=True was refused
+@pytest.mark.parametrize("t_final", [0.0, -1.0, np.inf, np.nan, True])
 def test_non_positive_or_non_finite_t_final_rejected(scheme, t_final):
     problem, _ = plane_wave_problem(n=16)
     with pytest.raises(ValueError, match="t_final"):

@@ -95,7 +95,8 @@ def test_frozen_first_values():
 
 
 def test_seed_validation():
-    for seed in (-1, 2 ** 64, 1.5, "3", np.float64(2.0)):
+    # True once drew seed 1's tensor
+    for seed in (-1, 2 ** 64, 1.5, "3", np.float64(2.0), True, False):
         for draw in (lambda: uniforms(seed, 3),
                      lambda: normal_tensor(seed, (3,)),
                      lambda: normal_tensor(seed, (2, 0))):

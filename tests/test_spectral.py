@@ -61,6 +61,21 @@ def test_wavenumber_table_validation(n, interval, match):
         wavenumber_table(n, interval)
 
 
+@pytest.mark.parametrize("interval", [(0.0, np.inf), (-np.inf, 0.0),
+                                      (-np.inf, np.inf), (-1e308, 1e308)])
+def test_a_periodic_interval_needs_a_finite_length(interval):
+    # an infinite length once gave NaN nodes and all-zero wavenumbers, so
+    # the operator had no diffusion
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for make in (lambda: FourierGrid((8,), (interval,)),
+                     lambda: wavenumber_table(8, interval),
+                     lambda: wavenumber_table(8, tuple(map(np.float64,
+                                                           interval)))):
+            with pytest.raises(ValueError, match="finite length"):
+                make()
+
+
 @pytest.mark.parametrize("shape", [(6,), (10,), (15,), (5, 4), (3, 4, 5)])
 def test_forward_matches_direct_sum(shape):
     rng = np.random.default_rng(41)
@@ -132,6 +147,73 @@ def test_transforms_bit_identical_to_numpy(name, slab_threads):
         assert np.array_equal(got, want)
         # Problem.to_physical passes the live state
         assert np.array_equal(x, before)
+
+
+def _small_and_one_cpu_inputs():
+    rng = np.random.default_rng(49)
+    big = random_complex(rng, (40, 30, 24))
+    return {
+        "f-2d": np.asfortranarray(random_complex(rng, (64, 48))),
+        "f-3d": np.asfortranarray(random_complex(rng, (16, 16, 16))),
+        # transposed strided views, which np.fft.fftn answers in their
+        # own layout
+        "strided-2d": big[:, 5, ::2].T,
+        "strided-3d": big.transpose(2, 0, 1)[::2, 1::3],
+        "f-3d-at-the-floor": np.asfortranarray(
+            random_complex(rng, (64, 64, 16))),
+    }
+
+
+@pytest.mark.parametrize("name,threads", [
+    (name, threads) for name in _small_and_one_cpu_inputs()
+    for threads in ((1,) if name == "f-3d-at-the-floor" else (1, 2, 5))])
+def test_small_and_one_cpu_transforms_are_c_ordered_with_numpys_bits(
+        name, threads, monkeypatch):
+    monkeypatch.setattr(spectral, "_THREADS", threads)
+    x = _small_and_one_cpu_inputs()[name]
+    assert (x.size < spectral._SERIAL_BELOW) != (name == "f-3d-at-the-floor")
+    for ours, numpys in ((dft_forward, np.fft.fftn),
+                         (dft_inverse, np.fft.ifftn)):
+        got = ours(x)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, numpys(x))
+
+
+@pytest.mark.parametrize("transform", [dft_forward, dft_inverse])
+def test_a_0d_array_has_no_transform(transform):
+    with pytest.raises(ValueError, match="at least one axis"):
+        transform(np.array(3 + 1j))
+
+
+def test_run_slabs_below_the_floor_runs_once_in_the_caller(slab_threads,
+                                                           monkeypatch):
+    def no_worker():
+        raise AssertionError("a worker was started")
+
+    monkeypatch.setattr(spectral, "_workers", [])
+    monkeypatch.setattr(spectral, "_Worker", no_worker)
+    calls = []
+
+    def fn(lo, hi):
+        calls.append((threading.get_ident(), lo, hi))
+        return lo, hi
+
+    caller = threading.get_ident()
+    for n, entries in ((40, spectral._SERIAL_BELOW - 1), (0, 0), (1, 1),
+                       (40, 40)):
+        calls.clear()
+        assert spectral.run_slabs(fn, n, entries) == [(0, n)]
+        assert calls == [(caller, 0, n)]
+    assert spectral._workers == []
+
+
+def test_run_slabs_at_the_floor_splits_into_a_range_per_thread(
+        slab_threads):
+    cuts = [40 * i // slab_threads for i in range(slab_threads + 1)]
+    got = []
+    _in_thread(lambda: got.extend(spectral.run_slabs(
+        lambda lo, hi: (lo, hi), 40, spectral._SERIAL_BELOW)))
+    assert got == list(zip(cuts, cuts[1:]))
 
 
 def test_error_in_a_pool_slab_reaches_caller(slab_threads, monkeypatch):
@@ -262,10 +344,11 @@ def test_a_call_inside_a_slab_runs_serially(slab_threads):
         return threading.get_ident(), lo, hi
 
     def outer(lo, hi):
-        return spectral.run_slabs(inner, 12)
+        return spectral.run_slabs(inner, 12, spectral._SERIAL_BELOW)
 
     got = []
-    _in_thread(lambda: got.extend(spectral.run_slabs(outer, 40)))
+    _in_thread(lambda: got.extend(
+        spectral.run_slabs(outer, 40, spectral._SERIAL_BELOW)))
     assert len(got) == slab_threads
     for ranges in got:
         # every nested range, in order, on the thread that ran its slab
@@ -284,9 +367,10 @@ def test_the_pool_works_after_a_slab_raises(failing, slab_threads):
 
     def fail_then_run():
         with pytest.raises(RuntimeError, match="slab failed"):
-            spectral.run_slabs(fn, 100)
+            spectral.run_slabs(fn, 100, spectral._SERIAL_BELOW)
         cuts = [100 * i // slab_threads for i in range(slab_threads + 1)]
-        assert (spectral.run_slabs(lambda lo, hi: (lo, hi), 100)
+        assert (spectral.run_slabs(lambda lo, hi: (lo, hi), 100,
+                                   spectral._SERIAL_BELOW)
                 == list(zip(cuts, cuts[1:])))
 
     _in_thread(fail_then_run)
@@ -309,14 +393,14 @@ def test_an_interrupted_call_leaves_a_working_pool(slab_threads,
     take = spectral._Worker.take
     monkeypatch.setattr(spectral._Worker, "take", interrupted)
     with pytest.raises(KeyboardInterrupt):
-        spectral.run_slabs(slow, 100)
+        spectral.run_slabs(slow, 100, spectral._SERIAL_BELOW)
     monkeypatch.setattr(spectral._Worker, "take", take)
     release.set()
     # the interrupted call's late outcomes must not answer this one
     cuts = [100 * i // slab_threads for i in range(slab_threads + 1)]
     got = []
     _in_thread(lambda: got.extend(spectral.run_slabs(
-        lambda lo, hi: (lo, hi), 100)))
+        lambda lo, hi: (lo, hi), 100, spectral._SERIAL_BELOW)))
     assert got == list(zip(cuts, cuts[1:]))
 
 
@@ -324,7 +408,8 @@ def test_the_pool_keeps_no_array_a_slab_captured(slab_threads):
     a = np.ones(1000)
     u = random_complex(np.random.default_rng(48), (64, 64, 16))
     refs = weakref.ref(a), weakref.ref(u)
-    parts = spectral.run_slabs(lambda lo, hi: a[lo:hi], a.size)
+    parts = spectral.run_slabs(lambda lo, hi: a[lo:hi], a.size,
+                               spectral._SERIAL_BELOW)
     assert sum(float(p.sum()) for p in parts) == 1000.0
     pointwise_apply(u, u)
     del a, u, parts
