@@ -44,7 +44,9 @@ class DivergenceError(RuntimeError):
 
 
 class NonlinearSpec:
-    """Which nonlinear terms are active, with their coefficients."""
+    """Which nonlinear terms are active, with their coefficients; the
+    advection alpha0 and the cross-coupling alpha5 need the coupled kind
+    (ValueError)."""
 
     def __init__(self, kind, params):
         if kind not in _KINDS:
@@ -55,6 +57,8 @@ class NonlinearSpec:
             raise ValueError("cubic kind requires alpha4 = beta4 = 0")
         if kind != "coupled_cubic_quintic" and params.alpha5 != 0.0:
             raise ValueError("cross-coupling alpha5 needs the coupled kind")
+        if kind != "coupled_cubic_quintic" and params.alpha0 != 0.0:
+            raise ValueError("advection alpha0 needs the coupled kind")
         self.kind = kind
         self.params = params
 

@@ -3,13 +3,17 @@
 ``expm_pade`` evaluates the degree-13 diagonal Pade approximant with
 scaling and squaring: it halves the matrix until its 1-norm is within the
 degree-13 threshold, evaluates the approximant there and squares the
-result back up. The tests cross-check it against a truncated Taylor
-series kept in ``tests/oracles.py``.
+result back up, all with numpy's BLAS held at one thread
+(``spectral._one_blas_thread``), so its bits do not depend on the CPU
+count. The tests cross-check it against a truncated Taylor series kept
+in ``tests/oracles.py``.
 """
 
 import math
 
 import numpy as np
+
+from . import spectral
 
 __all__ = ["ExponentialOverflowError", "expm_pade"]
 
@@ -67,12 +71,13 @@ def expm_pade(a, scale=1.0):
     ExponentialOverflowError at the first squaring that is not finite."""
     b, norm = _as_square_finite(a, scale)
     squarings = max(0, math.ceil(math.log2(norm / _THETA13))) if norm else 0
-    f = _pade13(b / (2.0 ** squarings))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, squarings + 1):
-            f = f @ f
-            if not np.all(np.isfinite(f)):
-                raise ExponentialOverflowError(
-                    f"matrix exponential overflows at squaring {k} of "
-                    f"{squarings}")
+    with spectral._one_blas_thread():
+        f = _pade13(b / (2.0 ** squarings))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(1, squarings + 1):
+                f = f @ f
+                if not np.all(np.isfinite(f)):
+                    raise ExponentialOverflowError(
+                        f"matrix exponential overflows at squaring {k} "
+                        f"of {squarings}")
     return f

@@ -8,14 +8,17 @@ Nyquist slot. Extents may be mixed-radix (700 = 2^2 * 5^2 * 7).
 ``dft_forward``/``dft_inverse`` equal ``np.fft.fftn``/``ifftn`` and
 ``pointwise_apply`` equals ``factor * u``, bit for bit, whatever the
 thread count; a new multi-dimensional transform is C-ordered. Each takes
-a keyword-only ``out``, a complex128 array of the result's shape
-(``check_out``) that may be the input; the result is written there and
-``out`` is returned. ``run_slabs`` and ``memory_order`` serve every
-elementwise kernel of the package; ``run_slabs`` alone decides, from
-the array's entry count, whether a call splits into slabs.
+a keyword-only ``out`` (``check_out``), which may be the input, and
+returns it. ``run_slabs`` alone decides, from the entry count, whether
+an elementwise kernel's call splits into slabs. The Kronecker products
+and ``expm_pade`` hold numpy's BLAS at one thread (``_one_blas_thread``),
+so the slab pool's threads are the only ones the package runs.
 """
 
+import contextlib
 import contextvars
+import ctypes
+import glob
 import math
 import operator
 import os
@@ -23,6 +26,8 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
+
+from .params import _check_scalar
 
 __all__ = [
     "FourierGrid",
@@ -68,6 +73,9 @@ class FourierGrid:
             raise ValueError(f"extents must be integers, got "
                              f"{self.extents!r}") from None
         object.__setattr__(self, "extents", extents)
+        for a, b in self.intervals:
+            _check_scalar("interval end", a, float)
+            _check_scalar("interval end", b, float)
         object.__setattr__(self, "intervals",
                            tuple((float(a), float(b)) for a, b in self.intervals))
         if len(self.extents) != len(self.intervals):
@@ -163,14 +171,69 @@ _busy = threading.Lock()
 
 
 def _forget_pool():
-    # a forked child inherits the workers' objects but none of their threads
-    global _workers, _busy
+    # a forked child inherits the workers' objects but none of their
+    # threads, and the locks as its parent's other threads held them
+    global _workers, _busy, _hold_lock
     _workers = []
     _busy = threading.Lock()
+    _hold_lock = threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _blas_control():
+    """(get, set) of the thread count of the OpenBLAS that numpy ships, or
+    None where none is found (say, a numpy built on another BLAS)."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir,
+                        "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+        lib = ctypes.CDLL(path)
+        for suffix in ("64_", ""):
+            names = [f"scipy_openblas_{verb}_num_threads{suffix}"
+                     for verb in ("get", "set")]
+            if all(hasattr(lib, name) for name in names):
+                get, put = (getattr(lib, name) for name in names)
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+# numpy's BLAS thread control; the holds in force, under _hold_lock, and
+# the count the last of them restores
+_BLAS = _blas_control()
+_hold_lock = threading.Lock()
+_holds = 0
+_restore = None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS at one thread for the block, so the slab pool
+    is the only set of threads at work: OpenBLAS's idle threads spin after
+    each threaded call, on the core the next slab needs (README, "Slab
+    pool"). Yields True; yields False, holding nothing, where no control
+    is found. Nested or concurrent holds count, and the caller's count is
+    restored once, when the last ends, on return or error."""
+    global _holds, _restore
+    if _BLAS is None:
+        yield False
+        return
+    get, put = _BLAS
+    with _hold_lock:
+        if not _holds:
+            _restore = get()
+            put(1)
+        _holds += 1
+    try:
+        yield True
+    finally:
+        with _hold_lock:
+            _holds -= 1
+            if not _holds:
+                put(_restore)
 
 
 def _transform_all_axes(x, line_fn, out):

@@ -6,20 +6,20 @@ first-index-fastest (column-major), for d = 2
     vec(mu_mode_product(u, m, 0)) == kron(eye(n_2), m) @ vec(u)
     vec(tucker_apply(u, [m1, m2])) == kron(m2, m1) @ vec(u)
 
-and ``kron_sum_apply`` applies the Kronecker sum of its factors without
-forming it. Every factor is square, n_mu x n_mu (else ValueError). Each
-costs one matrix product per direction, or, for a factor mostly of exact
-zeros, one per block of rows over the columns it touches (``plans``), so
-a dense factor keeps its one product and its bits. Every product runs
-column-major: F-ordered input is read as is, other input is copied to F
-order once, and every result, ``out`` included, is F-ordered.
+and ``kron_sum_apply`` applies their Kronecker sum without forming it.
+Factors are square, n_mu x n_mu (else ValueError). Each costs one GEMM
+per direction, or, for a factor mostly of exact zeros, one per block of
+rows over the columns it touches (``plans``). Results, ``out`` included,
+are F-ordered. With the BLAS at one thread (``spectral._one_blas_thread``)
+the GEMMs run on the slab pool, by rows of the last direction's (a, n)
+view and by blocks of the last axis, with the bits of unsplit GEMMs.
 """
 
 import math
 
 import numpy as np
 
-from .spectral import check_out
+from . import spectral
 
 __all__ = [
     "mu_mode_product",
@@ -34,6 +34,9 @@ _BLOCK = 1 << 16
 _ROWS = 32
 # one GEMM over the whole factor
 _WHOLE = ((slice(None), slice(None)),)
+# rows (or columns) per unit of a slab split, a multiple of every GEMM
+# kernel's unroll, so a slab's GEMM groups its rows as the whole one does
+_UNIT = 16
 
 
 def _checked(u, mats, axes):
@@ -97,13 +100,36 @@ def _mode_pass(x, mat, axis, out, blocks):
             np.matmul(src[..., cols], mat[rows, cols].T, out=dst[..., rows])
 
 
+def _split_pass(x, mat, axis, out, blocks, held):
+    """_mode_pass on the slab pool if ``held`` (the BLAS at one thread),
+    else whole in the caller: the last direction by rows of the (a, n)
+    view, the others by ranges of the last axis. A slab's GEMMs form its
+    entries with the whole GEMM's sums, so the split keeps the bits."""
+    split = x.ndim - 1
+    if axis == split:
+        shape = (math.prod(x.shape[:-1]), x.shape[-1])
+        x, out = x.reshape(shape, order="F"), out.reshape(shape, order="F")
+        axis, split = 1, 0
+
+    units = max(1, x.shape[split] // _UNIT)
+
+    def slab(lo, hi):
+        # the last slab takes the rows past the last whole unit
+        end = hi * _UNIT if hi < units else None
+        s = (slice(None),) * split + (slice(lo * _UNIT, end),)
+        _mode_pass(x[s], mat, axis, out[s], blocks)
+
+    spectral.run_slabs(slab, units, x.size if held else 0)
+
+
 def mu_mode_product(u, mat, axis):
     """Apply the n_axis x n_axis matrix ``mat`` along the zero-based
     direction ``axis`` of the tensor ``u``."""
     u, (mat,) = _checked(u, [mat], [axis])
     x = np.asfortranarray(u)
     out = np.empty(x.shape, np.result_type(x.dtype, mat.dtype), order="F")
-    _mode_pass(x, mat, axis, out, _row_blocks(mat))
+    with spectral._one_blas_thread() as held:
+        _split_pass(x, mat, axis, out, _row_blocks(mat), held)
     return out
 
 
@@ -116,7 +142,7 @@ def _checked_inputs(u, mats, out, plans):
     if plans is None:
         plans = [_row_blocks(m) for m in mats]
     if out is not None:
-        check_out(out, u.shape)
+        spectral.check_out(out, u.shape)
         if np.shares_memory(out, u):
             raise ValueError("out must not share memory with u")
         if not out.flags.f_contiguous:
@@ -132,24 +158,34 @@ def tucker_apply(u, mats, *, out=None, plans=None):
     into the result, and the others run in place on cache-sized blocks of
     its last axis."""
     x, mats, plans = _checked_inputs(u, mats, out, plans)
-    lead = mats[:-1]
     dtype = np.result_type(x.dtype, *mats)
     if out is None:
         out = np.empty(x.shape, dtype, order="F")
-    _mode_pass(x, mats[-1], x.ndim - 1, out, plans[-1])
-    if not lead:
-        return out
+    with spectral._one_blas_thread() as held:
+        _split_pass(x, mats[-1], x.ndim - 1, out, plans[-1], held)
+        if len(mats) > 1:
+            _blocked_leading_passes(out, mats[:-1], plans, dtype, held)
+    return out
+
+
+def _blocked_leading_passes(out, lead, plans, dtype, held):
+    """_leading_passes over blocks of out's last axis, ranges of blocks on
+    the slab pool if ``held``, each range with its own scratch."""
     # a lone leading pass reads the rows it writes, which a blocked pass
     # must not do, so it writes scratch too
     through = len(lead) == 1 and plans[0] is not None
-    slab = max(1, math.prod(x.shape[:-1]))
+    slab = max(1, math.prod(out.shape[:-1]))
     width = -(-_BLOCK // slab)
-    scratch = [np.empty(slab * width, dtype)
-               for _ in range(min(len(lead) - 1 + through, 2))]
-    for lo in range(0, out.shape[-1], width):
-        _leading_passes(out[..., lo:lo + width], lead, plans, scratch,
-                        through)
-    return out
+    starts = range(0, out.shape[-1], width)
+
+    def blocks(lo, hi):
+        scratch = [np.empty(slab * width, dtype)
+                   for _ in range(min(len(lead) - 1 + through, 2))]
+        for start in starts[lo:hi]:
+            _leading_passes(out[..., start:start + width], lead, plans,
+                            scratch, through)
+
+    spectral.run_slabs(blocks, len(starts), out.size if held else 0)
 
 
 def _leading_passes(block, mats, plans, scratch, through):
@@ -178,8 +214,9 @@ def kron_sum_apply(u, mats, *, out=None, plans=None):
     if out is None:
         out = np.empty(x.shape, dtype, order="F")
     term = np.empty(x.shape, dtype, order="F")
-    for k, (m, plan) in enumerate(zip(mats, plans)):
-        _mode_pass(x, m, k, term if k else out, plan)
-        if k:
-            np.add(out, term, out=out)
+    with spectral._one_blas_thread() as held:
+        for k, (m, plan) in enumerate(zip(mats, plans)):
+            _split_pass(x, m, k, term if k else out, plan, held)
+            if k:
+                np.add(out, term, out=out)
     return out

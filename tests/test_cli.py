@@ -104,6 +104,19 @@ def test_library_value_error_is_a_usage_error(capsys):
     assert "one interval per direction required" in err
 
 
+def test_advection_in_a_scalar_config_is_a_usage_error(tmp_path, capsys):
+    # alpha0 of a scalar kind was once silently ignored
+    params = config_to_dict(make_preset("cubic-2d-dirichlet"))["params"]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"params": {**params, "alpha0": 5}}))
+    code, err = _usage_error(["run", "--preset", "cubic-2d-dirichlet",
+                              "--config", str(path)], capsys)
+    assert code == 2
+    assert err.count("error:") == 1
+    assert err.splitlines()[-1] == (
+        "cglsolve run: error: advection alpha0 needs the coupled kind")
+
+
 def test_unknown_config_key_is_a_usage_error(tmp_path, capsys):
     cfg = config_to_dict(make_preset("plane-wave-1d"))
     cfg["stpes"] = 5

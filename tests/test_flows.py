@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -211,6 +212,16 @@ def test_nonlinear_spec_validation():
     spec = NonlinearSpec("coupled_cubic_quintic", COUPLED)
     with pytest.raises(ValueError):
         eval_g(spec, (POINTS,))
+
+
+@pytest.mark.parametrize("kind", ["cubic", "cubic_quintic"])
+def test_a_scalar_kind_refuses_advection(kind):
+    # a scalar problem once ran with alpha0 silently ignored
+    advected = CglParameters(alpha1=1.0, alpha3=1.0, alpha0=5.0)
+    with pytest.raises(ValueError, match="alpha0 needs the coupled kind"):
+        NonlinearSpec(kind, advected)
+    assert NonlinearSpec("coupled_cubic_quintic", advected).components == 2
+    assert NonlinearSpec(kind, replace(advected, alpha0=0.0)).kind == kind
 
 
 @pytest.mark.parametrize("fields,out,match", [

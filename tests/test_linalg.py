@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from cglsolve.experiments import build_problem, make_preset
 from cglsolve.linalg import ExponentialOverflowError, expm_pade
 
 from oracles import expm_taylor_ref, random_complex
@@ -121,3 +122,18 @@ def test_an_exponential_that_overflows_stops_at_the_first_bad_square(
 def test_an_exponential_near_the_overflow_is_finite():
     got = expm_pade(np.eye(3), 700.0)
     assert rel_max(got, np.exp(700.0) * np.eye(3)) <= 1e-12
+
+
+def test_a_paper_scale_exponential_keeps_its_bits_whatever_the_blas_count(
+        set_blas_threads):
+    # the 128-node Dirichlet-Neumann factor of the paper-scale preset: a
+    # threaded np.linalg.solve once gave other bits at two threads
+    config = make_preset("cubic-3d-dirichlet-neumann", paper_scale=True)
+    matrix = build_problem(config).operators[0].matrices[0]
+    assert matrix.shape == (128, 128)
+    tau = config.t_final / config.steps
+    runs = []
+    for count in (1, 2):
+        set_blas_threads(count)
+        runs.append(expm_pade(matrix, tau).tobytes())
+    assert runs[0] == runs[1]

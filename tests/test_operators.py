@@ -339,7 +339,9 @@ LINEAR_COUPLED = CglParameters(alpha1=0.125, beta1=0.5, alpha2=-0.9,
 def test_block_operator_componentwise():
     # a two-operator problem steps each component by its own operator,
     # through its exponentials (if4) or its K u (rk4): the bits of each
-    # operator's one-component problem; a wrong component count is refused
+    # operator's one-component problem, whose operator carries the
+    # advection and whose scalar kind may not; a wrong component count is
+    # refused
     g = FourierGrid((8, 4), ((0.0, 70.0), (0.0, 35.0)))
     ops = [build_periodic_operator(g, LINEAR_COUPLED, advection_sign=s)
            for s in (+1, -1)]
@@ -352,7 +354,8 @@ def test_block_operator_componentwise():
         got = integrate(problem, scheme, (u, v), 0.1, 2).fields
         for s, x, y in zip((+1, -1), (u, v), got):
             alone = Problem(build_periodic_operator(g, LINEAR_COUPLED, s),
-                            NonlinearSpec("cubic_quintic", LINEAR_COUPLED))
+                            NonlinearSpec("cubic_quintic",
+                                          replace(LINEAR_COUPLED, alpha0=0.0)))
             want = integrate(alone, scheme, (x,), 0.1, 2).fields[0]
             assert np.array_equal(y, want), scheme
     with pytest.raises(ValueError, match="2 array"):

@@ -65,14 +65,19 @@ def test_wavenumber_table_validation(n, interval, match):
                                       (-np.inf, np.inf), (-1e308, 1e308)])
 def test_a_periodic_interval_needs_a_finite_length(interval):
     # an infinite length once gave NaN nodes and all-zero wavenumbers, so
-    # the operator had no diffusion
+    # the operator had no diffusion; a grid refuses an infinite end first,
+    # by the scalar rule
+    grid_says = ("finite length" if np.all(np.isfinite(interval))
+                 else "interval end must be a finite real")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for make in (lambda: FourierGrid((8,), (interval,)),
-                     lambda: wavenumber_table(8, interval),
-                     lambda: wavenumber_table(8, tuple(map(np.float64,
-                                                           interval)))):
-            with pytest.raises(ValueError, match="finite length"):
+        for make, says in (
+                (lambda: FourierGrid((8,), (interval,)), grid_says),
+                (lambda: wavenumber_table(8, interval), "finite length"),
+                (lambda: wavenumber_table(8, tuple(map(np.float64,
+                                                       interval))),
+                 "finite length")):
+            with pytest.raises(ValueError, match=says):
                 make()
 
 
@@ -416,6 +421,114 @@ def test_the_pool_keeps_no_array_a_slab_captured(slab_threads):
     assert all(ref() is None for ref in refs)
 
 
+class _FakeBlas:
+    """A BLAS thread control that records what it is set to."""
+
+    def __init__(self, count):
+        self.count, self.sets = count, []
+
+    def get(self):
+        return self.count
+
+    def put(self, count):
+        self.sets.append(count)
+        self.count = count
+
+
+@pytest.fixture
+def fake_blas(monkeypatch):
+    fake = _FakeBlas(3)
+    monkeypatch.setattr(spectral, "_BLAS", (fake.get, fake.put))
+    return fake
+
+
+def test_a_blas_hold_gives_the_count_back_on_return_and_on_error(fake_blas):
+    with spectral._one_blas_thread() as held:
+        assert held and fake_blas.count == 1
+    assert fake_blas.count == 3
+    with pytest.raises(KeyError):
+        with spectral._one_blas_thread():
+            raise KeyError("in the block")
+    assert fake_blas.sets == [1, 3, 1, 3]
+
+
+def test_nested_and_concurrent_blas_holds_give_the_count_back_once(
+        fake_blas):
+    entered, release = threading.Event(), threading.Event()
+
+    def other():
+        with spectral._one_blas_thread():
+            entered.set()
+            release.wait(timeout=60)
+
+    thread = threading.Thread(target=other, daemon=True)
+    try:
+        with spectral._one_blas_thread():
+            with spectral._one_blas_thread():
+                thread.start()
+                assert entered.wait(timeout=60)
+            assert fake_blas.sets == [1]
+        # the other thread still holds
+        assert fake_blas.sets == [1]
+    finally:
+        release.set()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert fake_blas.sets == [1, 3]
+    with spectral._one_blas_thread():
+        assert fake_blas.count == 1
+    assert fake_blas.sets == [1, 3, 1, 3]
+
+
+def test_blas_holds_stress(fake_blas):
+    # more threads than cores, each nesting holds, with frequent switches:
+    # inside any hold the count is 1, and each last hold gives it back
+    inside = []
+
+    def hold_often():
+        for _ in range(200):
+            with spectral._one_blas_thread():
+                with spectral._one_blas_thread():
+                    inside.append(fake_blas.count)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hold_often, daemon=True)
+                   for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(thread.is_alive() for thread in threads)
+    assert inside == [1] * 1600
+    assert fake_blas.count == 3 and spectral._holds == 0
+    assert fake_blas.sets == [1, 3] * (len(fake_blas.sets) // 2)
+
+
+def test_without_a_blas_control_a_hold_holds_nothing(monkeypatch):
+    monkeypatch.setattr(spectral, "_BLAS", None)
+    with spectral._one_blas_thread() as held:
+        assert held is False
+
+
+def test_a_blas_hold_sets_numpys_openblas(set_blas_threads):
+    set_blas_threads(2)
+    get = spectral._BLAS[0]
+    with spectral._one_blas_thread():
+        with spectral._one_blas_thread():
+            assert get() == 1
+        assert get() == 1
+    assert get() == 2
+    with pytest.raises(ZeroDivisionError):
+        with spectral._one_blas_thread():
+            assert get() == 1
+            1 / 0
+    assert get() == 2
+
+
 def test_grid_nodes_keep_left_endpoint():
     g = FourierGrid((8,), ((0.0, 100.0),))
     x = g.nodes(0)
@@ -524,6 +637,23 @@ def test_grid_validation():
         FourierGrid((8,), ((1.0, 1.0),))
     with pytest.raises(ValueError):
         FourierGrid((8, 8), ((0.0, 1.0),))
+
+
+@pytest.mark.parametrize("end", ["1", 10 ** 400, 1 + 0j, True],
+                         ids=["str", "huge-int", "complex", "bool"])
+def test_grid_interval_ends_follow_the_scalar_rule(end):
+    # float() once took "1", and 10**400 or 1+0j escaped as an
+    # OverflowError or a TypeError
+    with pytest.raises(ValueError, match="interval end must be a finite real"):
+        FourierGrid((8,), ((0, end),))
+    with pytest.raises(ValueError, match="interval end must be a finite real"):
+        FourierGrid((8,), ((end, 0),))
+
+
+def test_grid_interval_ends_of_any_real_kind_are_stored_as_floats():
+    grid = FourierGrid((8, 8), ((0, 1), (np.float32(-0.5), np.int64(2))))
+    assert grid.intervals == ((0.0, 1.0), (-0.5, 2.0))
+    assert all(type(end) is float for iv in grid.intervals for end in iv)
 
 
 @pytest.mark.parametrize("extent", [64.5, 64.0, "64", None])

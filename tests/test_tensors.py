@@ -1,5 +1,6 @@
 """Tensor kernels against index-loop and explicit-Kronecker references."""
 
+import threading
 from functools import partial
 from unittest import mock
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cglsolve import tensors
+from cglsolve import spectral, tensors
 from cglsolve.tensors import kron_sum_apply, mu_mode_product, tucker_apply
 
 from oracles import (
@@ -314,3 +315,108 @@ def test_kron_sum_apply_folds_its_terms_left_to_right():
     mats = [random_complex(rng, (n, n)) for n in u.shape]
     t0, t1, t2 = (mu_mode_product(u, m, k) for k, m in enumerate(mats))
     assert kron_sum_apply(u, mats).tobytes() == ((t0 + t1) + t2).tobytes()
+
+
+# F-ordered tensors of at least 2^15 entries, so the products split into
+# slabs; odd extents leave a short last unit
+SLAB_SHAPES = [(256, 160), (40, 30, 50), (33, 37, 41)]
+
+
+def _whole_products(u, mats, plans):
+    """The products as whole-tensor _mode_pass calls, one np.matmul per
+    direction (per row block of a banded factor), with the BLAS held at
+    one thread: each single-direction product, the Tucker chain (last
+    direction first) and the Kronecker sum."""
+    def whole(x, k):
+        out = np.empty(u.shape, complex, order="F")
+        with spectral._one_blas_thread():
+            tensors._mode_pass(x, mats[k], k, out, plans[k])
+        return out
+
+    singles = [whole(u, k) for k in range(u.ndim)]
+    chain = whole(u, u.ndim - 1)
+    for k in range(u.ndim - 1):
+        chain = whole(chain, k)
+    total = singles[0]
+    for term in singles[1:]:
+        total = total + term
+    return singles, chain, total
+
+
+def _products(u, mats):
+    return ([mu_mode_product(u, m, k) for k, m in enumerate(mats)],
+            tucker_apply(u, mats), kron_sum_apply(u, mats))
+
+
+def _bytes(products):
+    singles, chain, total = products
+    return [a.tobytes() for a in (*singles, chain, total)]
+
+
+@pytest.mark.parametrize("band", [None, 3], ids=["dense", "banded"])
+@pytest.mark.parametrize("shape", SLAB_SHAPES)
+def test_slab_split_products_keep_the_whole_gemms_bits(shape, band,
+                                                       monkeypatch):
+    rng = np.random.default_rng(hash(("split", shape, band)) % 2**32)
+    u = np.asfortranarray(random_complex(rng, shape))
+    mats = [_banded(rng, n, band) for n in shape]
+    plans = [tensors._row_blocks(m) for m in mats]
+    assert any(p is not None for p in plans) == (band is not None)
+    want = _whole_products(u, mats, plans)
+    for threads in (1, 2, 5):
+        monkeypatch.setattr(spectral, "_THREADS", threads)
+        assert _bytes(_products(u, mats)) == _bytes(want), threads
+
+
+def test_a_products_slabs_run_with_one_blas_thread(set_blas_threads,
+                                                   monkeypatch):
+    set_blas_threads(2)
+    monkeypatch.setattr(spectral, "_THREADS", 2)
+    seen = []
+    mode_pass = tensors._mode_pass
+
+    def recording(*args):
+        seen.append((threading.current_thread().name, spectral._BLAS[0]()))
+        mode_pass(*args)
+
+    monkeypatch.setattr(tensors, "_mode_pass", recording)
+    rng = np.random.default_rng(29)
+    u = np.asfortranarray(random_complex(rng, (40, 30, 50)))
+    mats = [_banded(rng, n, band) for n, band in zip(u.shape, (3, None, 3))]
+    _products(u, mats)
+    assert {count for _, count in seen} == {1}
+    assert "cglsolve-slab" in {name for name, _ in seen}
+    assert spectral._BLAS[0]() == 2
+
+
+@pytest.mark.parametrize("shape", [(40, 30, 50), (64, 48, 40)])
+def test_without_a_blas_control_the_products_keep_their_bits(shape,
+                                                             monkeypatch):
+    # each product then runs whole in the caller, the BLAS threading each
+    # GEMM; extents of at most 64 keep every GEMM's sums in one block
+    rng = np.random.default_rng(hash(("no-control", shape)) % 2**32)
+    u = np.asfortranarray(random_complex(rng, shape))
+    mats = [_banded(rng, n, band) for n, band in zip(shape, (None, 3, 3))]
+    want = _products(u, mats)
+    monkeypatch.setattr(spectral, "_BLAS", None)
+    assert _bytes(_products(u, mats)) == _bytes(want)
+
+
+def test_a_product_that_raises_gives_the_blas_count_back(set_blas_threads,
+                                                         monkeypatch):
+    set_blas_threads(2)
+    monkeypatch.setattr(spectral, "_THREADS", 2)
+
+    def failing(*args):
+        raise MemoryError("no room for the GEMM")
+
+    monkeypatch.setattr(tensors, "_mode_pass", failing)
+    rng = np.random.default_rng(30)
+    u = np.asfortranarray(random_complex(rng, (40, 30, 50)))
+    mats = [random_complex(rng, (n, n)) for n in u.shape]
+    for call in (partial(tucker_apply, u, mats),
+                 partial(kron_sum_apply, u, mats),
+                 partial(mu_mode_product, u, mats[1], 1)):
+        with pytest.raises(MemoryError):
+            call()
+        assert spectral._BLAS[0]() == 2
