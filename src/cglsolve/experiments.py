@@ -75,6 +75,10 @@ def config_from_dict(data):
     for f in fields(ExperimentConfig):
         if f.name in data and f.type in _SCALARS:
             _check_scalar(f"config key {f.name!r}", data[f.name], f.type)
+    # the name heads the output files, so it must name no directory
+    if set(data["name"]) & {"/", os.sep, os.altsep, "\0"}:
+        raise ValueError(f"config key 'name' must hold no path separator "
+                         f"or NUL, got {data['name']!r}")
     data = dict(data)
     params = data.pop("params")
     if isinstance(params, dict):

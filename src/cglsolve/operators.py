@@ -7,12 +7,12 @@ diagonal symbols on coefficient space. Each has ``representation``
 ``prepare(tau, fractions)`` and ``exp_apply(exponential, u, *,
 out=None)``; ``out`` may be u only for a Fourier operator, and is
 F-ordered, like the results, for a Kronecker one. They hold nothing but
-their definition: ``prepare`` returns ``{fraction: exponential}`` for
-exact positive step fractions and a positive, finite tau (else
-ValueError). A coupled problem has one operator per component.
-
-The fourth-order D2 matrices have one-sided closures: ``_FD_BOUNDARIES``
-holds each boundary kind's spacing, fewest nodes and last two rows.
+their definition: ``prepare`` returns ``{fraction: exponential}``, a
+Kronecker one as ``tensors.Factors`` with their block plans, for exact
+positive step fractions and a positive, finite tau (else ValueError).
+A coupled problem has one operator per component. The fourth-order D2
+matrices have one-sided closures: ``_FD_BOUNDARIES`` holds each
+boundary kind's spacing, fewest nodes and last two rows.
 """
 
 from fractions import Fraction
@@ -20,10 +20,10 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from . import spectral, tensors
+from . import spectral
 from .linalg import expm_pade
 from .spectral import direction_symbols, pointwise_apply, symbol_exponential
-from .tensors import kron_sum_apply, tucker_apply
+from .tensors import Factors, kron_sum_apply, tucker_apply
 
 __all__ = [
     "fd_second_derivative",
@@ -115,26 +115,6 @@ def _numerical_band(e):
     return np.where(dist <= np.argmax(fits), e, 0)
 
 
-def _per_distinct(matrices, build):
-    """[build(m) for m in matrices], one call per matrix distinct bit for
-    bit; equal matrices (all three of a cube's) share its result."""
-    keys = [m.tobytes() for m in matrices]
-    found = {}
-    for key, m in zip(keys, matrices):
-        if key not in found:
-            found[key] = build(m)
-    return [found[key] for key in keys]
-
-
-class _Factors(list):
-    """A prepared Kronecker exponential: one factor per direction, and in
-    ``plans`` each factor's block plan (``tensors._row_blocks``)."""
-
-    def __init__(self, factors):
-        super().__init__(factors)
-        self.plans = _per_distinct(factors, tensors._row_blocks)
-
-
 class KroneckerOperator:
     """Kronecker sum of per-direction matrices."""
 
@@ -150,28 +130,26 @@ class KroneckerOperator:
         self.shape = tuple(m.shape[0] for m in self.matrices)
 
     @cached_property
-    def _plans(self):
-        """The block plan of each matrix, made on first use (by ``apply``)."""
-        return _per_distinct(self.matrices, tensors._row_blocks)
+    def _factors(self):
+        """The matrices as ``Factors``, planned on first use (by ``apply``)."""
+        return Factors(self.matrices)
 
     def apply(self, u, *, out=None):
-        return kron_sum_apply(u, self.matrices, out=out, plans=self._plans)
+        return kron_sum_apply(u, self._factors, out=out)
 
     def prepare(self, tau, fractions):
         """{f: [exp(f tau A_mu) for each direction mu]}, each cut to its
-        numerical band (``_numerical_band``), as a list whose ``plans``
-        hold their block plans; directions whose matrices are equal bit
-        for bit (all three of a cube) share one array and plan, one
-        ``expm_pade`` and one plan per distinct matrix and fraction."""
-        return _exponentials(tau, fractions, lambda step: _Factors(
-            _per_distinct(self.matrices,
-                          lambda m: _numerical_band(expm_pade(m, step)))))
+        numerical band (``_numerical_band``), as ``Factors``: directions
+        whose matrices are equal bit for bit (all three of a cube) share
+        one array and plan, one ``expm_pade`` and one plan per distinct
+        matrix and fraction."""
+        return _exponentials(tau, fractions, lambda step: Factors(
+            self.matrices, lambda m: _numerical_band(expm_pade(m, step))))
 
     def exp_apply(self, exponential, u, *, out=None):
         """A prepared exponential times u, into ``out`` if given (never u
         itself): a Tucker product with the exponential's plans."""
-        return tucker_apply(u, exponential, out=out,
-                            plans=exponential.plans)
+        return tucker_apply(u, exponential, out=out)
 
 
 def _outer(ufunc, vectors):

@@ -172,15 +172,15 @@ _busy = threading.Lock()
 
 def _forget_pool():
     # a forked child inherits the workers' objects but none of their
-    # threads, and the locks as its parent's other threads held them
-    global _workers, _busy, _hold_lock
+    # threads, the locks as its parent's other threads held them, and
+    # their BLAS holds, which no thread of its own will end
+    global _workers, _busy, _hold_lock, _holds
     _workers = []
     _busy = threading.Lock()
     _hold_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+    if _holds:
+        _holds = 0
+        _BLAS[1](_restore)
 
 
 def _blas_control():
@@ -207,6 +207,10 @@ _BLAS = _blas_control()
 _hold_lock = threading.Lock()
 _holds = 0
 _restore = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 @contextlib.contextmanager

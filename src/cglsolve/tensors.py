@@ -3,16 +3,16 @@
 With ``vec(u)`` stacking the entries of u, shape (n_1, ..., n_d),
 first-index-fastest (column-major), for d = 2
 
-    vec(mu_mode_product(u, m, 0)) == kron(eye(n_2), m) @ vec(u)
+    vec(tucker_apply(u, [m, eye(n_2)])) == kron(eye(n_2), m) @ vec(u)
     vec(tucker_apply(u, [m1, m2])) == kron(m2, m1) @ vec(u)
 
 and ``kron_sum_apply`` applies their Kronecker sum without forming it.
 Factors are square, n_mu x n_mu (else ValueError). Each costs one GEMM
 per direction, or, for a factor mostly of exact zeros, one per block of
-rows over the columns it touches (``plans``). Results, ``out`` included,
+rows over the columns it touches: its plan, which a ``Factors`` list
+carries and a plain list gets on the call. Results, ``out`` included,
 are F-ordered. With the BLAS at one thread (``spectral._one_blas_thread``)
-the GEMMs run on the slab pool, by rows of the last direction's (a, n)
-view and by blocks of the last axis, with the bits of unsplit GEMMs.
+the GEMMs run on the slab pool, with the bits of unsplit GEMMs.
 """
 
 import math
@@ -22,7 +22,7 @@ import numpy as np
 from . import spectral
 
 __all__ = [
-    "mu_mode_product",
+    "Factors",
     "tucker_apply",
     "kron_sum_apply",
 ]
@@ -37,33 +37,6 @@ _WHOLE = ((slice(None), slice(None)),)
 # rows (or columns) per unit of a slab split, a multiple of every GEMM
 # kernel's unroll, so a slab's GEMM groups its rows as the whole one does
 _UNIT = 16
-
-
-def _checked(u, mats, axes):
-    """u as an array and mats as square matrices that fit their axes."""
-    u = np.asarray(u)
-    mats = [np.asarray(m) for m in mats]
-    for m, axis in zip(mats, axes):
-        if m.ndim != 2:
-            raise ValueError(f"factor must be a matrix, got ndim={m.ndim}")
-        if not 0 <= axis < u.ndim:
-            raise ValueError(
-                f"axis {axis} out of range for order-{u.ndim} tensor")
-        n = u.shape[axis]
-        if m.shape != (n, n):
-            raise ValueError(f"factor of axis {axis} must be {n} x {n}, "
-                             f"got {m.shape[0]} x {m.shape[1]}")
-    return u, mats
-
-
-def _one_per_direction(u, mats):
-    """_checked for a tensor of order >= 1 and one factor per direction."""
-    u = np.asarray(u)
-    if u.ndim == 0:
-        raise ValueError("need a tensor with at least one direction")
-    if len(mats) != u.ndim:
-        raise ValueError(f"need {u.ndim} factors, got {len(mats)}")
-    return _checked(u, mats, range(u.ndim))
 
 
 def _row_blocks(mat):
@@ -122,53 +95,71 @@ def _split_pass(x, mat, axis, out, blocks, held):
     spectral.run_slabs(slab, units, x.size if held else 0)
 
 
-def mu_mode_product(u, mat, axis):
-    """Apply the n_axis x n_axis matrix ``mat`` along the zero-based
-    direction ``axis`` of the tensor ``u``."""
-    u, (mat,) = _checked(u, [mat], [axis])
-    x = np.asfortranarray(u)
-    out = np.empty(x.shape, np.result_type(x.dtype, mat.dtype), order="F")
-    with spectral._one_blas_thread() as held:
-        _split_pass(x, mat, axis, out, _row_blocks(mat), held)
-    return out
+class Factors(list):
+    """The factors of a product, one per direction: ``build(m)`` for each
+    of ``matrices``, and in ``plans`` each factor's block plan. Matrices
+    equal bit for bit (all three of a cube's) share one factor and plan,
+    each made once. A factor changed in place keeps its stale plan."""
+
+    def __init__(self, matrices, build=np.asarray):
+        made, keys = {}, []
+        for m in map(np.asarray, matrices):
+            if m.ndim != 2:
+                raise ValueError(f"factor must be a matrix, got ndim={m.ndim}")
+            key = (m.dtype, m.shape, m.tobytes())
+            if key not in made:
+                factor = build(m)
+                made[key] = factor, _row_blocks(factor)
+            keys.append(key)
+        super().__init__(made[key][0] for key in keys)
+        self.plans = [made[key][1] for key in keys]
 
 
-def _checked_inputs(u, mats, out, plans):
-    """u as an F-ordered array, mats as _one_per_direction gives them, and
-    each factor's plan (made here if ``plans`` is None); ValueError unless
-    out is None or an F-contiguous complex128 array of u's shape that
-    shares no memory with u."""
-    u, mats = _one_per_direction(u, mats)
-    if plans is None:
-        plans = [_row_blocks(m) for m in mats]
+def _checked(u, mats, out):
+    """u as an F-ordered array, mats as Factors (a plain list planned
+    here) and out, made with the result's dtype if None; ValueError unless
+    u has a direction and mats one square factor per direction that fits
+    it, and unless out is None or an F-contiguous complex128 array of u's
+    shape that shares no memory with u."""
+    u = np.asarray(u)
+    if u.ndim == 0:
+        raise ValueError("need a tensor with at least one direction")
+    if len(mats) != u.ndim:
+        raise ValueError(f"need {u.ndim} factors, got {len(mats)}")
+    if not isinstance(mats, Factors):
+        mats = Factors(mats)
+    for axis, (n, m) in enumerate(zip(u.shape, mats)):
+        if m.shape != (n, n):
+            raise ValueError(f"factor of axis {axis} must be {n} x {n}, "
+                             f"got {m.shape[0]} x {m.shape[1]}")
     if out is not None:
         spectral.check_out(out, u.shape)
         if np.shares_memory(out, u):
             raise ValueError("out must not share memory with u")
         if not out.flags.f_contiguous:
             raise ValueError("out must be an F-contiguous array")
-    return np.asfortranarray(u), mats, plans
-
-
-def tucker_apply(u, mats, *, out=None, plans=None):
-    """Apply one matrix per direction: ``u x_1 m_1 x_2 m_2 ...``. ``out``,
-    if given, is an F-contiguous complex128 array of u's shape that shares
-    no memory with u; it is written and returned. ``plans``, if given, is
-    ``[_row_blocks(m) for m in mats]``. The last direction is one pass
-    into the result, and the others run in place on cache-sized blocks of
-    its last axis."""
-    x, mats, plans = _checked_inputs(u, mats, out, plans)
-    dtype = np.result_type(x.dtype, *mats)
+    x = np.asfortranarray(u)
     if out is None:
-        out = np.empty(x.shape, dtype, order="F")
+        out = np.empty(x.shape, np.result_type(x.dtype, *mats), order="F")
+    return x, mats, out
+
+
+def tucker_apply(u, mats, *, out=None):
+    """Apply one matrix per direction: ``u x_1 m_1 x_2 m_2 ...``, with
+    the plans of ``mats`` if it is ``Factors``. ``out``, if given, is an
+    F-contiguous complex128 array of u's shape that shares no memory with
+    u; it is written and returned. The last direction is one pass into
+    the result, and the others run in place on cache-sized blocks of its
+    last axis."""
+    x, mats, out = _checked(u, mats, out)
     with spectral._one_blas_thread() as held:
-        _split_pass(x, mats[-1], x.ndim - 1, out, plans[-1], held)
+        _split_pass(x, mats[-1], x.ndim - 1, out, mats.plans[-1], held)
         if len(mats) > 1:
-            _blocked_leading_passes(out, mats[:-1], plans, dtype, held)
+            _blocked_leading_passes(out, mats[:-1], mats.plans, held)
     return out
 
 
-def _blocked_leading_passes(out, lead, plans, dtype, held):
+def _blocked_leading_passes(out, lead, plans, held):
     """_leading_passes over blocks of out's last axis, ranges of blocks on
     the slab pool if ``held``, each range with its own scratch."""
     # a lone leading pass reads the rows it writes, which a blocked pass
@@ -179,7 +170,7 @@ def _blocked_leading_passes(out, lead, plans, dtype, held):
     starts = range(0, out.shape[-1], width)
 
     def blocks(lo, hi):
-        scratch = [np.empty(slab * width, dtype)
+        scratch = [np.empty(slab * width, out.dtype)
                    for _ in range(min(len(lead) - 1 + through, 2))]
         for start in starts[lo:hi]:
             _leading_passes(out[..., start:start + width], lead, plans,
@@ -205,17 +196,14 @@ def _leading_passes(block, mats, plans, scratch, through):
         block[...] = cur
 
 
-def kron_sum_apply(u, mats, *, out=None, plans=None):
+def kron_sum_apply(u, mats, *, out=None):
     """Action of the Kronecker sum of ``mats`` on ``u``, without forming
-    the Kronecker-sum matrix; ``out`` and ``plans`` as for
+    the Kronecker-sum matrix; ``mats`` and ``out`` as for
     ``tucker_apply``. The terms add in direction order."""
-    x, mats, plans = _checked_inputs(u, mats, out, plans)
-    dtype = np.result_type(x.dtype, *mats)
-    if out is None:
-        out = np.empty(x.shape, dtype, order="F")
-    term = np.empty(x.shape, dtype, order="F")
+    x, mats, out = _checked(u, mats, out)
+    term = np.empty_like(out)
     with spectral._one_blas_thread() as held:
-        for k, (m, plan) in enumerate(zip(mats, plans)):
+        for k, (m, plan) in enumerate(zip(mats, mats.plans)):
             _split_pass(x, m, k, term if k else out, plan, held)
             if k:
                 np.add(out, term, out=out)

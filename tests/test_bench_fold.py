@@ -14,7 +14,9 @@ MACHINE = {"nproc": 2, "blas": "test-blas"}
 
 def _tree(root, runs):
     """A tree whose benchmark/results/ holds one --trace 0 record per
-    (workload, seed, metrics) in runs, and two traced fd3d records."""
+    (workload, seed, metrics) in runs, each of two solves whose step
+    times are seed + 0.1 and seed + 0.2 (three steps in the second), and
+    two traced fd3d records."""
     results = root / "benchmark" / "results"
     results.mkdir(parents=True)
     (root / "src" / "cglsolve").mkdir(parents=True)
@@ -25,7 +27,9 @@ def _tree(root, runs):
                   "attempted": 4, "failed": 1 if seed == 2 else 0,
                   "machine": MACHINE,
                   "metrics": {k: {"value": v, "unit": "s"}
-                              for k, v in values.items()}}
+                              for k, v in values.items()},
+                  "solves": [{"wall_s": 1.0, "steps": [seed + 0.1]},
+                             {"wall_s": 1.0, "steps": [seed + 0.2] * 3}]}
         (results / f"{workload}-seed{seed}-trace0.json").write_text(
             json.dumps(record))
     for seed, calls in ((3, 30), (1, 29)):
@@ -64,6 +68,9 @@ def test_a_fold_gives_quartiles_and_the_paired_comparison(tmp_path):
     assert fd3d["failed_frac"] == pytest.approx(1 / 20)
     assert fd3d["metrics"]["step_s_p50"] == {
         "unit": "s", "n": 5, "median": 0.27, "q1": 0.26, "q3": 0.28}
+    # each seed's solves keep their step times, in order
+    assert fd3d["step_s"] == {
+        str(seed): [[seed + 0.1], [seed + 0.2] * 3] for seed in range(1, 6)}
     # the traced records are not end-to-end ones; seed 1's table is kept
     assert fd3d["layers"] == {"tensors.tucker_apply.calls": 29}
     # seeds 1-4 pair up; seed 5 and seed 6 have no partner

@@ -350,6 +350,22 @@ def _no_integrate(monkeypatch):
     monkeypatch.setattr(experiments, "integrate", no_run)
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_a_name_with_a_path_separator_is_a_usage_error_before_any_run(
+        command, tmp_path, capsys, monkeypatch):
+    _no_integrate(monkeypatch)
+    cfg = config_to_dict(make_preset("plane-wave-1d"))
+    cfg["name"] = "a/b"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, err = _usage_error([command, "--config", str(path), "--out",
+                              str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert err.count("error:") == 1
+    assert "config key 'name'" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_a_coupled_sweep_runs_by_default_the_schemes_its_kind_runs(
         capsys):
     # the exact _3t splits leave out the cross term: the default list

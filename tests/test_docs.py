@@ -1,6 +1,7 @@
 """src/ keeps contracts: measurements live in CHANGES.md, narrative in the
 README, so no docstring or comment carries a timing and module docstrings
-stay short; and every top-level name has a reader in src/ or is exported."""
+stay short; every top-level name has a reader in src/ or is exported; and
+each module imports only the layers the README lists before it."""
 
 import ast
 import io
@@ -13,6 +14,7 @@ import pytest
 import cglsolve
 
 MODULES = sorted(pathlib.Path(cglsolve.__file__).parent.glob("*.py"))
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 TIME_FIGURE = re.compile(r"\d\s*(?:ms|us|µs)\b|\b[Mm]edians?\b|\bTimed\b")
 MODULE_DOCSTRING_LINES = 16
 
@@ -103,3 +105,33 @@ def test_every_top_level_name_has_a_caller_or_is_exported():
                for name in _top_level_names(tree)
                if name not in used and name not in _exported(tree)]
     assert not orphans, f"neither used in src/ nor exported: {orphans}"
+
+
+def _layers():
+    """The modules of the README's layer table, in its order."""
+    text = README.read_text(encoding="utf-8")
+    table = text[text.index("| module | owns |"):].split("\n\n", 1)[0]
+    return [name for row in table.splitlines()[2:]
+            for name in re.findall(r"`(\w+)`", row.split("|")[1])]
+
+
+def _package_imports(tree):
+    """The modules of the package that a module imports, at any depth:
+    ``from .x import ...`` and ``from . import x``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                yield node.module.split(".")[0]
+            else:
+                yield from (alias.name for alias in node.names)
+
+
+def test_each_module_imports_only_the_layers_listed_before_it():
+    order = _layers()
+    modules = {p.stem: p for p in MODULES if p.stem != "__init__"}
+    assert sorted(order) == sorted(modules)
+    later = [f"{name} imports {used}" for k, name in enumerate(order)
+             for used in _package_imports(ast.parse(
+                 modules[name].read_text(encoding="utf-8")))
+             if used not in order[:k]]
+    assert not later, f"an import of a later layer: {later}"

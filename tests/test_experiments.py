@@ -114,6 +114,15 @@ def test_config_from_dict_checks_tuple_fields(key, value):
         config_from_dict({**data, key: value})
 
 
+@pytest.mark.parametrize("name", ["a/b", "/abs", "a\0b"])
+def test_config_from_dict_rejects_a_name_with_a_separator_or_nul(name):
+    # the name heads the output files: "a/b" once failed only after the
+    # solve, at the first write under out/a/
+    data = config_to_dict(make_preset("plane-wave-1d"))
+    with pytest.raises(ValueError, match="config key 'name'"):
+        config_from_dict({**data, "name": name})
+
+
 @pytest.mark.parametrize("name", ["alpha1", "alpha3", "beta4", "alpha5"])
 def test_config_from_dict_rejects_bool_parameters(name):
     data = config_to_dict(make_preset("plane-wave-1d"))

@@ -290,6 +290,49 @@ def test_forked_child_gets_a_fresh_pool(slab_threads):
     assert child.exitcode == 0
 
 
+def _holds_in_child():
+    get = spectral._BLAS[0]
+    seen = [spectral._holds, get()]
+    with spectral._one_blas_thread():
+        seen.append(get())
+    seen += [spectral._holds, get()]
+    assert seen == [0, 2, 1, 0, 2], seen
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork on this platform")
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+def test_a_forked_child_starts_with_no_blas_hold(set_blas_threads):
+    # the thread that holds the BLAS at one thread is not in the child,
+    # so the child gets the count that hold restores and no hold of its own
+    set_blas_threads(2)
+    entered, release = threading.Event(), threading.Event()
+
+    def parked():
+        with spectral._one_blas_thread():
+            entered.set()
+            release.wait(timeout=60)
+
+    thread = threading.Thread(target=parked, daemon=True)
+    thread.start()
+    try:
+        assert entered.wait(timeout=60) and spectral._BLAS[0]() == 1
+        child = multiprocessing.get_context("fork").Process(
+            target=_holds_in_child)
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join(timeout=10)
+            pytest.fail("forked child hung")
+    finally:
+        release.set()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert child.exitcode == 0
+    assert spectral._holds == 0 and spectral._BLAS[0]() == 2
+
+
 def _in_thread(target, timeout=60):
     """target() in a daemon thread; fails if it is still running after
     `timeout` seconds, and re-raises what it raised."""

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cglsolve import spectral, tensors
-from cglsolve.tensors import kron_sum_apply, mu_mode_product, tucker_apply
+from cglsolve.tensors import Factors, kron_sum_apply, tucker_apply
 
 from oracles import (
     kron_chain,
@@ -37,6 +37,13 @@ SHAPES = [
 ]
 
 
+def _along(u, m, axis):
+    """The mu-mode product of u with m along axis: a Tucker product whose
+    other factors are identities."""
+    return tucker_apply(u, [m if k == axis else np.eye(n)
+                            for k, n in enumerate(np.shape(u))])
+
+
 def test_vec_is_first_index_fastest():
     u = np.arange(12.0).reshape(3, 4)
     v = vec(u)
@@ -58,7 +65,7 @@ def test_mu_mode_matches_index_loops(shape):
     u = random_complex(rng, shape)
     for axis, n in enumerate(shape):
         m = random_complex(rng, (n, n))
-        got = mu_mode_product(u, m, axis)
+        got = _along(u, m, axis)
         want = mu_mode_ref(u, m, axis)
         assert got.shape == want.shape
         err = np.max(np.abs(got - want)) / np.max(np.abs(want))
@@ -71,7 +78,7 @@ def test_mu_mode_matches_kron_factor(shape):
     u = random_complex(rng, shape)
     for axis, n in enumerate(shape):
         m = random_complex(rng, (n, n))
-        got = vec(mu_mode_product(u, m, axis))
+        got = vec(_along(u, m, axis))
         want = kron_mode_matrix(shape, m, axis) @ vec(u)
         err = np.max(np.abs(got - want)) / np.max(np.abs(want))
         assert err <= 1e-13
@@ -117,7 +124,7 @@ def test_identity_factors_are_identity_map():
 def test_shape_mismatch_rejected():
     u = np.zeros((3, 4), dtype=complex)
     with pytest.raises(ValueError):
-        mu_mode_product(u, np.zeros((5, 5)), 0)
+        tucker_apply(u, [np.zeros((5, 5)), np.eye(4)])
     with pytest.raises(ValueError):
         tucker_apply(u, [np.eye(3)])  # wrong factor count
     with pytest.raises(ValueError):
@@ -138,7 +145,8 @@ U34 = np.zeros((3, 4), dtype=complex)
                           out=np.zeros((3, 8), complex)[:, ::2]),
      "contiguous"),
     (lambda: kron_sum_apply(U34, [np.eye(3)]), "need 2 factors"),
-    (lambda: mu_mode_product(U34, np.ones((5, 4)), 1), "must be 4 x 4"),
+    (lambda: tucker_apply(U34, [np.eye(3), np.ones((5, 4))]),
+     "must be 4 x 4"),
     (lambda: tucker_apply(U34, [np.ones((3, 2)), np.eye(4)]),
      "must be 3 x 3"),
     (lambda: kron_sum_apply(U34, [np.eye(3), np.ones((2, 4))]),
@@ -190,7 +198,7 @@ def test_mode_products_match_index_loops_for_every_layout(shape, rows,
     for name, u in _layouts(rng, shape).items():
         if rows:
             # a taller or wider factor is rejected whatever the layout
-            for call in [partial(mu_mode_product, u, m, axis)
+            for call in [partial(_along, u, m, axis)
                          for axis, m in enumerate(mats)] + [
                     partial(tucker_apply, u, mats),
                     partial(kron_sum_apply, u, mats)]:
@@ -200,7 +208,7 @@ def test_mode_products_match_index_loops_for_every_layout(shape, rows,
         before = u.copy()
         want = u
         for axis, m in enumerate(mats):
-            single = mu_mode_product(u, m, axis)
+            single = _along(u, m, axis)
             ref = mu_mode_ref(u, m, axis)
             assert single.shape == ref.shape
             assert (np.max(np.abs(single - ref))
@@ -219,8 +227,7 @@ def test_f_ordered_input_gives_f_ordered_output(shape, tucker_blocks):
     u = np.asfortranarray(random_complex(rng, shape))
     mats = [random_complex(rng, (n, n)) for n in shape]
     assert tucker_apply(u, mats).flags.f_contiguous
-    for axis, m in enumerate(mats):
-        assert mu_mode_product(u, m, axis).flags.f_contiguous
+    assert kron_sum_apply(u, mats).flags.f_contiguous
 
 
 def _banded(rng, n, band):
@@ -262,7 +269,7 @@ def test_mode_products_match_the_assembled_oracles(shape, data, layout,
     before = u.copy()
     with mock.patch.object(tensors, "_BLOCK", block):
         for axis, m in enumerate(mats):
-            got = mu_mode_product(u, m, axis)
+            got = _along(u, m, axis)
             want = mu_mode_ref(u, m, axis)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
         out = None
@@ -309,12 +316,67 @@ def test_a_dense_factor_is_one_gemm_and_a_banded_one_a_gemm_per_block():
                       (slice(64, 96), slice(62, 80))]
 
 
+def _whole(x, mat, axis, plan=None):
+    """The mode product of F-ordered x along axis as one whole-tensor
+    _mode_pass, one np.matmul (per row block of a banded factor's plan),
+    with the BLAS held at one thread."""
+    out = np.empty(x.shape, complex, order="F")
+    with spectral._one_blas_thread():
+        tensors._mode_pass(x, mat, axis, out, plan)
+    return out
+
+
 def test_kron_sum_apply_folds_its_terms_left_to_right():
     rng = np.random.default_rng(28)
-    u = random_complex(rng, (5, 6, 7))
+    u = np.asfortranarray(random_complex(rng, (5, 6, 7)))
     mats = [random_complex(rng, (n, n)) for n in u.shape]
-    t0, t1, t2 = (mu_mode_product(u, m, k) for k, m in enumerate(mats))
+    t0, t1, t2 = (_whole(u, m, k) for k, m in enumerate(mats))
     assert kron_sum_apply(u, mats).tobytes() == ((t0 + t1) + t2).tobytes()
+
+
+def test_real_inputs_fill_a_complex_out():
+    # a Tucker product's scratch once took the inputs' real dtype, so a
+    # 3-D product into a complex out raised
+    rng = np.random.default_rng(32)
+    u = np.asfortranarray(rng.standard_normal((4, 5, 6)))
+    mats = [rng.standard_normal((n, n)) for n in u.shape]
+    for product, oracle in ((tucker_apply, kron_chain),
+                            (kron_sum_apply, kron_sum_matrix)):
+        out = np.empty(u.shape, complex, order="F")
+        assert product(u, mats, out=out) is out
+        want = oracle(mats) @ vec(u)
+        assert np.max(np.abs(vec(out) - want)) <= 1e-13 * np.max(np.abs(want))
+        assert product(u, mats).dtype == np.float64
+
+
+def test_a_factors_list_plans_each_distinct_factor_once(monkeypatch):
+    scanned = []
+    row_blocks = tensors._row_blocks
+
+    def counted(mat):
+        scanned.append(mat)
+        return row_blocks(mat)
+
+    monkeypatch.setattr(tensors, "_row_blocks", counted)
+    rng = np.random.default_rng(31)
+    u = np.asfortranarray(random_complex(rng, (40, 9, 40)))
+    a, b = _banded(rng, 40, 2), random_complex(rng, (9, 9))
+    built = []
+    factors = Factors([a, b, a.copy()], lambda m: built.append(m) or 2 * m)
+    # equal matrices share one factor, built and planned once
+    assert len(built) == len(scanned) == 2
+    assert factors[0] is factors[2] and np.array_equal(factors[0], 2 * a)
+    assert factors.plans == [row_blocks(f) for f in factors]
+    assert factors.plans[0] is not None and factors.plans[1] is None
+    # the products use its plans and give a plain list's bits
+    del scanned[:]
+    got = [tucker_apply(u, factors), kron_sum_apply(u, factors)]
+    assert not scanned
+    plain = list(factors)
+    want = [tucker_apply(u, plain), kron_sum_apply(u, plain)]
+    # a plain list's two distinct factors are planned on each call
+    assert len(scanned) == 2 * 2
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
 
 # F-ordered tensors of at least 2^15 entries, so the products split into
@@ -323,34 +385,26 @@ SLAB_SHAPES = [(256, 160), (40, 30, 50), (33, 37, 41)]
 
 
 def _whole_products(u, mats, plans):
-    """The products as whole-tensor _mode_pass calls, one np.matmul per
-    direction (per row block of a banded factor), with the BLAS held at
-    one thread: each single-direction product, the Tucker chain (last
-    direction first) and the Kronecker sum."""
-    def whole(x, k):
-        out = np.empty(u.shape, complex, order="F")
-        with spectral._one_blas_thread():
-            tensors._mode_pass(x, mats[k], k, out, plans[k])
-        return out
-
-    singles = [whole(u, k) for k in range(u.ndim)]
-    chain = whole(u, u.ndim - 1)
+    """The products as whole-tensor _mode_pass calls: the Tucker chain
+    (last direction first) and the Kronecker sum, whose terms check each
+    direction's pass alone."""
+    chain = _whole(u, mats[-1], u.ndim - 1, plans[-1])
     for k in range(u.ndim - 1):
-        chain = whole(chain, k)
-    total = singles[0]
-    for term in singles[1:]:
+        chain = _whole(chain, mats[k], k, plans[k])
+    terms = [_whole(u, m, k, plan)
+             for k, (m, plan) in enumerate(zip(mats, plans))]
+    total = terms[0]
+    for term in terms[1:]:
         total = total + term
-    return singles, chain, total
+    return chain, total
 
 
 def _products(u, mats):
-    return ([mu_mode_product(u, m, k) for k, m in enumerate(mats)],
-            tucker_apply(u, mats), kron_sum_apply(u, mats))
+    return tucker_apply(u, mats), kron_sum_apply(u, mats)
 
 
 def _bytes(products):
-    singles, chain, total = products
-    return [a.tobytes() for a in (*singles, chain, total)]
+    return [a.tobytes() for a in products]
 
 
 @pytest.mark.parametrize("band", [None, 3], ids=["dense", "banded"])
@@ -415,8 +469,7 @@ def test_a_product_that_raises_gives_the_blas_count_back(set_blas_threads,
     u = np.asfortranarray(random_complex(rng, (40, 30, 50)))
     mats = [random_complex(rng, (n, n)) for n in u.shape]
     for call in (partial(tucker_apply, u, mats),
-                 partial(kron_sum_apply, u, mats),
-                 partial(mu_mode_product, u, mats[1], 1)):
+                 partial(kron_sum_apply, u, mats)):
         with pytest.raises(MemoryError):
             call()
         assert spectral._BLAS[0]() == 2

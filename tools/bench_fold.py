@@ -3,10 +3,11 @@
 Reads the end-to-end records (``--trace 0``) that ``benchmark/run.py``
 left in ``TREE/benchmark/results/`` and writes, per workload and per
 end-to-end metric of ``BENCHMARK.json``, the median and quartiles over
-the records (one per seed), with the records' machine block, the tree's
-``src`` code lines (``tools/code_lines.py``) and its commit. A
-workload's traced layer table (``--trace 1``) is copied as it is from
-its record of the lowest seed, if there is one.
+the records (one per seed), and per seed each solve's step times, with
+the records' machine block, the tree's ``src`` code lines
+(``tools/code_lines.py``) and its commit. A workload's traced layer
+table (``--trace 1``) is copied as it is from its record of the lowest
+seed, if there is one.
 
 With ``--against PARENT`` it pairs these records with PARENT's records
 of the same workload and seed. Per metric it writes the median of the
@@ -81,8 +82,9 @@ def tree_info(tree):
 
 
 def fold(records, traced, bounds):
-    """Per workload: its seeds, failed share, metric summaries and, if
-    traced, the layer table of its lowest traced seed."""
+    """Per workload: its seeds, failed share, metric summaries, each
+    seed's step seconds (one list per solve) and, if traced, the layer
+    table of its lowest traced seed."""
     out = {}
     for workload, by_seed in sorted(records.items()):
         runs = [by_seed[s] for s in sorted(by_seed)]
@@ -97,7 +99,9 @@ def fold(records, traced, bounds):
             "seeds": sorted(by_seed),
             "failed_frac": (sum(r["failed"] for r in runs) / attempted
                             if attempted else None),
-            "metrics": metrics}
+            "metrics": metrics,
+            "step_s": {seed: [s["steps"] for s in by_seed[seed]["solves"]]
+                       for seed in sorted(by_seed)}}
         if traced.get(workload):
             layers = traced[workload][min(traced[workload])]["metrics"]
             out[workload]["layers"] = {name: m["value"]
