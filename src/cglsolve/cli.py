@@ -34,7 +34,6 @@ def _common_config_flags(sub):
                      help="JSON file with config fields (overrides preset)")
     sub.add_argument("--paper-scale", action="store_true",
                      help="use the full benchmark resolution")
-    sub.add_argument("--scheme", choices=sorted(SCHEMES))
     sub.add_argument("--grid", metavar="N1,N2,...",
                      help="grid extents per direction")
     sub.add_argument("--tfinal", type=float, help="final time")
@@ -42,7 +41,9 @@ def _common_config_flags(sub):
     sub.add_argument("--out", metavar="DIR", help="write outputs here")
 
 
-def _resolve_config(args, parser):
+def _resolve_config(args, parser, **flags):
+    """The checked config of the preset, then the --config file, then
+    the common flags and the given flags that are not None."""
     base = None
     if args.preset:
         base = config_to_dict(make_preset(args.preset, args.paper_scale))
@@ -57,14 +58,9 @@ def _resolve_config(args, parser):
         base = data if base is None else {**base, **data}
     if base is None:
         parser.error("either --preset or --config is required")
-    if args.scheme:
-        base["scheme"] = args.scheme
-    if args.grid:
-        base["extents"] = _ints(args.grid)
-    if args.tfinal is not None:
-        base["t_final"] = args.tfinal
-    if args.seed is not None:
-        base["seed"] = args.seed
+    flags.update(extents=_ints(args.grid) if args.grid else None,
+                 t_final=args.tfinal, seed=args.seed)
+    base.update((k, v) for k, v in flags.items() if v is not None)
     return config_from_dict(base)
 
 
@@ -97,10 +93,8 @@ def _cmd_preset(args, parser):
 
 
 def _cmd_run(args, parser):
-    config = _resolve_config(args, parser)
-    if args.steps is not None:
-        from dataclasses import replace
-        config = replace(config, steps=args.steps)
+    config = _resolve_config(args, parser, scheme=args.scheme,
+                             steps=args.steps)
     try:
         snapshots = checked_snapshot_request(_ints(args.snapshots or ""),
                                              config.steps, args.out)
@@ -157,6 +151,7 @@ def main(argv=None):
 
     p_run = sub.add_parser("run", help="integrate one setup")
     _common_config_flags(p_run)
+    p_run.add_argument("--scheme", choices=sorted(SCHEMES))
     p_run.add_argument("--steps", type=int, help="number of time steps")
     p_run.add_argument("--snapshots", metavar="I,J,...",
                        help="1-based step indices to snapshot (needs --out)")
@@ -164,7 +159,9 @@ def main(argv=None):
                        default="table")
     p_run.set_defaults(func=_cmd_run, parser=p_run)
 
-    p_sweep = sub.add_parser("sweep", help="convergence or stability sweep")
+    # no abbreviations: --scheme, a run flag, would be taken for --schemes
+    p_sweep = sub.add_parser("sweep", help="convergence or stability sweep",
+                             allow_abbrev=False)
     _common_config_flags(p_sweep)
     p_sweep.add_argument("--schemes", metavar="S1,S2,...",
                          help="comma-separated scheme names (default: "

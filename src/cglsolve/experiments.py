@@ -2,9 +2,9 @@
 
 ``PRESETS`` maps each name to its desk-scale config and ``_PAPER_SCALE``
 to the paper's grid extents; ``_INITIAL_STATES`` maps
-each initial-condition recipe to its builder. Invalid configs, schemes,
-step counts, output directories and snapshot requests are a ValueError
-before any run.
+each initial-condition recipe to its builder. A config checks itself
+when it is made; invalid configs, schemes, step counts, output
+directories and snapshot requests are a ValueError before any run.
 """
 
 import json
@@ -37,7 +37,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to reproduce one benchmark run."""
+    """Everything needed to reproduce one benchmark run, checked when it
+    is made, by ``dataclasses.replace`` too: ValueError unless each str,
+    int and float field is one (``params._check_scalar``), the name holds
+    no path separator or NUL, params are ``CglParameters``, extents and
+    intervals are lists or tuples of integers and of (a, b) pairs of
+    finite reals (stored as int and float tuples), ``NonlinearSpec``
+    takes the kind and params, ``integrate`` takes the scheme, t_final
+    and steps for the kind, and a coupled kind has periodic boundaries.
+    The boundary name, initial-condition recipe and seed range are
+    checked where they are used, before any costly work."""
 
     name: str
     kind: str            # nonlinearity: cubic / cubic_quintic / coupled_...
@@ -50,6 +59,34 @@ class ExperimentConfig:
     scheme: str = "if4"
     steps: int = 240
     seed: int = 2024
+
+    def __post_init__(self):
+        for f in fields(self):
+            if f.type in _SCALARS:
+                _check_scalar(f"config key {f.name!r}", getattr(self, f.name),
+                              f.type)
+        # the name heads the output files, so it must name no directory
+        if set(self.name) & {"/", os.sep, os.altsep, "\0"}:
+            raise ValueError(f"config key 'name' must hold no path separator "
+                             f"or NUL, got {self.name!r}")
+        if not isinstance(self.params, CglParameters):
+            raise ValueError(f"config key 'params' must be an object, "
+                             f"got {self.params!r}")
+        for n in _checked_list("extents", self.extents):
+            _check_scalar("config key 'extents' entry", n, int)
+        for ab in _checked_list("intervals", self.intervals):
+            if not isinstance(ab, (list, tuple)) or len(ab) != 2:
+                raise ValueError(f"config key 'intervals' entries must be "
+                                 f"pairs, got {ab!r}")
+            for x in ab:
+                _check_scalar("config key 'intervals' entry", x, float)
+        object.__setattr__(self, "extents", tuple(int(n) for n in self.extents))
+        object.__setattr__(self, "intervals", tuple(
+            (float(a), float(b)) for a, b in self.intervals))
+        components = NonlinearSpec(self.kind, self.params).components
+        _checked_run(self.scheme, components, self.t_final, self.steps)
+        if components != 1 and self.boundary != "periodic":
+            raise ValueError("coupled presets require periodic boundaries")
 
 
 def config_to_dict(config):
@@ -69,37 +106,17 @@ def _check_keys(data, cls, what):
 
 
 def config_from_dict(data):
+    """The ExperimentConfig of a dict, whose params may be a dict;
+    ValueError for a non-dict, an unknown or missing key, or a config
+    that does not check itself."""
     if not isinstance(data, dict):
         raise ValueError(f"a config must be an object, got {data!r}")
     _check_keys(data, ExperimentConfig, "config")
-    for f in fields(ExperimentConfig):
-        if f.name in data and f.type in _SCALARS:
-            _check_scalar(f"config key {f.name!r}", data[f.name], f.type)
-    # the name heads the output files, so it must name no directory
-    if set(data["name"]) & {"/", os.sep, os.altsep, "\0"}:
-        raise ValueError(f"config key 'name' must hold no path separator "
-                         f"or NUL, got {data['name']!r}")
-    data = dict(data)
-    params = data.pop("params")
+    params = data["params"]
     if isinstance(params, dict):
         _check_keys(params, CglParameters, "params")
-        params = CglParameters(**params)
-    elif not isinstance(params, CglParameters):
-        raise ValueError(f"config key 'params' must be an object, "
-                         f"got {params!r}")
-    extents = _checked_list("extents", data.pop("extents"))
-    for n in extents:
-        _check_scalar("config key 'extents' entry", n, int)
-    intervals = _checked_list("intervals", data.pop("intervals"))
-    for ab in intervals:
-        if not isinstance(ab, (list, tuple)) or len(ab) != 2:
-            raise ValueError(f"config key 'intervals' entries must be "
-                             f"pairs, got {ab!r}")
-        for x in ab:
-            _check_scalar("config key 'intervals' entry", x, float)
-    return ExperimentConfig(
-        params=params, extents=tuple(int(n) for n in extents),
-        intervals=tuple((float(a), float(b)) for a, b in intervals), **data)
+        data = {**data, "params": CglParameters(**params)}
+    return ExperimentConfig(**data)
 
 
 def _checked_list(key, value):
@@ -195,8 +212,6 @@ def build_problem(config):
         signs = (1, -1) if spec.components == 2 else (0,)
         return Problem([build_periodic_operator(grid, config.params, s)
                         for s in signs], spec)
-    if spec.components != 1:
-        raise ValueError("coupled presets require periodic boundaries")
     lengths = tuple(b - a for a, b in config.intervals)
     operator = build_fd_operator(config.params, config.extents, lengths,
                                  config.boundary)
@@ -379,8 +394,8 @@ def run_convergence_study(config, schemes, step_counts, errors=True,
     run, diverged_at its step (0 if none). With out_dir,
     ``io.write_report`` writes the rows to
     ``<out_dir>/<name>-sweep.csv`` and ``.json``, whose paths are
-    meta["report"]. ``integrate``'s checks of the schemes, step counts and
-    t_final, and an out_dir that is not a directory, are a ValueError
+    meta["report"]. ``integrate``'s checks of the schemes and step
+    counts, and an out_dir that is not a directory, are a ValueError
     before any run; the ladder is sorted and de-duplicated, and the
     schemes de-duplicated in the order they first appear.
     """
@@ -486,13 +501,10 @@ def checked_snapshot_request(snapshot_steps, steps, out_dir):
 def run_preset(config, snapshot_steps=(), out_dir=None):
     """One integration of a config; optional snapshots and summary file.
 
-    Returns (summary, physical_fields). ``integrate``'s checks of the
-    scheme, steps and t_final, and an out_dir that is not a directory,
-    are a ValueError before any work; out_dir is made at the first write.
+    Returns (summary, physical_fields). An out_dir that is not a
+    directory and bad snapshot steps are a ValueError before any work;
+    out_dir is made at the first write.
     """
-    _checked_run(config.scheme,
-                 NonlinearSpec(config.kind, config.params).components,
-                 config.t_final, config.steps)
     _check_out_dir(out_dir)
     snapshot_steps = checked_snapshot_request(snapshot_steps, config.steps,
                                               out_dir)

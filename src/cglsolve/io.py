@@ -130,18 +130,12 @@ def _unpack(fh, fmt, size):
     return struct.unpack(fmt, data)
 
 
-def _cell(value):
-    if value is None:
-        return ""
-    return value
-
-
 def write_csv(stream, rows):
     """Rows as CSV under a REPORT_COLUMNS header; None is an empty cell."""
     writer = csv.writer(stream)
     writer.writerow(REPORT_COLUMNS)
     for row in rows:
-        writer.writerow([_cell(row.get(c)) for c in REPORT_COLUMNS])
+        writer.writerow([row.get(c) for c in REPORT_COLUMNS])
 
 
 def write_report(base_path, rows):

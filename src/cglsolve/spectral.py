@@ -80,6 +80,8 @@ class FourierGrid:
                            tuple((float(a), float(b)) for a, b in self.intervals))
         if len(self.extents) != len(self.intervals):
             raise ValueError("one interval per direction required")
+        if not self.extents:
+            raise ValueError("need at least one direction")
         for n, interval in zip(self.extents, self.intervals):
             _check_direction(n, interval)
 

@@ -366,6 +366,51 @@ def test_a_name_with_a_path_separator_is_a_usage_error_before_any_run(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--schemes", "if4"]],
+                         ids=["run", "sweep"])
+def test_a_config_without_directions_is_a_usage_error(command, tmp_path,
+                                                      capsys, monkeypatch):
+    # an empty grid was an IndexError traceback in the symbols
+    _no_integrate(monkeypatch)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"extents": [], "intervals": []}))
+    code, err = _usage_error(command + ["--preset", "plane-wave-1d",
+                                        "--config", str(path)], capsys)
+    assert code == 2
+    assert err.count("error:") == 1
+    assert "need at least one direction" in err
+
+
+def test_scheme_is_a_run_flag_only(capsys):
+    # a sweep runs its --schemes list and never read the config's scheme
+    code, err = _usage_error(["sweep", "--preset", "plane-wave-1d",
+                              "--scheme", "rk2", "--schemes", "strang",
+                              "--steps", "4", "--stability"], capsys)
+    assert code == 2
+    assert "unrecognized arguments: --scheme rk2" in err
+
+
+def test_a_config_file_scheme_its_kind_cannot_run_is_a_usage_error(
+        tmp_path, capsys, monkeypatch):
+    # the sweep once ignored it; a --scheme flag overrides it for run
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"scheme": "strang_3t"}))
+    coupled = ["--preset", "coupled-2d-periodic", "--config", str(path)]
+    for command in (["run"], ["sweep", "--schemes", "if4", "--stability"]):
+        code, err = _usage_error(command + coupled, capsys)
+        assert code == 2
+        assert "coupled cross term" in err
+    seen = []
+
+    def recorded(config, **kwargs):
+        seen.append((config.scheme, config.steps))
+        return {"diverged": False}, ()
+
+    monkeypatch.setattr(cli, "run_preset", recorded)
+    assert main(["run", *coupled, "--scheme", "if4", "--steps", "3"]) == 0
+    assert seen == [("if4", 3)]
+
+
 def test_a_coupled_sweep_runs_by_default_the_schemes_its_kind_runs(
         capsys):
     # the exact _3t splits leave out the cross term: the default list

@@ -117,10 +117,13 @@ def test_config_from_dict_checks_tuple_fields(key, value):
 @pytest.mark.parametrize("name", ["a/b", "/abs", "a\0b"])
 def test_config_from_dict_rejects_a_name_with_a_separator_or_nul(name):
     # the name heads the output files: "a/b" once failed only after the
-    # solve, at the first write under out/a/
-    data = config_to_dict(make_preset("plane-wave-1d"))
+    # solve, at the first write under out/a/, and a replaced name once
+    # reached run_preset unchecked
+    cfg = make_preset("plane-wave-1d")
     with pytest.raises(ValueError, match="config key 'name'"):
-        config_from_dict({**data, "name": name})
+        config_from_dict({**config_to_dict(cfg), "name": name})
+    with pytest.raises(ValueError, match="config key 'name'"):
+        replace(cfg, name=name)
 
 
 @pytest.mark.parametrize("name", ["alpha1", "alpha3", "beta4", "alpha5"])
@@ -129,6 +132,42 @@ def test_config_from_dict_rejects_bool_parameters(name):
     data["params"][name] = True
     with pytest.raises(ValueError, match=f"parameter {name} "):
         config_from_dict(data)
+
+
+@pytest.mark.parametrize("override,match", [
+    ({"kind": "quartic"}, "kind must be one of"),
+    ({"params": {"alpha1": 1.0}}, "config key 'params' must be an object"),
+    ({"extents": [128.0, 64]}, "config key 'extents' entry"),
+    ({"seed": "7"}, "config key 'seed' must be an integer")],
+    ids=["kind", "params", "extents", "seed"])
+def test_a_replaced_config_is_checked_as_one_from_a_dict(override, match):
+    cfg = make_preset("coupled-2d-periodic")
+    with pytest.raises(ValueError, match=match):
+        replace(cfg, **override)
+
+
+def test_a_config_stores_its_extents_and_intervals_as_tuples():
+    cfg = replace(make_preset("plane-wave-1d"), extents=[np.int64(32)],
+                  intervals=[[0, np.float32(25.0)]])
+    assert cfg.extents == (32,) and type(cfg.extents[0]) is int
+    assert cfg.intervals == ((0.0, 25.0),)
+    assert all(type(end) is float for end in cfg.intervals[0])
+    hash(cfg)  # lists would make the frozen config unhashable
+
+
+def test_a_config_without_directions_is_refused_before_any_run(
+        tmp_path, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(experiments, "integrate", no_run)
+    for preset in ("plane-wave-1d", "cubic-2d-dirichlet"):
+        cfg = make_preset(preset, extents=[], intervals=[])
+        with pytest.raises(ValueError, match="need at least one direction"):
+            run_preset(cfg, out_dir=str(tmp_path))
+        with pytest.raises(ValueError, match="need at least one direction"):
+            run_convergence_study(cfg, ["if4"], [4], out_dir=str(tmp_path))
+    assert not any(tmp_path.iterdir())
 
 
 def test_plane_wave_satisfies_dispersion_relation():
@@ -174,9 +213,13 @@ def test_plane_wave_needs_a_cubic_term():
 
 
 def test_coupled_kind_needs_periodic_boundaries():
-    cfg = replace(make_preset("coupled-2d-periodic"), boundary="dirichlet")
-    with pytest.raises(ValueError, match="periodic"):
-        build_problem(cfg)
+    # the config refuses itself, by replace or from a dict
+    cfg = make_preset("coupled-2d-periodic")
+    for boundary in ("dirichlet", "dirichlet_neumann"):
+        with pytest.raises(ValueError, match="require periodic boundaries"):
+            replace(cfg, boundary=boundary)
+        with pytest.raises(ValueError, match="require periodic boundaries"):
+            config_from_dict({**config_to_dict(cfg), "boundary": boundary})
 
 
 def test_plane_wave_state_is_exact_orbit():
@@ -490,16 +533,22 @@ def test_convergence_study_rejects_bad_step_counts_before_any_run(
     {"scheme": "bogus"}, {"scheme": "strang_3t"}, {"scheme": "split4_3t"}],
     ids=lambda o: "-".join(map(str, *o.items())))
 def test_a_bad_run_is_rejected_before_any_work(override, monkeypatch):
-    # coupled-2d-periodic builds its initial state by a 10,000-step pre-run
+    # coupled-2d-periodic builds its initial state by a 10,000-step pre-run;
+    # the config refuses a bad run when it is made, so none can start
     def no_state(config):
         raise AssertionError("the initial state was built")
 
     monkeypatch.setattr(experiments, "initial_state", no_state)
-    cfg = replace(make_preset("coupled-2d-periodic"), **override)
+    cfg = make_preset("coupled-2d-periodic")
     with pytest.raises(ValueError):
-        run_preset(cfg)
+        replace(cfg, **override)
     with pytest.raises(ValueError):
-        run_convergence_study(cfg, [cfg.scheme], [cfg.steps, 400])
+        make_preset("coupled-2d-periodic", **override)
+    # a sweep checks its own schemes and step ladder the same way
+    if "t_final" not in override:
+        with pytest.raises(ValueError):
+            run_convergence_study(cfg, [override.get("scheme", cfg.scheme)],
+                                  [override.get("steps", cfg.steps), 400])
 
 
 def test_convergence_study_writes_its_report(tmp_path):

@@ -682,6 +682,12 @@ def test_grid_validation():
         FourierGrid((8, 8), ((0.0, 1.0),))
 
 
+def test_a_grid_needs_at_least_one_direction():
+    # a 0-D grid was accepted and failed later, an IndexError in the symbols
+    with pytest.raises(ValueError, match="need at least one direction"):
+        FourierGrid((), ())
+
+
 @pytest.mark.parametrize("end", ["1", 10 ** 400, 1 + 0j, True],
                          ids=["str", "huge-int", "complex", "bool"])
 def test_grid_interval_ends_follow_the_scalar_rule(end):
